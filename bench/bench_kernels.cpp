@@ -4,13 +4,15 @@
 // paper artefact; used to sanity-check that the position counts in Table 1
 // translate into real time.
 //
-// The BM_SadKernel/* family is registered once per compiled-and-supported
-// SIMD variant (scalar, sse2, avx2) and calls that variant's table directly,
-// so one run reports per-variant throughput side by side — the measurement
-// behind docs/BENCHMARKING.md's kernel speedup table. Everything else goes
-// through me::sad_block and friends, i.e. the globally selected table:
-// `--kernel=scalar|sse2|avx2|auto` (parsed here before google-benchmark's
-// own flags) pins it for A/B runs of the search and encoder benchmarks.
+// The BM_SadKernel/* family and the transform rows BM_ForwardDct8x8Kernel/*,
+// BM_InverseDct8x8ToInt/* and BM_QuantizeBlock/* are registered once per
+// compiled-and-supported SIMD variant (scalar, sse2, avx2) and call that
+// variant's table directly, so one run reports per-variant throughput side
+// by side — the measurement behind docs/BENCHMARKING.md's kernel speedup
+// tables. Everything else goes through me::sad_block and friends, i.e. the
+// globally selected table: `--kernel=scalar|sse2|avx2|auto` (parsed here
+// before google-benchmark's own flags) pins it for A/B runs of the search
+// and encoder benchmarks.
 
 #include <benchmark/benchmark.h>
 
@@ -134,6 +136,62 @@ void BM_SadHalfpelFused(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 256);
 }
 
+/// A dense ±64 residual block, its coefficients, and its inter levels at
+/// Qp 8 after dequantisation (42 of 64 nonzero, every row and column
+/// occupied, so the inverse rows time the full product with no skipped
+/// terms).
+struct TransformBlocks {
+  std::int16_t residual[codec::kDctSamples];
+  double coeffs[codec::kDctSamples];
+  std::int16_t dequantized[codec::kDctSamples];
+
+  TransformBlocks() {
+    util::Rng rng(11);
+    for (auto& v : residual) {
+      v = static_cast<std::int16_t>(rng.next_in_range(-64, 64));
+    }
+    const simd::TransformKernels& scalar = *simd::transforms_for(
+        simd::KernelIsa::kScalar);
+    scalar.forward_dct(residual, coeffs);
+    std::int16_t levels[codec::kDctSamples];
+    scalar.quantize(coeffs, levels, 8, /*intra=*/false);
+    scalar.dequantize(levels, dequantized, 8, /*intra=*/false);
+  }
+};
+
+void forward_dct_variant(benchmark::State& state,
+                         const simd::TransformKernels* t) {
+  const TransformBlocks blocks;
+  double out[codec::kDctSamples];
+  for (auto _ : state) {
+    t->forward_dct(blocks.residual, out);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+void inverse_dct_to_int_variant(benchmark::State& state,
+                                const simd::TransformKernels* t) {
+  const TransformBlocks blocks;
+  std::int16_t out[codec::kDctSamples];
+  for (auto _ : state) {
+    t->inverse_dct_to_int(blocks.dequantized, out, 512);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+void quantize_block_variant(benchmark::State& state,
+                            const simd::TransformKernels* t) {
+  const TransformBlocks blocks;
+  std::int16_t levels[codec::kDctSamples];
+  for (auto _ : state) {
+    t->quantize(blocks.coeffs, levels, 8, /*intra=*/false);
+    benchmark::DoNotOptimize(levels);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
 /// One per-variant registration for every table the build/CPU offers.
 void register_kernel_variant_benchmarks() {
   for (simd::KernelIsa isa : {simd::KernelIsa::kScalar,
@@ -154,6 +212,13 @@ void register_kernel_variant_benchmarks() {
         sad_kernel_quincunx_variant, k);
     benchmark::RegisterBenchmark(("BM_SadHalfpel/" + suffix).c_str(),
                                  sad_halfpel_preinterp_variant, k);
+    const simd::TransformKernels* t = simd::transforms_for(isa);
+    benchmark::RegisterBenchmark(("BM_ForwardDct8x8Kernel/" + suffix).c_str(),
+                                 forward_dct_variant, t);
+    benchmark::RegisterBenchmark(("BM_InverseDct8x8ToInt/" + suffix).c_str(),
+                                 inverse_dct_to_int_variant, t);
+    benchmark::RegisterBenchmark(("BM_QuantizeBlock/" + suffix).c_str(),
+                                 quantize_block_variant, t);
   }
   benchmark::RegisterBenchmark("BM_SadHalfpel/fused", BM_SadHalfpelFused);
 }

@@ -1,6 +1,7 @@
 #include "codec/block_codec.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "codec/quant.hpp"
 
@@ -10,6 +11,14 @@ namespace {
 
 std::uint8_t clamp_sample(int v) {
   return static_cast<std::uint8_t>(std::clamp(v, 0, 255));
+}
+
+bool all_zero(const std::int16_t levels[kDctSamples]) {
+  int any = 0;
+  for (int i = 0; i < kDctSamples; ++i) {
+    any |= levels[i];
+  }
+  return any == 0;
 }
 
 }  // namespace
@@ -65,6 +74,16 @@ void encode_inter_block(const std::uint8_t* src, int src_stride,
 void reconstruct_inter_block(const std::int16_t levels[kDctSamples],
                              const std::uint8_t* pred, int pred_stride, int qp,
                              std::uint8_t* dst, int dst_stride) {
+  // An uncoded block reconstructs to the prediction exactly: every dequant
+  // level is 0, every IDCT product ±0, every sum +0 and lround(+0) == 0.
+  if (all_zero(levels)) {
+    for (int y = 0; y < kDctSize; ++y) {
+      std::memcpy(dst + static_cast<std::ptrdiff_t>(y) * dst_stride,
+                  pred + static_cast<std::ptrdiff_t>(y) * pred_stride,
+                  kDctSize);
+    }
+    return;
+  }
   std::int16_t coeffs[kDctSamples];
   dequantize_block(levels, coeffs, qp, /*intra=*/false);
   std::int16_t residual[kDctSamples];

@@ -29,6 +29,8 @@ void encode_inter_block(const std::uint8_t* src, int src_stride,
                         std::int16_t levels[kDctSamples], int qp);
 
 /// Inverse path for an INTER block: dst = clamp(pred + IDCT(dequant)).
+/// All-zero levels (an uncoded block) short-cut to a copy of pred, which is
+/// exactly what the full path produces.
 void reconstruct_inter_block(const std::int16_t levels[kDctSamples],
                              const std::uint8_t* pred, int pred_stride, int qp,
                              std::uint8_t* dst, int dst_stride);

@@ -1,95 +1,23 @@
 #include "codec/dct.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <numbers>
+#include "simd/dispatch.hpp"
 
 namespace acbm::codec {
 
-namespace {
-
-/// basis[u][x] = C(u)·cos((2x+1)uπ/16)/2 with C(0)=1/√2 — the orthonormal
-/// 1-D DCT basis. Computed once at static-init time.
-struct Basis {
-  double b[kDctSize][kDctSize];
-
-  Basis() {
-    for (int u = 0; u < kDctSize; ++u) {
-      const double cu = u == 0 ? 1.0 / std::sqrt(2.0) : 1.0;
-      for (int x = 0; x < kDctSize; ++x) {
-        b[u][x] = 0.5 * cu *
-                  std::cos((2.0 * x + 1.0) * u * std::numbers::pi / 16.0);
-      }
-    }
-  }
-};
-
-const Basis kBasis;
-
-}  // namespace
+static_assert(kDctSamples == simd::kBlockSamples);
 
 void forward_dct8x8(const std::int16_t in[kDctSamples],
                     double out[kDctSamples]) {
-  // Rows first.
-  double tmp[kDctSamples];
-  for (int y = 0; y < kDctSize; ++y) {
-    for (int u = 0; u < kDctSize; ++u) {
-      double s = 0.0;
-      for (int x = 0; x < kDctSize; ++x) {
-        s += kBasis.b[u][x] * in[y * kDctSize + x];
-      }
-      tmp[y * kDctSize + u] = s;
-    }
-  }
-  // Columns.
-  for (int u = 0; u < kDctSize; ++u) {
-    for (int v = 0; v < kDctSize; ++v) {
-      double s = 0.0;
-      for (int y = 0; y < kDctSize; ++y) {
-        s += kBasis.b[v][y] * tmp[y * kDctSize + u];
-      }
-      out[v * kDctSize + u] = s;
-    }
-  }
+  simd::active_transforms().forward_dct(in, out);
 }
 
 void inverse_dct8x8(const double in[kDctSamples], double out[kDctSamples]) {
-  double tmp[kDctSamples];
-  // Columns first (transpose of forward order; any order is valid).
-  for (int u = 0; u < kDctSize; ++u) {
-    for (int y = 0; y < kDctSize; ++y) {
-      double s = 0.0;
-      for (int v = 0; v < kDctSize; ++v) {
-        s += kBasis.b[v][y] * in[v * kDctSize + u];
-      }
-      tmp[y * kDctSize + u] = s;
-    }
-  }
-  // Rows.
-  for (int y = 0; y < kDctSize; ++y) {
-    for (int x = 0; x < kDctSize; ++x) {
-      double s = 0.0;
-      for (int u = 0; u < kDctSize; ++u) {
-        s += kBasis.b[u][x] * tmp[y * kDctSize + u];
-      }
-      out[y * kDctSize + x] = s;
-    }
-  }
+  simd::inverse_dct8x8_scalar(in, out);
 }
 
 void inverse_dct8x8_to_int(const std::int16_t in[kDctSamples],
                            std::int16_t out[kDctSamples], int limit) {
-  double coeffs[kDctSamples];
-  for (int i = 0; i < kDctSamples; ++i) {
-    coeffs[i] = in[i];
-  }
-  double spatial[kDctSamples];
-  inverse_dct8x8(coeffs, spatial);
-  for (int i = 0; i < kDctSamples; ++i) {
-    const long r = std::lround(spatial[i]);
-    out[i] = static_cast<std::int16_t>(
-        std::clamp<long>(r, -limit, limit));
-  }
+  simd::active_transforms().inverse_dct_to_int(in, out, limit);
 }
 
 }  // namespace acbm::codec

@@ -3,38 +3,16 @@
 #include <algorithm>
 #include <cmath>
 
+#include "simd/dispatch.hpp"
+
 namespace acbm::codec {
 
-namespace {
-
-constexpr int kCoeffLimit = 2047;  // H.263 coefficient clamp
-
-}  // namespace
-
 std::int16_t quant_ac(double coeff, int qp, bool intra) {
-  const double mag = std::abs(coeff);
-  double level;
-  if (intra) {
-    level = mag / (2.0 * qp);
-  } else {
-    level = (mag - qp / 2.0) / (2.0 * qp);
-  }
-  long l = static_cast<long>(level);  // truncation toward zero (TMN)
-  l = std::clamp<long>(l, 0, 127);
-  return static_cast<std::int16_t>(coeff < 0 ? -l : l);
+  return simd::quantize_coeff_scalar(coeff, qp, intra);
 }
 
 std::int16_t dequant_ac(std::int16_t level, int qp) {
-  if (level == 0) {
-    return 0;
-  }
-  const int mag = level < 0 ? -level : level;
-  int rec = qp * (2 * mag + 1);
-  if ((qp & 1) == 0) {
-    rec -= 1;
-  }
-  rec = std::min(rec, kCoeffLimit);
-  return static_cast<std::int16_t>(level < 0 ? -rec : rec);
+  return simd::dequantize_level_scalar(level, qp);
 }
 
 std::uint8_t quant_intra_dc(double coeff) {
@@ -49,24 +27,12 @@ std::int16_t dequant_intra_dc(std::uint8_t level) {
 
 void quantize_block(const double coeffs[kDctSamples],
                     std::int16_t levels[kDctSamples], int qp, bool intra) {
-  for (int i = 0; i < kDctSamples; ++i) {
-    if (intra && i == 0) {
-      levels[0] = 0;  // DC handled out of band
-      continue;
-    }
-    levels[i] = quant_ac(coeffs[i], qp, intra);
-  }
+  simd::active_transforms().quantize(coeffs, levels, qp, intra);
 }
 
 void dequantize_block(const std::int16_t levels[kDctSamples],
                       std::int16_t coeffs[kDctSamples], int qp, bool intra) {
-  for (int i = 0; i < kDctSamples; ++i) {
-    if (intra && i == 0) {
-      coeffs[0] = 0;  // caller adds the dequantized DC
-      continue;
-    }
-    coeffs[i] = dequant_ac(levels[i], qp);
-  }
+  simd::active_transforms().dequantize(levels, coeffs, qp, intra);
 }
 
 }  // namespace acbm::codec

@@ -33,9 +33,10 @@ inline constexpr int kMaxQp = 31;
 /// Dequantizes the intra DC level.
 [[nodiscard]] std::int16_t dequant_intra_dc(std::uint8_t level);
 
-/// Block forms. For intra blocks, index 0 holds the DC and is NOT touched by
-/// quantize_block (the caller codes it via quant_intra_dc); levels[0] is set
-/// to zero.
+/// Block forms, run on the active simd::TransformKernels variant (each one
+/// bit-identical to applying quant_ac / dequant_ac per coefficient). For
+/// intra blocks, index 0 holds the DC and is NOT touched by quantize_block
+/// (the caller codes it via quant_intra_dc); levels[0] is set to zero.
 void quantize_block(const double coeffs[kDctSamples],
                     std::int16_t levels[kDctSamples], int qp, bool intra);
 

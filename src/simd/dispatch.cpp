@@ -28,21 +28,27 @@ bool cpu_supports_avx2() {
 #endif
 }
 
-const SadKernels* best_table() {
-  if (const SadKernels* t = kernels_for(KernelIsa::kAvx2)) {
-    return t;
+/// The best variant that is compiled in and runs on this CPU. The SAD and
+/// transform TUs of one ISA share the same build and CPUID gates.
+KernelIsa best_isa() {
+  for (KernelIsa isa : {KernelIsa::kAvx2, KernelIsa::kSse2}) {
+    if (kernels_for(isa) != nullptr && transforms_for(isa) != nullptr) {
+      return isa;
+    }
   }
-  if (const SadKernels* t = kernels_for(KernelIsa::kSse2)) {
-    return t;
-  }
-  return detail::scalar_kernels();
+  return KernelIsa::kScalar;
 }
 
-// Function-local static: thread-safe lazy init, immune to cross-TU static
+// Function-local statics: thread-safe lazy init, immune to cross-TU static
 // initialization order (me::sad_block may run during another TU's dynamic
 // initialization).
 std::atomic<const SadKernels*>& active_slot() {
-  static std::atomic<const SadKernels*> slot{best_table()};
+  static std::atomic<const SadKernels*> slot{kernels_for(best_isa())};
+  return slot;
+}
+
+std::atomic<const TransformKernels*>& active_transform_slot() {
+  static std::atomic<const TransformKernels*> slot{transforms_for(best_isa())};
   return slot;
 }
 
@@ -57,7 +63,21 @@ const SadKernels* kernels_for(KernelIsa isa) {
     case KernelIsa::kAvx2:
       return cpu_supports_avx2() ? detail::avx2_kernels() : nullptr;
     case KernelIsa::kAuto:
-      return best_table();
+      return kernels_for(best_isa());
+  }
+  return nullptr;
+}
+
+const TransformKernels* transforms_for(KernelIsa isa) {
+  switch (isa) {
+    case KernelIsa::kScalar:
+      return detail::scalar_transforms();
+    case KernelIsa::kSse2:
+      return cpu_supports_sse2() ? detail::sse2_transforms() : nullptr;
+    case KernelIsa::kAvx2:
+      return cpu_supports_avx2() ? detail::avx2_transforms() : nullptr;
+    case KernelIsa::kAuto:
+      return transforms_for(best_isa());
   }
   return nullptr;
 }
@@ -66,12 +86,18 @@ const SadKernels& active_kernels() {
   return *active_slot().load(std::memory_order_acquire);
 }
 
+const TransformKernels& active_transforms() {
+  return *active_transform_slot().load(std::memory_order_acquire);
+}
+
 bool select_kernels(KernelIsa isa) {
   const SadKernels* table = kernels_for(isa);
-  if (table == nullptr) {
+  const TransformKernels* transforms = transforms_for(isa);
+  if (table == nullptr || transforms == nullptr) {
     return false;
   }
   active_slot().store(table, std::memory_order_release);
+  active_transform_slot().store(transforms, std::memory_order_release);
   return true;
 }
 

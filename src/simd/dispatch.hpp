@@ -1,25 +1,27 @@
 #pragma once
-// Runtime selection of the active SAD kernel table.
+// Runtime selection of the active kernel tables: SAD (sad_kernels.hpp) and
+// the 8×8 transforms (transform_kernels.hpp), always switched together.
 //
 // Variant availability is decided twice: at BUILD time a CMake feature probe
-// compiles src/simd/sad_sse2.cpp / sad_avx2.cpp with the matching -m flags
+// compiles src/simd/{sad,transform}_{sse2,avx2}.cpp with the matching -m flags
 // (skipped entirely under -DACBM_DISABLE_SIMD=ON or on non-x86 targets), and
 // at RUN time CPUID gates which compiled variants may execute. The process
 // starts on the best variant that passes both gates ("auto"); the --kernel
 // CLI flag on acbm_enc / the benches, or select_kernels() from code, pins a
 // specific one for A/B measurement.
 //
-// Selection is process-global: the table is consulted through one atomic
-// pointer on every me::sad_block call. Swapping variants mid-encode is safe
-// (all variants are bit-identical) but pointless; the intended protocol is
-// select once at startup. Thread-pool workers read the same table, so a
-// parallel encode uses one variant throughout.
+// Selection is process-global: each table is consulted through one atomic
+// pointer on every me::sad_block / codec transform call. Swapping variants
+// mid-encode is safe (all variants are bit-identical) but pointless; the
+// intended protocol is select once at startup. Thread-pool workers read the
+// same tables, so a parallel encode uses one variant throughout.
 
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "simd/sad_kernels.hpp"
+#include "simd/transform_kernels.hpp"
 
 namespace acbm::simd {
 
@@ -38,8 +40,16 @@ enum class KernelIsa { kScalar, kSse2, kAvx2, kAuto };
 /// Defaults to kAuto's choice on first use.
 [[nodiscard]] const SadKernels& active_kernels();
 
-/// @brief Makes `isa` the active table. Returns false (selection unchanged)
-/// when the variant is unavailable on this build/CPU.
+/// @brief Transform table for a variant, with the same availability rules as
+/// kernels_for().
+[[nodiscard]] const TransformKernels* transforms_for(KernelIsa isa);
+
+/// @brief The transform table the codec's DCT/quantiser entry points route
+/// through; select_kernels() sets it together with active_kernels().
+[[nodiscard]] const TransformKernels& active_transforms();
+
+/// @brief Makes `isa` the active SAD and transform table. Returns false
+/// (selection unchanged) when the variant is unavailable on this build/CPU.
 bool select_kernels(KernelIsa isa);
 
 /// @brief select_kernels() keyed by the CLI spelling: "scalar", "sse2",

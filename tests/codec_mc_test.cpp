@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "codec/block_codec.hpp"
+#include "codec/quant.hpp"
+#include "simd/dispatch.hpp"
 #include "test_support.hpp"
 
 namespace acbm::codec {
@@ -161,17 +165,37 @@ TEST(BlockCodec, InterReconstructionImprovesOnPrediction) {
 }
 
 TEST(BlockCodec, InterSkipEquivalence) {
-  // All-zero levels must reproduce the prediction exactly (the SKIP path).
-  std::uint8_t pred[64];
-  for (int i = 0; i < 64; ++i) {
-    pred[i] = static_cast<std::uint8_t>(i * 3);
-  }
+  // All-zero levels (the SKIP path) must reproduce the prediction exactly.
+  // reconstruct_inter_block short-cuts them to a copy of pred, so the
+  // result must also equal the full dequant → IDCT → clamp path under every
+  // kernel table, at the sample extremes 0 and 255 and on a ramp.
   const std::int16_t levels[kDctSamples] = {};
-  std::uint8_t dst[64];
-  reconstruct_inter_block(levels, pred, 8, 16, dst, 8);
-  for (int i = 0; i < 64; ++i) {
-    ASSERT_EQ(dst[i], pred[i]);
+  for (simd::KernelIsa isa : {simd::KernelIsa::kScalar, simd::KernelIsa::kSse2,
+                              simd::KernelIsa::kAvx2}) {
+    if (!simd::select_kernels(isa)) {
+      continue;
+    }
+    for (int fill : {0, 255, -1}) {
+      std::uint8_t pred[kDctSamples];
+      for (int i = 0; i < kDctSamples; ++i) {
+        pred[i] = static_cast<std::uint8_t>(fill >= 0 ? fill : i * 3);
+      }
+      for (int qp : {1, 16, 31}) {
+        std::int16_t coeffs[kDctSamples];
+        std::int16_t residual[kDctSamples];
+        dequantize_block(levels, coeffs, qp, /*intra=*/false);
+        inverse_dct8x8_to_int(coeffs, residual, /*limit=*/512);
+        std::uint8_t dst[kDctSamples];
+        reconstruct_inter_block(levels, pred, 8, qp, dst, 8);
+        for (int i = 0; i < kDctSamples; ++i) {
+          ASSERT_EQ(dst[i], pred[i]) << simd::active_kernel_name();
+          ASSERT_EQ(dst[i], std::clamp(pred[i] + residual[i], 0, 255))
+              << simd::active_kernel_name();
+        }
+      }
+    }
   }
+  simd::select_kernels(simd::KernelIsa::kAuto);
 }
 
 }  // namespace
