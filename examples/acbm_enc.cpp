@@ -136,10 +136,6 @@ int main(int argc, char** argv) {
                     "(e.g. ACBM, \"ACBM:alpha=500,beta=8,gamma=0.25\"); "
                     "pass an unknown name to see every spec",
                     "");
-  parser.add_option("algorithm",
-                    "deprecated alias of --estimator (bare names only "
-                    "historically; full specs accepted)",
-                    "");
   parser.add_option("config",
                     "encoder config spec key=val,... applied after the "
                     "individual flags (e.g. \"mode=rd,deblock=1\"); pass an "
@@ -211,18 +207,6 @@ int main(int argc, char** argv) {
   // misspelling ever degrades into a silent default.
   std::unique_ptr<me::MotionEstimator> estimator;
   std::string estimator_spec = parser.get("estimator");
-  if (!parser.get("algorithm").empty()) {
-    if (!estimator_spec.empty()) {
-      // Two sources of truth for the estimator would let a stale legacy
-      // flag silently win over the explicit one; refuse instead.
-      std::cerr << "acbm_enc: --estimator and --algorithm are aliases — "
-                   "pass only one (got --estimator '" << estimator_spec
-                << "' and --algorithm '" << parser.get("algorithm")
-                << "')\n";
-      return 2;
-    }
-    estimator_spec = parser.get("algorithm");
-  }
   if (estimator_spec.empty()) {
     estimator_spec = "ACBM";
   }

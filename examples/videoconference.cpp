@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   // Prove the ACBM bitstream is a real, decodable stream.
-  codec::Decoder decoder(acbm_stream);
+  codec::Decoder decoder(acbm_stream, codec::DecoderConfig{});
   const auto decoded = decoder.decode_all();
   double decoded_psnr = 0.0;
   for (std::size_t i = 0; i < decoded.size(); ++i) {

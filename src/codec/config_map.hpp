@@ -35,8 +35,7 @@ namespace acbm::codec {
 
 /// @brief Canonical spec of `config`: every key in declaration order.
 /// Round-trips: encoder_config_from_spec(to_spec(c)) reproduces c for all
-/// fields the grammar covers (ParallelConfig::deterministic is an API
-/// reservation and not mapped).
+/// fields the grammar covers.
 [[nodiscard]] std::string to_spec(const EncoderConfig& config);
 
 /// One line per key (key=default (range): help) — the table unknown-key

@@ -91,14 +91,6 @@ Decoder::Decoder(std::span<const std::uint8_t> data,
   shared_pool_ = &shared_pool;
 }
 
-Decoder::Decoder(std::span<const std::uint8_t> data, int threads)
-    : Decoder(data, DecoderConfig{.threads = threads}) {}
-
-Decoder::Decoder(std::span<const std::uint8_t> data,
-                 util::ThreadPool& shared_pool)
-    : Decoder(data, DecoderConfig{.threads = shared_pool.size()},
-              shared_pool) {}
-
 Decoder::~Decoder() = default;
 
 std::optional<video::Frame> Decoder::decode_frame() {
@@ -405,8 +397,8 @@ void Decoder::decode_slice_payloads(std::vector<SliceEntry>& slices,
     if (!queue_) {
       queue_ = std::make_unique<util::ThreadPool::Queue>(*pool);
     }
-    // Group wait, not wait_idle: on a shared pool an idle wait would block
-    // on (and be woken by) every other session's traffic.
+    // The group covers this frame's slices only, so on a shared pool the
+    // barrier never waits on (or is woken by) other sessions' traffic.
     util::TaskGroup group;
     for (SliceEntry& entry : slices) {
       pool->submit(

@@ -122,14 +122,6 @@ class Decoder {
   Decoder(std::span<const std::uint8_t> data, const DecoderConfig& config,
           util::ThreadPool& shared_pool);
 
-  /// Deprecated: thin wrapper over the DecoderConfig constructor, kept for
-  /// source compatibility (byte-/sample-identical to the old behaviour).
-  /// Prefer Decoder(data, DecoderConfig{.threads = n}).
-  explicit Decoder(std::span<const std::uint8_t> data, int threads = 1);
-
-  /// Deprecated: wrapper over the shared-pool DecoderConfig constructor.
-  Decoder(std::span<const std::uint8_t> data, util::ThreadPool& shared_pool);
-
   ~Decoder();
 
   Decoder(const Decoder&) = delete;

@@ -108,9 +108,13 @@ Encoder::Encoder(video::PictureSize size, const EncoderConfig& config,
   // so callers can pass "slices = threads" without sizing logic.
   slices_ = std::clamp(config.slices, 1, std::min(size.height / kMb,
                                                   kMaxSlices));
-  pipeline_ = shared_pool != nullptr
-                  ? std::make_unique<EncoderPipeline>(*this, *shared_pool)
-                  : std::make_unique<EncoderPipeline>(*this, config.parallel);
+  if (shared_pool == nullptr) {
+    const int threads =
+        util::ThreadPool::resolve_thread_count(config.parallel.threads);
+    own_pool_ = std::make_unique<util::ThreadPool>(threads > 1 ? threads : 0);
+    shared_pool = own_pool_.get();
+  }
+  pipeline_ = std::make_unique<EncoderPipeline>(*this, *shared_pool);
   write_sequence_header();
 }
 
@@ -148,7 +152,7 @@ FrameReport Encoder::encode_frame(const video::Frame& src) {
 std::future<EncodedFrame> Encoder::submit_frame(video::Frame src) {
   assert(!finished_);
   assert(src.width() == size_.width && src.height() == size_.height);
-  return pipeline_->submit_frame(std::move(src));
+  return pipeline_->submit_frame(std::move(src), SubmitOptions{});
 }
 
 std::future<EncodedFrame> Encoder::submit_frame(video::Frame src,

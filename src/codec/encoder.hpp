@@ -77,20 +77,17 @@ inline constexpr int kMaxSlices = 255;
 /// Threading knobs for the encoding pipeline. The motion-estimation stage
 /// runs row-parallel in wavefront order (row N may lead row N+1 by at least
 /// two macroblocks), which keeps every spatial predictor a block reads —
-/// left, above, above-right — computed before the read. Each worker owns a
-/// clone() of the caller's estimator; per-sequence statistics flow back via
-/// MotionEstimator::merge_stats after every frame, so the primary
-/// estimator's totals match a serial run exactly.
+/// left, above, above-right — computed before the read. Worker 0 runs the
+/// caller's estimator; every other worker owns a clone() of it, whose
+/// per-sequence statistics flow back via MotionEstimator::merge_stats
+/// after every frame, so the primary estimator's totals match a
+/// single-threaded run exactly. The bytes are identical at every count.
 struct ParallelConfig {
-  /// Worker threads for the parallel stages: 1 = serial (default),
-  /// 0 = one per hardware thread, N = exactly N workers.
+  /// Worker threads for the parallel stages: 1 = no worker threads, every
+  /// stage runs on the calling thread (default), 0 = one per hardware
+  /// thread, N = exactly N workers (which the calling thread joins while
+  /// it waits for a frame).
   int threads = 1;
-  /// Bit-exact scheduling. The wavefront order used today is always
-  /// deterministic — serial and N-thread encodes produce identical ACV1
-  /// bytes — so this flag is an API reservation for future relaxed-order
-  /// modes (free-running rows trading determinism for throughput); setting
-  /// it false currently changes nothing.
-  bool deterministic = true;
 };
 
 /// How the encoder chooses each P-frame macroblock's mode.
@@ -178,29 +175,31 @@ class ServiceStatsSink;
 /// Frame encoding is delegated to an EncoderPipeline (codec/pipeline.hpp),
 /// which splits the old monolithic macroblock loop into separable stages —
 /// motion estimation, mode decision, macroblock planning (DCT/quant/RD
-/// candidate costing), entropy coding + reconstruction — and runs the ME,
-/// mode and plan stages across ParallelConfig::threads workers. The
-/// pipeline's output is bit-exact regardless of thread count.
+/// candidate costing), entropy coding + reconstruction — and runs them as
+/// tasks on one lane of a util::ThreadPool, with frame-level pipelining
+/// and admission control. Every constructor runs that same engine; the
+/// output is bit-exact regardless of thread count or pool.
 class Encoder {
  public:
+  /// Standalone constructor: the encoder owns its pool —
+  /// config.parallel.threads workers for threads > 1, and for threads == 1
+  /// a zero-worker pool that runs every stage on the calling thread.
   /// `estimator` is borrowed and must outlive the encoder — callers keep it
   /// to read algorithm-specific statistics (e.g. core::Acbm::stats()).
-  /// With config.parallel.threads != 1 the pipeline workers run clone()s of
-  /// it (taken lazily at the first parallel frame) and merge their statistics
-  /// back into it after every frame, so stats() reads stay valid and match
-  /// a serial run. The clones snapshot the estimator's configuration at that
-  /// point: reconfiguring it mid-stream (e.g. Acbm::set_params or
-  /// set_record_log after the first P-frame) is only honoured by serial
-  /// encodes — finish the configuration before encoding starts.
+  /// Worker 0 runs `estimator` itself; with more than one worker the others
+  /// run clone()s of it (taken lazily at the first P-frame) and merge their
+  /// statistics back into it after every frame, so stats() reads stay valid
+  /// and match a single-threaded run. The clones snapshot the estimator's
+  /// configuration at that point: reconfiguring it mid-stream (e.g.
+  /// Acbm::set_params or set_record_log after the first P-frame) is only
+  /// fully honoured at threads == 1 — finish the configuration before
+  /// encoding starts.
   Encoder(video::PictureSize size, const EncoderConfig& config,
           me::MotionEstimator& estimator);
 
-  /// Service-mode constructor: the pipeline runs on `shared_pool` (one lane
-  /// of it) instead of building its own, and frame-level pipelining is
-  /// enabled — submit_frame() overlaps frame t+1's motion estimation with
-  /// frame t's entropy coding, gated per reference row so the bitstream
-  /// stays byte-identical to the single-frame path.
-  /// `config.parallel.threads` is ignored; the pool must outlive the
+  /// Shared-pool constructor: the pipeline runs on one lane of
+  /// `shared_pool` instead of an owned pool, next to other sessions'
+  /// lanes. `config.parallel.threads` is ignored; the pool must outlive the
   /// encoder. Used by codec::EncoderService / EncodeSession.
   Encoder(video::PictureSize size, const EncoderConfig& config,
           me::MotionEstimator& estimator, util::ThreadPool& shared_pool);
@@ -213,18 +212,22 @@ class Encoder {
   Encoder(Encoder&&) = delete;
   Encoder& operator=(Encoder&&) = delete;
 
-  /// Encodes one frame and returns its report.
+  /// Encodes one frame and returns its report: submit_frame(src).get(),
+  /// with `src` borrowed for the call instead of copied. A frame whose
+  /// stage throws latches the encoder failed (see failed()) and rethrows
+  /// here as its SessionError; later calls then throw kSessionFailed.
   FrameReport encode_frame(const video::Frame& src);
 
-  /// Service mode only (shared-pool constructor): enqueues `src` for
-  /// asynchronous, frame-pipelined encoding and returns a future for its
-  /// packet. Frames complete in submission order. Throws std::logic_error
-  /// when the encoder was not built on a shared pool. Thread-safe against
-  /// the pool's workers but not against concurrent submitters — one thread
-  /// drives a session.
+  /// Enqueues `src` for asynchronous, frame-pipelined encoding and returns
+  /// a future for its packet: frame t+1's motion estimation overlaps frame
+  /// t's entropy coding, gated per reference row, so the bytes match
+  /// encode_frame's. Frames complete in submission order. On a zero-worker
+  /// pool (standalone, threads == 1) the frame is encoded before this
+  /// returns. Thread-safe against the pool's workers but not against
+  /// concurrent submitters — one thread drives an encoder.
   std::future<EncodedFrame> submit_frame(video::Frame src);
 
-  /// Service mode with admission controls (deadline / bounded queue /
+  /// submit_frame with admission controls (deadline / bounded queue /
   /// degradation — see SubmitOptions). Admission rejections resolve the
   /// returned future with a SessionError instead of throwing.
   std::future<EncodedFrame> submit_frame(video::Frame src,
@@ -235,14 +238,14 @@ class Encoder {
   std::optional<std::future<EncodedFrame>> try_submit_frame(
       video::Frame src, const SubmitOptions& options);
 
-  /// Blocks until every submit_frame() has resolved. No-op otherwise.
-  /// Returns normally on a failed session (the error already surfaced
-  /// through the per-frame futures).
+  /// Blocks until every submitted frame has resolved. Returns normally on
+  /// a failed encoder (the error already surfaced through the per-frame
+  /// futures).
   void drain();
 
-  /// True once a frame's stage threw and latched this (service-mode)
-  /// encoder failed: queued frames were resolved with kSessionFailed and
-  /// later submits fail fast. Always false in standalone mode.
+  /// True once a frame's stage threw and latched this encoder failed —
+  /// standalone or shared-pool alike: queued frames were resolved with
+  /// kSessionFailed, and later submits (and encode_frame calls) fail fast.
   [[nodiscard]] bool failed() const;
 
   /// Installs the service's shared health counters; the pipeline bumps
@@ -317,7 +320,7 @@ class Encoder {
   friend class EncoderPipeline;
 
   /// Delegation target of both public constructors; `shared_pool` null
-  /// means standalone (the pipeline builds its own pool per
+  /// means standalone (the encoder builds its own pool per
   /// config.parallel).
   Encoder(video::PictureSize size, const EncoderConfig& config,
           me::MotionEstimator& estimator, util::ThreadPool* shared_pool);
@@ -486,6 +489,9 @@ class Encoder {
   StageMetrics stage_metrics_;
   std::uint64_t trace_session_ = 0;
   std::unique_ptr<me::MotionEstimator> degraded_estimator_;
+  /// The standalone encoder's own pool; null on a shared pool. Declared
+  /// before pipeline_ so the pipeline (and its lane) goes first.
+  std::unique_ptr<util::ThreadPool> own_pool_;
   std::unique_ptr<EncoderPipeline> pipeline_;  ///< constructed with *this
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <new>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -63,46 +62,40 @@ EncoderPipeline::FrameJob::~FrameJob() {
   }
 }
 
-EncoderPipeline::EncoderPipeline(Encoder& encoder,
-                                 const ParallelConfig& parallel)
+EncoderPipeline::EncoderPipeline(Encoder& encoder, util::ThreadPool& pool)
     : enc_(encoder),
-      worker_count_(util::ThreadPool::resolve_thread_count(parallel.threads)) {
-  if (worker_count_ > 1) {
-    pool_ = std::make_unique<util::ThreadPool>(worker_count_);
-    active_pool_ = pool_.get();
-  }
-}
-
-EncoderPipeline::EncoderPipeline(Encoder& encoder,
-                                 util::ThreadPool& shared_pool)
-    : enc_(encoder),
-      worker_count_(shared_pool.size()),
-      active_pool_(&shared_pool),
-      queue_(std::make_unique<util::ThreadPool::Queue>(shared_pool)) {}
+      pool_(pool),
+      worker_count_(pool.size() + 1),
+      row_progress_(static_cast<std::size_t>(encoder.mbs_y())),
+      row_done_(static_cast<std::size_t>(encoder.mbs_y())),
+      queue_(pool) {}
 
 EncoderPipeline::~EncoderPipeline() {
-  if (pipelined()) {
+  try {
     drain();
+  } catch (...) {
+    // Frame tasks catch their stages' errors into the frames' futures; an
+    // error reaching the group can only come from a task's own bookkeeping
+    // (an allocation failure). The session is going away with it, and a
+    // destructor must not throw.
   }
-  // queue_'s destructor then drains the lane before the shared pool loses
-  // the back-reference; pool_ (standalone) joins its workers after that.
 }
 
 void EncoderPipeline::ensure_workers() {
-  if (active_pool_ == nullptr) {
-    return;
-  }
-  if (workers_.empty()) {
-    workers_.reserve(static_cast<std::size_t>(worker_count_));
-    for (int i = 0; i < worker_count_; ++i) {
-      workers_.push_back(enc_.estimator_->clone());
+  const auto build = [this](std::vector<me::MotionEstimator*>& workers,
+                            me::MotionEstimator& primary) {
+    workers.reserve(static_cast<std::size_t>(worker_count_));
+    workers.push_back(&primary);
+    while (static_cast<int>(workers.size()) < worker_count_) {
+      clones_.push_back(primary.clone());
+      workers.push_back(clones_.back().get());
     }
+  };
+  if (workers_.empty()) {
+    build(workers_, *enc_.estimator_);
   }
   if (enc_.degraded_estimator_ != nullptr && degraded_workers_.empty()) {
-    degraded_workers_.reserve(static_cast<std::size_t>(worker_count_));
-    for (int i = 0; i < worker_count_; ++i) {
-      degraded_workers_.push_back(enc_.degraded_estimator_->clone());
-    }
+    build(degraded_workers_, *enc_.degraded_estimator_);
   }
 }
 
@@ -112,69 +105,39 @@ bool EncoderPipeline::is_intra(std::uint64_t frame) const {
           frame % static_cast<std::uint64_t>(enc_.config_.intra_period) == 0);
 }
 
-void EncoderPipeline::submit_stage_task(util::TaskGroup& group,
-                                        std::function<void()> task) {
-  if (queue_) {
-    active_pool_->submit(*queue_, std::move(task), &group);
-  } else {
-    active_pool_->submit(std::move(task));
-  }
-}
-
-void EncoderPipeline::wait_stage(util::TaskGroup& group) {
-  if (queue_) {
-    // Helping wait: the front/back driver task is itself a pool worker, so
-    // it runs its own stage tasks instead of parking a worker.
-    active_pool_->wait(group);
-  } else {
-    // Standalone mode runs one frame at a time from the caller's thread;
-    // pool-wide idle is exactly the stage barrier.
-    active_pool_->wait_idle();
-  }
-}
-
 // ------------------------------------------------------------ frame driver
 
 FrameReport EncoderPipeline::encode_frame(const video::Frame& src) {
-  if (pipelined()) {
-    // Service mode: route through the async machinery (the lane's FIFO
-    // ordering is part of the deadlock-freedom argument, so there is no
-    // separate synchronous path) and block on this frame's packet.
-    return submit_frame(src).get().report;
-  }
-  FrameReport report;
-  util::Timer wall;
-  const std::uint64_t frame = next_index_++;
-  run_front(src, frame, report, /*degraded=*/false);
-  run_back(src, frame, report, nullptr);
-  report.frame_wall_seconds = wall.seconds();
-  record_latency(enc_.stage_metrics_.frame_wall, report.frame_wall_seconds);
-  return report;
-}
-
-std::future<EncodedFrame> EncoderPipeline::submit_frame(video::Frame src) {
-  return submit_frame(std::move(src), SubmitOptions{});
+  // submit_frame(src).get() without the copy: the caller's frame outlives
+  // this blocking call, so the job borrows it. Draining first lets the
+  // caller run the frame's front and back itself instead of handing them
+  // to a worker and sleeping.
+  auto job = std::make_unique<FrameJob>();
+  job->src = &src;
+  std::future<EncodedFrame> future =
+      *enqueue(std::move(job), SubmitOptions{}, /*overload_as_error=*/true);
+  drain();
+  return future.get().report;
 }
 
 std::future<EncodedFrame> EncoderPipeline::submit_frame(
     video::Frame src, const SubmitOptions& options) {
-  return *enqueue(std::move(src), options, /*overload_as_error=*/true);
+  auto job = std::make_unique<FrameJob>();
+  job->owned_src = std::move(src);
+  return *enqueue(std::move(job), options, /*overload_as_error=*/true);
 }
 
 std::optional<std::future<EncodedFrame>> EncoderPipeline::try_submit_frame(
     video::Frame src, const SubmitOptions& options) {
-  return enqueue(std::move(src), options, /*overload_as_error=*/false);
+  auto job = std::make_unique<FrameJob>();
+  job->owned_src = std::move(src);
+  return enqueue(std::move(job), options, /*overload_as_error=*/false);
 }
 
 std::optional<std::future<EncodedFrame>> EncoderPipeline::enqueue(
-    video::Frame src, const SubmitOptions& options, bool overload_as_error) {
-  if (!pipelined()) {
-    throw std::logic_error(
-        "Encoder::submit_frame requires a shared-pool (service) encoder");
-  }
+    std::unique_ptr<FrameJob> job, const SubmitOptions& options,
+    bool overload_as_error) {
   ServiceStatsSink* stats = enc_.stats_sink_;
-  auto job = std::make_unique<FrameJob>();
-  job->src = std::move(src);
   job->deadline = options.deadline;
   std::future<EncodedFrame> future = job->promise.get_future();
   Reap reap;
@@ -182,6 +145,18 @@ std::optional<std::future<EncodedFrame>> EncoderPipeline::enqueue(
     const std::lock_guard<std::mutex> lock(admit_mutex_);
     const std::uint64_t seq = next_seq_++;
     job->submit_seq = seq;
+    if (seq < 2) {
+      // Size parity `seq`'s stage buffers once, here on the submitting
+      // thread: sizing them inside a front task on a pool worker measurably
+      // raised peak RSS (the memory lands in that thread's malloc arena).
+      // Encode indices never exceed submission numbers, so both parities
+      // exist before their first use.
+      const std::size_t mbs = static_cast<std::size_t>(enc_.mbs_x()) *
+                              static_cast<std::size_t>(enc_.mbs_y());
+      me_results_[seq].resize(mbs);
+      use_intra_[seq].resize(mbs);
+      plans_[seq].resize(mbs);
+    }
     if (failed_.load(std::memory_order_relaxed)) {
       // Fail fast: the session is latched; every further submit resolves
       // immediately so a driver loop notices without blocking on drain().
@@ -246,17 +221,19 @@ std::optional<std::future<EncodedFrame>> EncoderPipeline::enqueue(
   for (auto& shed : reap) {
     shed->resolve();
   }
+  if (pool_.size() == 0) {
+    // Nobody else will run the frame: do it here (the wait helps), so the
+    // returned future is already resolved.
+    drain();
+  }
   return future;
 }
 
 void EncoderPipeline::drain() {
-  if (!pipelined()) {
-    return;
-  }
-  std::unique_lock<std::mutex> lock(admit_mutex_);
-  drained_.wait(lock, [this] {
-    return jobs_.empty() && !front_running_ && !back_running_;
-  });
+  // Every front and back task is a frames_group_ task, and a finishing
+  // task dispatches its successors before it retires, so the group only
+  // empties once no admitted frame is left unresolved.
+  pool_.wait(frames_group_);
 }
 
 void EncoderPipeline::pump_locked(Reap& reap) {
@@ -276,10 +253,10 @@ void EncoderPipeline::pump_locked(Reap& reap) {
     FrameJob* job = jobs_.front().get();
     job->stage = FrameJob::Stage::kBack;
     back_running_ = true;
-    active_pool_->submit(*queue_, [this, job] {
+    pool_.submit(queue_, [this, job] {
       std::exception_ptr error;
       try {
-        run_back(job->src, job->index, job->out.report, &job->out.bytes);
+        run_back(*job->src, job->index, job->out.report, job->out.bytes);
         job->out.report.frame_wall_seconds = job->wall.seconds();
         record_latency(enc_.stage_metrics_.frame_wall,
                        job->out.report.frame_wall_seconds);
@@ -288,7 +265,7 @@ void EncoderPipeline::pump_locked(Reap& reap) {
         release_back_waiters();
       }
       finish_back(job, error);
-    });
+    }, &frames_group_);
   }
   // front(f) needs front(f−1) retired (fronts serialise on the estimator,
   // the ME-field parity and the ref binding) and back(f−2) retired (frame
@@ -324,19 +301,19 @@ void EncoderPipeline::pump_locked(Reap& reap) {
       job->out.frame_index = job->index;
       job->stage = FrameJob::Stage::kFront;
       front_running_ = true;
-      active_pool_->submit(*queue_, [this, job] {
+      pool_.submit(queue_, [this, job] {
         std::exception_ptr error;
         try {
           job->wall.restart();
           if (enc_.fault_ != nullptr && enc_.fault_->armed()) {
             enc_.fault_->inject(enc_.fault_lane_, job->submit_seq);
           }
-          run_front(job->src, job->index, job->out.report, job->degraded);
+          run_front(*job->src, job->index, job->out.report, job->degraded);
         } catch (...) {
           error = std::current_exception();
         }
         finish_front(job, error);
-      });
+      }, &frames_group_);
       break;
     }
   }
@@ -362,7 +339,6 @@ void EncoderPipeline::finish_front(FrameJob* job, std::exception_ptr error) {
       job->stage = FrameJob::Stage::kFrontDone;
       pump_locked(reap);
     }
-    drained_.notify_all();
   }
   for (auto& done : reap) {
     done->resolve();
@@ -386,7 +362,6 @@ void EncoderPipeline::finish_back(FrameJob* job, std::exception_ptr error) {
       reap.push_back(extract_locked(job));
       pump_locked(reap);
     }
-    drained_.notify_all();
   }
   // Resolve outside the lock: the waiter may destroy the session (and try
   // to drain this pipeline) the moment it observes the result.
@@ -470,7 +445,7 @@ void EncoderPipeline::run_front(const video::Frame& src, std::uint64_t f,
   const bool intra_frame = is_intra(f);
   report.intra = intra_frame;
 
-  front_parity_ = pipelined() ? static_cast<int>(f & 1) : 0;
+  front_parity_ = static_cast<int>(f & 1);
   front_frame_ = f;
   front_degraded_ = degraded && e.degraded_estimator_ != nullptr;
   e.front_ref_ = &e.recon_buf_[(f + 1) & 1];
@@ -487,10 +462,10 @@ void EncoderPipeline::run_front(const video::Frame& src, std::uint64_t f,
     // frame's reconstruction buffer directly. Under pipelining its lower
     // rows may still be materialising — the row-readiness gate below keeps
     // every read behind the publication frontier.
+    // (A P-frame always has a predecessor: frame 0 is intra.)
     e.ref_half_.bind(&e.front_ref_->y());
-    front_gate_ = (pipelined() && f > 0) ? &ref_ready_[(f + 1) & 1] : nullptr;
-    front_wait_base_ =
-        f > 0 ? ((f - 1) >> 1) * static_cast<std::uint64_t>(e.mbs_y()) : 0;
+    front_gate_ = &ref_ready_[(f + 1) & 1];
+    front_wait_base_ = ((f - 1) >> 1) * static_cast<std::uint64_t>(e.mbs_y());
 
     util::Timer me_timer;
     {
@@ -521,7 +496,7 @@ void EncoderPipeline::run_front(const video::Frame& src, std::uint64_t f,
 
 void EncoderPipeline::run_back(const video::Frame& src, std::uint64_t f,
                                FrameReport& report,
-                               std::vector<std::uint8_t>* bytes_out) {
+                               std::vector<std::uint8_t>& bytes_out) {
   Encoder& e = enc_;
   const std::int32_t tsess = trace_arg(e.trace_session_);
   const std::int32_t tframe = trace_arg(f);
@@ -530,21 +505,15 @@ void EncoderPipeline::run_back(const video::Frame& src, std::uint64_t f,
   // Parity and counter base first, before anything that can throw:
   // release_back_waiters reads them to unwedge the next frame's gated ME
   // rows if this back fails.
-  back_parity_ = pipelined() ? static_cast<int>(f & 1) : 0;
+  back_parity_ = static_cast<int>(f & 1);
   back_frame_ = f;
   back_base_ = (f >> 1) * static_cast<std::uint64_t>(e.mbs_y());
-  // In-loop deblocking rewrites rows after entropy coding, so rows are only
-  // final per-frame; without it each reconstructed row is final the moment
-  // its macroblocks are, and publication is row-granular.
-  row_publish_ = pipelined() && !e.config_.deblock;
   e.recon_ = &e.recon_buf_[f & 1];
   e.back_ref_ = &e.recon_buf_[(f + 1) & 1];
   e.coded_field_.reset_for_picture(e.size_.width, e.size_.height);
 
-  if (row_publish_) {
-    row_done_.assign(static_cast<std::size_t>(e.mbs_y()), 0);
-    row_prefix_ = 0;
-  }
+  std::fill(row_done_.begin(), row_done_.end(), 0);
+  row_prefix_ = 0;
 
   const std::uint64_t frame_start_bits = e.writer_.bit_count();
   // Frame 0's packet absorbs the sequence header so that concatenating the
@@ -580,31 +549,26 @@ void EncoderPipeline::run_back(const video::Frame& src, std::uint64_t f,
   report.header_bits = counters.header;
 
   if (e.config_.deblock) {
+    // In-loop deblocking rewrites rows after entropy coding, so rows are
+    // only final per frame. Without it every row was border-extended strip
+    // by strip as it was published; re-extending here would rewrite
+    // (identical) border bytes under the next frame's gated readers.
     deblock_frame(*e.recon_, e.config_.qp);
-  }
-  if (!row_publish_) {
     e.recon_->extend_borders();
   }
-  // else: every row was border-extended strip by strip as it was published;
-  // re-extending here would rewrite (identical) border bytes under the next
-  // frame's gated readers.
-  if (pipelined()) {
-    // Whole frame final (covers the deblock path, and releases a waiter of
-    // any row in the non-deblock path that raced the last strip).
-    ref_ready_[back_parity_].publish(back_base_ +
-                                     static_cast<std::uint64_t>(e.mbs_y()));
-  }
+  // Whole frame final (covers the deblock path, and releases a waiter of
+  // any row in the non-deblock path that raced the last strip).
+  ref_ready_[back_parity_].publish(back_base_ +
+                                   static_cast<std::uint64_t>(e.mbs_y()));
   report.psnr_y = video::psnr_luma(src, *e.recon_);
   report.psnr_yuv = video::psnr_yuv(src, *e.recon_);
 
   e.last_recon_ = e.recon_;
   e.last_me_field_ = &e.me_fields_[f & 1];
 
-  if (bytes_out != nullptr) {
-    const std::span<const std::uint8_t> stream = e.writer_.bytes();
-    bytes_out->assign(stream.begin() + static_cast<std::ptrdiff_t>(stream_begin),
-                      stream.end());
-  }
+  const std::span<const std::uint8_t> stream = e.writer_.bytes();
+  bytes_out.assign(stream.begin() + static_cast<std::ptrdiff_t>(stream_begin),
+                   stream.end());
 }
 
 // ------------------------------------------------------------ motion stage
@@ -652,15 +616,72 @@ std::uint64_t EncoderPipeline::rows_needed(int by) const {
 
 void EncoderPipeline::motion_stage(const video::Frame& src,
                                    FrameReport& report) {
+  Encoder& e = enc_;
+  ensure_workers();
   std::vector<me::EstimateResult>& results = me_results_[front_parity_];
-  const std::size_t mbs = static_cast<std::size_t>(enc_.mbs_x()) *
-                          static_cast<std::size_t>(enc_.mbs_y());
-  results.assign(mbs, me::EstimateResult{});
+  const std::vector<me::MotionEstimator*>& stage_workers =
+      front_degraded_ ? degraded_workers_ : workers_;
+  const int mbs_x = e.mbs_x();
+  const int mbs_y = e.mbs_y();
 
-  if (active_pool_ != nullptr) {
-    motion_stage_wavefront(src);
-  } else {
-    motion_stage_serial(src);
+  // Block (bx, by) may start once row by−1 has finished through column
+  // bx+1 (its above-right predictor) — the classic two-block wavefront
+  // stagger. Progress is cumulative over the stream: this frame's row
+  // values start at `base` (see row_progress_).
+  const std::uint64_t base = front_frame_ * static_cast<std::uint64_t>(mbs_x);
+  for (int by = 0; by < mbs_y; ++by) {
+    // One task per row. The lane dispatches FIFO, so a row's predecessor is
+    // always running or finished before the row starts: the dependency wait
+    // below cannot deadlock.
+    pool_.submit(queue_, [this, &src, by, mbs_x, base, &results,
+                          &stage_workers, &e] {
+      const std::int32_t tsess = trace_arg(e.trace_session_);
+      const std::int32_t tframe = trace_arg(front_frame_);
+      // Cross-frame gate first: park until the previous frame's entropy
+      // stage has published every reference row this row's search window
+      // can touch. The publisher (the back task, dispatched earlier on this
+      // lane) never parks on this frame, so the wait always resolves.
+      {
+        obs::Span wait_span("enc", "wait.ref_rows", tsess, tframe, by);
+        front_gate_->wait_for(front_wait_base_ + rows_needed(by));
+      }
+      obs::Span row_span("enc", "me.row", tsess, tframe, by);
+      const int worker = util::ThreadPool::worker_index();
+      assert(worker >= 0 && worker < static_cast<int>(stage_workers.size()));
+      me::MotionEstimator& estimator =
+          *stage_workers[static_cast<std::size_t>(worker)];
+      util::ReadyCounter& done = row_progress_[static_cast<std::size_t>(by)];
+      try {
+        for (int bx = 0; bx < mbs_x; ++bx) {
+          if (by > 0) {
+            row_progress_[static_cast<std::size_t>(by) - 1].wait_for(
+                base + static_cast<std::uint64_t>(std::min(bx + 2, mbs_x)));
+          }
+          const std::size_t idx =
+              static_cast<std::size_t>(by) * static_cast<std::size_t>(mbs_x) +
+              static_cast<std::size_t>(bx);
+          results[idx] = estimate_block(estimator, src, bx, by);
+          e.me_field_->set(bx, by, results[idx].mv);
+          done.publish(base + static_cast<std::uint64_t>(bx) + 1);
+        }
+      } catch (...) {
+        // Mark the whole row complete before the pool captures the error:
+        // dependent rows park on this row's progress, and the stage barrier
+        // can only rethrow once every row task has finished.
+        done.publish(base + static_cast<std::uint64_t>(mbs_x));
+        throw;
+      }
+    }, &front_group_);
+  }
+  pool_.wait(front_group_);
+
+  // Drain the other workers' statistics into the primary (worker 0's
+  // estimator). Totals are additive, so the result is independent of which
+  // worker processed which rows. Fronts serialise per session, so this
+  // never races with another frame of the same estimator.
+  me::MotionEstimator& primary = *stage_workers.front();
+  for (std::size_t w = 1; w < stage_workers.size(); ++w) {
+    primary.merge_stats(*stage_workers[w]);
   }
 
   // Serial reduction keeps the report totals independent of scheduling.
@@ -672,94 +693,17 @@ void EncoderPipeline::motion_stage(const video::Frame& src,
   }
 }
 
-void EncoderPipeline::motion_stage_serial(const video::Frame& src) {
-  Encoder& e = enc_;
-  std::vector<me::EstimateResult>& results = me_results_[front_parity_];
-  me::MotionEstimator& estimator =
-      front_degraded_ ? *e.degraded_estimator_ : *e.estimator_;
-  const int mbs_x = e.mbs_x();
-  const int mbs_y = e.mbs_y();
-  for (int by = 0; by < mbs_y; ++by) {
-    for (int bx = 0; bx < mbs_x; ++bx) {
-      const std::size_t idx =
-          static_cast<std::size_t>(by) * static_cast<std::size_t>(mbs_x) + bx;
-      results[idx] = estimate_block(estimator, src, bx, by);
-      e.me_field_->set(bx, by, results[idx].mv);
-    }
+void EncoderPipeline::run_row_chunks(
+    const std::function<void(int, int)>& rows) {
+  const int mbs_y = enc_.mbs_y();
+  const int rows_per_task =
+      std::max(1, (mbs_y + worker_count_ - 1) / worker_count_);
+  for (int begin = 0; begin < mbs_y; begin += rows_per_task) {
+    const int end = std::min(begin + rows_per_task, mbs_y);
+    pool_.submit(queue_, [&rows, begin, end] { rows(begin, end); },
+                 &front_group_);
   }
-}
-
-void EncoderPipeline::motion_stage_wavefront(const video::Frame& src) {
-  Encoder& e = enc_;
-  ensure_workers();
-  std::vector<me::EstimateResult>& results = me_results_[front_parity_];
-  std::vector<std::unique_ptr<me::MotionEstimator>>& stage_workers =
-      front_degraded_ ? degraded_workers_ : workers_;
-  const int mbs_x = e.mbs_x();
-  const int mbs_y = e.mbs_y();
-
-  // progress[by] = macroblocks of row `by` finished so far. Block (bx, by)
-  // may start once row by−1 has finished through column bx+1 (its
-  // above-right predictor) — the classic two-block wavefront stagger. The
-  // dependency wait parks on a per-row condition variable after a short
-  // spin (WavefrontProgress), so a stalled row sleeps instead of burning a
-  // core yielding — the behaviour that matters once rows outnumber cores or
-  // the machine is busy.
-  util::WavefrontProgress progress(mbs_y);
-
-  for (int by = 0; by < mbs_y; ++by) {
-    // One task per row. The lane dispatches FIFO, so a row's predecessor is
-    // always running or finished before the row starts: the dependency wait
-    // below cannot deadlock.
-    submit_stage_task(front_group_, [this, &src, &progress, by, mbs_x,
-                                     &results, &stage_workers, &e] {
-      const std::int32_t tsess = trace_arg(e.trace_session_);
-      const std::int32_t tframe = trace_arg(front_frame_);
-      // Cross-frame gate first: park until the previous frame's entropy
-      // stage has published every reference row this row's search window
-      // can touch. The publisher (the back task, dispatched earlier on this
-      // lane) never parks on this frame, so the wait always resolves.
-      if (front_gate_ != nullptr) {
-        obs::Span wait_span("enc", "wait.ref_rows", tsess, tframe, by);
-        front_gate_->wait_for(front_wait_base_ + rows_needed(by));
-      }
-      obs::Span row_span("enc", "me.row", tsess, tframe, by);
-      const int worker = util::ThreadPool::worker_index();
-      assert(worker >= 0 && worker < static_cast<int>(stage_workers.size()));
-      me::MotionEstimator& estimator =
-          *stage_workers[static_cast<std::size_t>(worker)];
-      try {
-        for (int bx = 0; bx < mbs_x; ++bx) {
-          if (by > 0) {
-            progress.wait_for(by - 1, std::min(bx + 2, mbs_x));
-          }
-          const std::size_t idx =
-              static_cast<std::size_t>(by) * static_cast<std::size_t>(mbs_x) +
-              static_cast<std::size_t>(bx);
-          results[idx] = estimate_block(estimator, src, bx, by);
-          e.me_field_->set(bx, by, results[idx].mv);
-          progress.publish(by, bx + 1);
-        }
-      } catch (...) {
-        // Mark the whole row complete before the pool captures the error:
-        // dependent rows park on this row's progress, and the stage barrier
-        // can only rethrow once every row task has finished.
-        progress.publish(by, mbs_x);
-        throw;
-      }
-    });
-  }
-  wait_stage(front_group_);
-
-  // Drain every worker's statistics into the caller's estimator. Totals are
-  // additive, so the result matches a serial run regardless of which worker
-  // processed which rows. Fronts serialise per session, so this never races
-  // with another frame of the same estimator.
-  me::MotionEstimator& primary =
-      front_degraded_ ? *e.degraded_estimator_ : *e.estimator_;
-  for (const auto& worker : stage_workers) {
-    primary.merge_stats(*worker);
-  }
+  pool_.wait(front_group_);
 }
 
 // -------------------------------------------------------------- mode stage
@@ -787,35 +731,15 @@ void EncoderPipeline::mode_stage_rows(const video::Frame& src, int row_begin,
 }
 
 void EncoderPipeline::mode_stage(const video::Frame& src) {
-  const Encoder& e = enc_;
-  const int mbs_x = e.mbs_x();
-  const int mbs_y = e.mbs_y();
-
-  if (e.config_.mode_decision == ModeDecision::kRateDistortion) {
+  if (enc_.config_.mode_decision == ModeDecision::kRateDistortion) {
     // RD decisions price MVD bits against the coded-field median predictor,
     // which only exists as entropy coding progresses — the decision is made
     // per block inside the (serial) entropy stage, and use_intra_ is never
     // read there.
     return;
   }
-
-  use_intra_[front_parity_].assign(
-      static_cast<std::size_t>(mbs_x) * static_cast<std::size_t>(mbs_y), 0);
-
-  if (active_pool_ != nullptr) {
-    // Independent per block — plain row slices, no wavefront needed.
-    const int rows_per_task =
-        std::max(1, (mbs_y + worker_count_ - 1) / worker_count_);
-    for (int begin = 0; begin < mbs_y; begin += rows_per_task) {
-      const int end = std::min(begin + rows_per_task, mbs_y);
-      submit_stage_task(front_group_, [this, &src, begin, end] {
-        mode_stage_rows(src, begin, end);
-      });
-    }
-    wait_stage(front_group_);
-  } else {
-    mode_stage_rows(src, 0, mbs_y);
-  }
+  run_row_chunks(
+      [this, &src](int begin, int end) { mode_stage_rows(src, begin, end); });
 }
 
 // -------------------------------------------------------------- plan stage
@@ -843,26 +767,9 @@ void EncoderPipeline::plan_stage_rows(const video::Frame& src,
 }
 
 void EncoderPipeline::plan_stage(const video::Frame& src, bool intra_frame) {
-  Encoder& e = enc_;
-  const int mbs_x = e.mbs_x();
-  const int mbs_y = e.mbs_y();
-  plans_[front_parity_].resize(static_cast<std::size_t>(mbs_x) *
-                               static_cast<std::size_t>(mbs_y));
-
-  if (active_pool_ != nullptr) {
-    // Independent per block — plain row slices, like the mode stage.
-    const int rows_per_task =
-        std::max(1, (mbs_y + worker_count_ - 1) / worker_count_);
-    for (int begin = 0; begin < mbs_y; begin += rows_per_task) {
-      const int end = std::min(begin + rows_per_task, mbs_y);
-      submit_stage_task(front_group_, [this, &src, intra_frame, begin, end] {
-        plan_stage_rows(src, intra_frame, begin, end);
-      });
-    }
-    wait_stage(front_group_);
-  } else {
-    plan_stage_rows(src, intra_frame, 0, mbs_y);
-  }
+  run_row_chunks([this, &src, intra_frame](int begin, int end) {
+    plan_stage_rows(src, intra_frame, begin, end);
+  });
 }
 
 // ----------------------------------------------------------- entropy stage
@@ -908,7 +815,7 @@ void EncoderPipeline::entropy_slice(bool intra_frame,
           static_cast<std::size_t>(by) * static_cast<std::size_t>(mbs_x) + bx;
       e.write_mb_from_plan(intra_frame, plans[idx], bx, by, slice);
     }
-    if (row_publish_) {
+    if (!e.config_.deblock) {
       publish_back_row(by);
     }
   }
@@ -966,21 +873,14 @@ void EncoderPipeline::entropy_stage(bool intra_frame,
                : mbs_y;
   };
 
-  if (active_pool_ != nullptr) {
-    for (int s = 0; s < slice_count; ++s) {
-      Encoder::SliceState& slice = slices[static_cast<std::size_t>(s)];
-      const int end = row_end(s);
-      submit_stage_task(back_group_, [this, intra_frame, &slice, end] {
-        entropy_slice(intra_frame, slice, slice.first_mb_row, end);
-      });
-    }
-    wait_stage(back_group_);
-  } else {
-    for (int s = 0; s < slice_count; ++s) {
-      Encoder::SliceState& slice = slices[static_cast<std::size_t>(s)];
-      entropy_slice(intra_frame, slice, slice.first_mb_row, row_end(s));
-    }
+  for (int s = 0; s < slice_count; ++s) {
+    Encoder::SliceState& slice = slices[static_cast<std::size_t>(s)];
+    const int end = row_end(s);
+    pool_.submit(queue_, [this, intra_frame, &slice, end] {
+      entropy_slice(intra_frame, slice, slice.first_mb_row, end);
+    }, &back_group_);
   }
+  pool_.wait(back_group_);
 
   // Slice directory + byte-aligned payload concatenation, in slice order.
   const std::uint64_t dir_start = e.writer_.bit_count();

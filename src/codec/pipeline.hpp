@@ -6,15 +6,14 @@
 // block before moving to the next. This class separates those concerns into
 // explicit stages run over the whole frame:
 //
-//   1. motion stage       — one EstimateResult per macroblock. Serial when
-//                           ParallelConfig::threads == 1; otherwise
-//                           row-parallel on a util::ThreadPool in WAVEFRONT
-//                           order: block (bx, by) waits until row by−1 has
-//                           finished block bx+1, so the spatial predictors
-//                           PBM and the median predictor read (left, above,
-//                           above-right in BlockContext::cur_field) are
-//                           final before the read. Each worker thread owns
-//                           a clone() of the caller's estimator; worker
+//   1. motion stage       — one EstimateResult per macroblock, row-parallel
+//                           in WAVEFRONT order: block (bx, by) waits until
+//                           row by−1 has finished block bx+1, so the
+//                           spatial predictors PBM and the median predictor
+//                           read (left, above, above-right in
+//                           BlockContext::cur_field) are final before the
+//                           read. Worker 0 runs the caller's estimator;
+//                           every other worker owns a clone() of it whose
 //                           statistics are merged back into the primary via
 //                           merge_stats() after every frame.
 //   2. mode stage         — the TMN heuristic INTRA/INTER decision per
@@ -41,10 +40,23 @@
 //                           rows split into N independently-predicted ACV2
 //                           slices coded in parallel (see entropy_stage).
 //
-// FRAME-LEVEL PIPELINING (the service mode, built on the staging above):
-// stages 1–2.5 read only the *previous* frame's reconstruction, stage 3
-// writes the *current* one — so with the reference double-buffered
-// (Encoder::recon_buf_), frame t+1's front half (motion/mode/plan) can run
+// ONE ENGINE. Every encoder — a standalone Encoder at any thread count and
+// every EncoderService session — runs the stages above as tasks on one FIFO
+// lane (util::ThreadPool::Queue) of a pool, behind the admission engine
+// described below. A standalone Encoder owns its pool: N workers for
+// threads > 1, and for threads == 1 a ZERO-worker pool, whose tasks run
+// inside the wait on the calling thread — the same task graph without any
+// thread hand-off on the paper's serial operating point. A waiting caller
+// always helps (util::ThreadPool::wait), as one extra worker:
+// Encoder::encode_frame(f) is submit_frame(f).get() with a drain() in
+// between, so the caller runs its own frame's stages, and on a zero-worker
+// pool enqueue() itself runs the frame's front and back before returning,
+// so the future is already resolved.
+//
+// FRAME-LEVEL PIPELINING: stages 1–2.5 read only the *previous* frame's
+// reconstruction, stage 3 writes the *current* one — so with the reference
+// double-buffered (Encoder::recon_buf_) and every stage buffer kept in two
+// parities (f & 1), frame t+1's front half (motion/mode/plan) can run
 // while frame t's back half (entropy + reconstruction) is still coding:
 //
 //      frame t   : [ME t   | mode | plan] [entropy+recon t  ]
@@ -57,10 +69,10 @@
 // clamped search window can touch — ±search_range plus the half-pel
 // interpolation sample — are published (rows_needed()). Everything an ME /
 // plan read can observe is final before the read, so pipelined streams are
-// byte-identical to the sequential path. In-loop deblocking is frame-global
-// and rewrites rows after entropy, so with deblock enabled the pipeline
-// degrades to whole-frame publication (still overlapped with the next
-// frame's submission, just not row-granular).
+// byte-identical to an unpipelined encode. In-loop deblocking is
+// frame-global and rewrites rows after entropy, so with deblock enabled the
+// pipeline degrades to whole-frame publication (still overlapped with the
+// next frame's submission, just not row-granular).
 //
 // Admission rules (pump_locked) keep at most one front and one back in
 // flight per session: front(f) needs front(f−1) done (fronts serialise: the
@@ -89,7 +101,7 @@
 //     already running when a newer frame's front failed completes and
 //     resolves with its packet (its bytes precede the failure point). Other
 //     sessions on the shared pool are untouched — all failure state is
-//     per-pipeline.
+//     per-pipeline, and a standalone encoder latches exactly the same way.
 //   * Unwedging. A failed back poison-publishes its full row range
 //     (release_back_waiters) so the next frame's ME rows parked on the
 //     reference gate wake up (they read stale-but-allocated samples; the
@@ -99,10 +111,10 @@
 //     always preceded by the task that publishes" true even on error paths.
 //
 // Determinism: every stage consumes only inputs that are fixed before the
-// stage starts or ordered by a wavefront/readiness dependency, so serial,
-// N-thread and frame-pipelined encodes of the same sequence produce
-// byte-identical ACV1/ACV2 bitstreams. tests/codec_parallel_test.cpp and
-// tests/codec_service_test.cpp hold that invariant.
+// stage starts or ordered by a wavefront/readiness dependency, so
+// zero-worker, N-worker and frame-pipelined encodes of the same sequence
+// produce byte-identical ACV1/ACV2 bitstreams. tests/codec_parallel_test.cpp
+// and tests/codec_service_test.cpp hold that invariant.
 //
 // One deliberate semantic change from the pre-pipeline encoder: the
 // rate-aware ME cost predictor (EncoderConfig::me_lambda > 0) is now the
@@ -113,10 +125,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <exception>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -141,39 +153,28 @@ namespace acbm::codec {
 /// equivalence class.
 class EncoderPipeline {
  public:
-  /// @brief Standalone mode: binds the pipeline to its encoder and sizes a
-  /// private worker pool.
+  /// @brief Binds the pipeline to its encoder and to one new FIFO lane of
+  /// `pool` (which fair-schedules across the lanes of all sessions).
   /// @param encoder must outlive the pipeline (the Encoder owns it)
-  /// @param parallel thread-count/determinism knobs; threads == 1 builds
-  ///        no pool and runs every stage serially
-  EncoderPipeline(Encoder& encoder, const ParallelConfig& parallel);
+  /// @param pool must outlive the pipeline; a zero-worker pool runs every
+  ///        frame inline on the submitting thread
+  EncoderPipeline(Encoder& encoder, util::ThreadPool& pool);
 
-  /// @brief Service mode: runs on one FIFO lane of `shared_pool` (which
-  /// fair-schedules across sessions) with frame-level pipelining enabled.
-  /// The pool must outlive the pipeline.
-  EncoderPipeline(Encoder& encoder, util::ThreadPool& shared_pool);
-
+  /// Drains every submitted frame, then releases the lane.
   ~EncoderPipeline();
 
   EncoderPipeline(const EncoderPipeline&) = delete;
   EncoderPipeline& operator=(const EncoderPipeline&) = delete;
 
-  /// @brief Runs the stages for one frame, synchronously. In service mode
-  /// this routes through the async path and blocks on the result.
-  /// @param src the source frame (dimensions matching the encoder's
-  ///        configured picture size)
-  /// @return the frame's bit count, PSNR and per-mode macroblock tallies
+  /// @brief Encodes one frame: submit_frame(src).get(), except that the
+  /// frame is borrowed for the duration of the call instead of copied.
+  /// Rethrows the frame's SessionError if it failed.
   FrameReport encode_frame(const video::Frame& src);
 
-  /// @brief Service mode: enqueues a frame for pipelined encoding. Frames
-  /// complete in submission order; throws std::logic_error in standalone
-  /// mode.
-  std::future<EncodedFrame> submit_frame(video::Frame src);
-
-  /// @brief Service mode with admission controls: deadline, bounded queue
-  /// (shed with kOverloaded beyond it) and opt-in degradation. Never throws
-  /// for admission outcomes — rejections come back as already-resolved
-  /// error futures.
+  /// @brief Enqueues a frame with admission controls: deadline, bounded
+  /// queue (shed with kOverloaded beyond it) and opt-in degradation. Frames
+  /// complete in submission order. Never throws for admission outcomes —
+  /// rejections come back as already-resolved error futures.
   std::future<EncodedFrame> submit_frame(video::Frame src,
                                          const SubmitOptions& options);
 
@@ -184,9 +185,9 @@ class EncoderPipeline {
   std::optional<std::future<EncodedFrame>> try_submit_frame(
       video::Frame src, const SubmitOptions& options);
 
-  /// @brief Blocks until every submitted frame has resolved (no-op in
-  /// standalone mode). Returns normally on a failed session — the failure
-  /// already surfaced through the per-frame futures.
+  /// @brief Blocks until every submitted frame has resolved. Returns
+  /// normally on a failed session — the failure already surfaced through
+  /// the per-frame futures.
   void drain();
 
   /// @return true once a frame's stage has thrown and latched the session.
@@ -194,15 +195,9 @@ class EncoderPipeline {
     return failed_.load(std::memory_order_acquire);
   }
 
-  /// @return number of ME workers (1 in serial mode).
-  [[nodiscard]] int worker_count() const { return worker_count_; }
-
-  /// @return true in service mode (frame-level pipelining active).
-  [[nodiscard]] bool pipelined() const { return queue_ != nullptr; }
-
  private:
-  /// One submitted frame: its source copy, its packet under construction,
-  /// and the promise the service caller holds. Lives in jobs_ from
+  /// One submitted frame: its source, its packet under construction, and
+  /// the promise the caller holds. Lives in jobs_ from
   /// admission until resolution; the destructor is the broken-promise
   /// safety net (a job destroyed unresolved rejects with kClosed, so a
   /// consumer blocked on the future sees a SessionError, never
@@ -210,7 +205,10 @@ class EncoderPipeline {
   struct FrameJob {
     enum class Stage { kPending, kFront, kFrontDone, kBack };
 
-    video::Frame src;
+    video::Frame owned_src;  ///< the submitted copy (async submits)
+    /// The frame to encode: owned_src, or the caller's frame for the
+    /// blocking encode_frame, which outlives the job.
+    const video::Frame* src = &owned_src;
     std::uint64_t submit_seq = 0;  ///< submission number (error identity)
     std::uint64_t index = 0;       ///< encode index, set at front dispatch
     /// Non-zero once admitted: the obs async-span id pairing this frame's
@@ -244,17 +242,18 @@ class EncoderPipeline {
   void run_front(const video::Frame& src, std::uint64_t f, FrameReport& report,
                  bool degraded);
   /// Stage 3 + frame finalisation: header/entropy bits, reconstruction,
-  /// row publication, PSNR. `bytes_out`, when non-null, receives the
-  /// frame's byte range of the stream (the async packet payload).
+  /// row publication, PSNR. `bytes_out` receives the frame's byte range of
+  /// the stream (the packet payload).
   void run_back(const video::Frame& src, std::uint64_t f, FrameReport& report,
-                std::vector<std::uint8_t>* bytes_out);
+                std::vector<std::uint8_t>& bytes_out);
 
-  // --- async admission engine (service mode) ---
-  /// Common body of submit_frame/try_submit_frame; nullopt only on an
-  /// overload rejection with `overload_as_error` false.
-  std::optional<std::future<EncodedFrame>> enqueue(video::Frame src,
-                                                   const SubmitOptions& options,
-                                                   bool overload_as_error);
+  // --- admission engine ---
+  /// Common body of encode_frame/submit_frame/try_submit_frame: admits
+  /// `job` (its source already set); nullopt only on an overload rejection
+  /// with `overload_as_error` false.
+  std::optional<std::future<EncodedFrame>> enqueue(
+      std::unique_ptr<FrameJob> job, const SubmitOptions& options,
+      bool overload_as_error);
   /// Dispatches whatever the admission rules allow; sheds deadline-expired
   /// frames it meets into `reap`. Requires admit_mutex_ held.
   void pump_locked(Reap& reap);
@@ -270,16 +269,14 @@ class EncoderPipeline {
   /// the next frame wake up (see the header comment).
   void release_back_waiters();
 
-  // --- helpers shared by both modes ---
-  /// Submits a stage task: onto the session lane tagged with `group` in
-  /// service mode, onto the private pool's default lane otherwise.
-  void submit_stage_task(util::TaskGroup& group, std::function<void()> task);
-  /// The matching barrier: group wait (helping) or wait_idle.
-  void wait_stage(util::TaskGroup& group);
+  // --- stages ---
+  /// Splits the picture's macroblock rows into one contiguous chunk per
+  /// worker, runs `rows(begin, end)` for each chunk as a front_group_ task
+  /// and waits for all of them — the mode and plan stages, whose blocks
+  /// are independent.
+  void run_row_chunks(const std::function<void(int, int)>& rows);
 
   void motion_stage(const video::Frame& src, FrameReport& report);
-  void motion_stage_serial(const video::Frame& src);
-  void motion_stage_wavefront(const video::Frame& src);
   [[nodiscard]] me::EstimateResult estimate_block(
       me::MotionEstimator& estimator, const video::Frame& src, int bx,
       int by) const;
@@ -294,9 +291,9 @@ class EncoderPipeline {
   void mode_stage(const video::Frame& src);
   void mode_stage_rows(const video::Frame& src, int row_begin, int row_end);
 
-  /// Stage 2.5: fills the front parity's plans (one MbPlan per macroblock)
-  /// on the pool. All inputs are fixed before the stage starts, so rows
-  /// split into plain contiguous tasks — no wavefront.
+  /// Stage 2.5: fills the front parity's plans (one MbPlan per macroblock).
+  /// All inputs are fixed before the stage starts, so rows split into plain
+  /// contiguous tasks — no wavefront.
   void plan_stage(const video::Frame& src, bool intra_frame);
   void plan_stage_rows(const video::Frame& src, bool intra_frame,
                        int row_begin, int row_end);
@@ -320,50 +317,59 @@ class EncoderPipeline {
                          Encoder::MbBitCounters& counters,
                          FrameReport& report);
 
-  /// Clones the primary estimator once per worker (lazily, so callers may
-  /// still configure the estimator between Encoder construction and the
-  /// first encoded frame); likewise the degraded estimator if one is set.
+  /// Builds each worker's estimator once (lazily, so callers may still
+  /// configure the estimator between Encoder construction and the first
+  /// P-frame): worker 0 runs the primary itself, workers 1..N−1 clone it;
+  /// likewise for the degraded estimator if one is set.
   void ensure_workers();
 
   Encoder& enc_;
+  util::ThreadPool& pool_;
+  /// Threads that may run this pipeline's tasks: the pool's workers plus
+  /// one outside waiter (util::ThreadPool::worker_index() == pool size).
   int worker_count_ = 1;
-  std::vector<std::unique_ptr<me::MotionEstimator>> workers_;
-  /// Worker clones of the session's degraded (overload) estimator; frames
+  /// Per-worker estimators, indexed by util::ThreadPool::worker_index().
+  /// [0] is the encoder's own estimator, the rest point into clones_.
+  std::vector<me::MotionEstimator*> workers_;
+  /// The same for the session's degraded (overload) estimator; frames
   /// admitted with FrameJob::degraded run their motion stage on these.
-  std::vector<std::unique_ptr<me::MotionEstimator>> degraded_workers_;
-  // Declared after workers_ so destruction joins the pool threads before
-  // the per-worker estimators they may still reference go away.
-  std::unique_ptr<util::ThreadPool> pool_;  ///< owned pool, standalone mode
-  util::ThreadPool* active_pool_ = nullptr;  ///< owned or shared; null=serial
-  /// This session's FIFO lane of the shared pool; non-null IS the service
-  /// mode flag. Destroyed (draining the lane) before pool_ would be.
-  std::unique_ptr<util::ThreadPool::Queue> queue_;
-  util::TaskGroup front_group_;  ///< ME/mode/plan row tasks, current front
-  util::TaskGroup back_group_;   ///< entropy slice tasks, current back
+  std::vector<me::MotionEstimator*> degraded_workers_;
+  std::vector<std::unique_ptr<me::MotionEstimator>> clones_;
+  util::TaskGroup frames_group_;  ///< every front and back task
+  util::TaskGroup front_group_;   ///< ME/mode/plan row tasks, current front
+  util::TaskGroup back_group_;    ///< entropy slice tasks, current back
 
   // Per-frame stage outputs, indexed by by * mbs_x + bx; two parities so a
   // back half can read frame f's plans while the next front fills frame
-  // f+1's (standalone mode always uses parity 0). Sized once and reused
-  // across frames (geometry is fixed per encoder): plans_ in particular
-  // holds every InterPlan/IntraPlan prediction buffer inline, so re-sizing
-  // it per frame would be megabytes of allocator traffic at HD.
+  // f+1's. Each parity is sized once, at the submission before its first
+  // use (see enqueue), and reused across frames — geometry is fixed per
+  // encoder and every stage overwrites all of its entries: plans_ in
+  // particular holds every InterPlan/IntraPlan prediction buffer inline, so
+  // re-allocating it per frame would be megabytes of allocator traffic at
+  // HD.
   std::vector<me::EstimateResult> me_results_[2];
   std::vector<std::uint8_t> use_intra_[2];  ///< heuristic mode decisions
   std::vector<Encoder::MbPlan> plans_[2];   ///< plan-stage output (stage 2.5)
   /// ACV2 per-slice payload writers, reset (capacity kept) every frame.
   std::vector<util::BitWriter> slice_writers_;
 
+  /// Wavefront progress, one counter per macroblock row. Frame f's ME row
+  /// `by` publishes f·mbs_x + (blocks done) — cumulative over the stream,
+  /// so the counters are sized once and never reset: a value left over from
+  /// an earlier frame is at most f·mbs_x, which satisfies no wait of frame
+  /// f (every wait needs at least one block of the row).
+  std::vector<util::ReadyCounter> row_progress_;
+
   // --- front-half state, owned by the (single) in-flight front task ---
   int front_parity_ = 0;              ///< stage-buffer parity of this front
   std::uint64_t front_frame_ = 0;     ///< frame index (BlockContext::frame)
   bool front_degraded_ = false;       ///< this front uses degraded_workers_
-  util::ReadyCounter* front_gate_ = nullptr;  ///< null = reference complete
+  util::ReadyCounter* front_gate_ = nullptr;  ///< reference's row counter
   std::uint64_t front_wait_base_ = 0; ///< gate value where this ref starts
 
   // --- back-half state, owned by the (single) in-flight back task ---
   int back_parity_ = 0;
   std::uint64_t back_frame_ = 0;  ///< frame index (trace span tagging)
-  bool row_publish_ = false;     ///< row-granular publication this frame
   std::uint64_t back_base_ = 0;  ///< counter value where this frame starts
   std::mutex publish_mutex_;     ///< guards row_done_/row_prefix_
   std::vector<std::uint8_t> row_done_;
@@ -378,18 +384,22 @@ class EncoderPipeline {
 
   // --- admission engine state (admit_mutex_) ---
   std::mutex admit_mutex_;
-  std::condition_variable drained_;
   /// Every unresolved job, submission order. In-flight jobs (stage !=
   /// kPending) form a prefix of at most two; the front job is always the
   /// lowest-index in-flight encode (backs retire strictly in order).
   std::deque<std::unique_ptr<FrameJob>> jobs_;
-  std::uint64_t next_seq_ = 0;    ///< submission numbers (service mode)
+  std::uint64_t next_seq_ = 0;    ///< submission numbers
   std::uint64_t next_index_ = 0;  ///< encode indices; assigned at dispatch
   bool front_running_ = false;
   bool back_running_ = false;
   /// Latched by fail_locked; read lock-free by failed() and the fast paths.
   std::atomic<bool> failed_{false};
   std::string failure_message_;  ///< what() of the latching error
+
+  /// This pipeline's FIFO lane of pool_. Declared last so it is destroyed
+  /// first: its destructor drains any task still referencing the members
+  /// above.
+  util::ThreadPool::Queue queue_;
 };
 
 }  // namespace acbm::codec

@@ -4,13 +4,11 @@
 // ServiceStatsSink is the hot-path half: a handful of relaxed counters the
 // pipeline bumps at admission/resolution points (no lock, no ordering
 // requirements — the counters are monotone and only read as a snapshot).
-// Since PR 10 the storage lives in an obs::Registry under "svc.*" names, so
-// the same numbers surface through the unified metrics layer (acbm_enc
-// --metrics, bench_service counters) without a second accounting path; a
-// sink constructed standalone owns a private registry so existing call
-// sites keep working unchanged. ServiceStats is the cold snapshot handed to
-// callers: acbm_enc --summary prints it, bench_service emits it as
-// deterministic gateable counters.
+// The storage lives in an obs::Registry under "svc.*" names, so the same
+// numbers surface through the unified metrics layer (acbm_enc --metrics,
+// bench_service counters) without a second accounting path. ServiceStats
+// is the cold snapshot handed to callers: acbm_enc --summary prints it,
+// bench_service emits it as deterministic gateable counters.
 //
 // The counters form a conservation law a healthy run must satisfy:
 //   accepted == completed + timed_out + failed        (once drained)
@@ -19,7 +17,6 @@
 // encoded with the overload estimator, so degraded <= accepted.
 
 #include <cstdint>
-#include <memory>
 
 #include "obs/metrics.hpp"
 
@@ -41,10 +38,6 @@ struct ServiceStats {
 /// across sessions.
 class ServiceStatsSink {
  public:
-  /// Standalone sink backed by a private registry (tests, ad-hoc use).
-  ServiceStatsSink() : owned_(std::make_unique<obs::Registry>()) {
-    bind(*owned_);
-  }
   /// Sink whose counters live in (and are reported through) `registry`.
   /// The registry must outlive the sink.
   explicit ServiceStatsSink(obs::Registry& registry) { bind(registry); }
@@ -87,7 +80,6 @@ class ServiceStatsSink {
     peak_queue_depth_ = &registry.gauge("svc.peak_queue_depth");
   }
 
-  std::unique_ptr<obs::Registry> owned_;  // only for the default constructor
   obs::Counter* accepted_ = nullptr;
   obs::Counter* completed_ = nullptr;
   obs::Counter* rejected_ = nullptr;

@@ -10,14 +10,40 @@ namespace acbm::util {
 
 namespace {
 thread_local int tls_worker_index = -1;
-/// Identity of the pool the calling thread belongs to. worker_index() alone
-/// is not enough for the helping wait: a worker of pool A calling into pool
-/// B must park, not help (B's lanes are not its responsibility, and B's
-/// per-worker state is indexed by B's thread indices).
+/// Identity of the pool the calling thread is running tasks for: an index
+/// is only meaningful together with the pool whose per-worker state it
+/// selects.
 thread_local ThreadPool* tls_worker_pool = nullptr;
-}  // namespace
 
-namespace {
+/// Makes a thread that is not one of `pool`'s workers act as its extra
+/// worker, index pool->size() (worker 0 of a zero-worker pool), for the
+/// scope — how an outside waiter runs the tasks it helps with — and then
+/// restores the previous identity, so nested waits across pools unwind
+/// correctly. A thread already running `pool`'s tasks keeps its index.
+class ActAsOutsideWorker {
+ public:
+  explicit ActAsOutsideWorker(ThreadPool* pool)
+      : active_(tls_worker_pool != pool),
+        saved_index_(tls_worker_index),
+        saved_pool_(tls_worker_pool) {
+    if (active_) {
+      tls_worker_index = pool->size();
+      tls_worker_pool = pool;
+    }
+  }
+  ~ActAsOutsideWorker() {
+    tls_worker_index = saved_index_;
+    tls_worker_pool = saved_pool_;
+  }
+  ActAsOutsideWorker(const ActAsOutsideWorker&) = delete;
+  ActAsOutsideWorker& operator=(const ActAsOutsideWorker&) = delete;
+
+ private:
+  bool active_;
+  int saved_index_;
+  ThreadPool* saved_pool_;
+};
+
 /// Publishes a lane's queue depth as a per-lane counter track
 /// ("lane.depth.<id>"). Disarmed this is one relaxed load + branch; callers
 /// hold the pool mutex, so the depth read is exact.
@@ -36,8 +62,19 @@ ThreadPool::Queue::Queue(ThreadPool& pool) : pool_(pool) {
 ThreadPool::Queue::~Queue() {
   std::unique_lock<std::mutex> lock(pool_.mutex_);
   // Drain this lane before unregistering: a session tearing down must not
-  // leave its tasks running against freed state.
-  pool_.all_idle_.wait(lock, [this] { return in_flight_ == 0; });
+  // leave its tasks running against freed state. This thread runs the jobs
+  // still queued itself (on a zero-worker pool nobody else ever would),
+  // then waits for the ones already running elsewhere.
+  if (!jobs_.empty()) {
+    const ActAsOutsideWorker worker(&pool_);
+    while (!jobs_.empty()) {
+      Job job = std::move(jobs_.front());
+      jobs_.pop_front();
+      --pool_.queued_total_;
+      pool_.run_job(lock, job, "task");
+    }
+  }
+  pool_.lane_drained_.wait(lock, [this] { return in_flight_ == 0; });
   auto& queues = pool_.queues_;
   queues.erase(std::find(queues.begin(), queues.end(), this));
   if (pool_.rr_next_ >= queues.size()) {
@@ -46,8 +83,7 @@ ThreadPool::Queue::~Queue() {
 }
 
 ThreadPool::ThreadPool(int threads) {
-  default_queue_ = std::make_unique<Queue>(*this);
-  const int n = std::max(1, threads);
+  const int n = std::max(0, threads);
   workers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -63,12 +99,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) {
     worker.join();
   }
-  // Workers drained every lane before exiting; ~Queue of the default lane
-  // returns immediately.
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  submit(*default_queue_, std::move(task), nullptr);
 }
 
 void ThreadPool::submit(Queue& queue, std::function<void()> task,
@@ -78,7 +108,6 @@ void ThreadPool::submit(Queue& queue, std::function<void()> task,
     queue.jobs_.push_back(Job{std::move(task), group, &queue});
     ++queue.in_flight_;
     ++queued_total_;
-    ++in_flight_;
     trace_lane_depth(queue.lane_id_, queue.jobs_.size());
     if (group != nullptr) {
       ++group->pending_;
@@ -90,19 +119,12 @@ void ThreadPool::submit(Queue& queue, std::function<void()> task,
   work_available_.notify_one();
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_idle_.wait(lock, [this] { return in_flight_ == 0; });
-  if (first_error_ != nullptr) {
-    std::exception_ptr error = std::exchange(first_error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(error);
-  }
-}
-
 void ThreadPool::wait(TaskGroup& group) {
   std::unique_lock<std::mutex> lock(mutex_);
-  const bool may_help = (tls_worker_pool == this);
+  // Every waiter helps; one from outside the pool does so as its extra
+  // worker (on a zero-worker pool, the only one: the tasks run here or
+  // nowhere).
+  const ActAsOutsideWorker worker(this);
   for (;;) {
     if (group.pending_ == 0) {
       if (group.first_error_ != nullptr) {
@@ -112,46 +134,17 @@ void ThreadPool::wait(TaskGroup& group) {
       }
       return;
     }
-    if (may_help) {
-      // Run a queued task of this group instead of parking the worker.
+    Job job;
+    if (take_group_job_locked(group, job)) {
+      // Run a queued task of this group instead of parking the thread.
       // Lanes are scanned in dispatch order and each lane front-to-back, so
       // group-relative FIFO (the wavefront's ordering contract) holds for
       // helped tasks too.
-      Job job;
-      bool found = false;
-      for (Queue* queue : queues_) {
-        auto it = std::find_if(queue->jobs_.begin(), queue->jobs_.end(),
-                               [&group](const Job& j) {
-                                 return j.group == &group;
-                               });
-        if (it != queue->jobs_.end()) {
-          job = std::move(*it);
-          queue->jobs_.erase(it);
-          --queued_total_;
-          trace_lane_depth(queue->lane_id_, queue->jobs_.size());
-          found = true;
-          break;
-        }
-      }
-      if (found) {
-        lock.unlock();
-        std::exception_ptr error;
-        try {
-          obs::Span span("pool", "help");
-          job.fn();
-        } catch (...) {
-          error = std::current_exception();
-        }
-        lock.lock();
-        if (error != nullptr) {
-          record_error_locked(job, std::move(error));
-        }
-        finish_job_locked(job);
-        continue;
-      }
-      // Every task of the group is already running on some other thread;
-      // park until one finishes (or a new group task arrives to help with).
+      run_job(lock, job, "help");
+      continue;
     }
+    // Every task of the group is already running on some other thread;
+    // park until one finishes (or a new group task arrives to help with).
     group.done_or_work_.wait(lock);
   }
 }
@@ -190,23 +183,43 @@ ThreadPool::Job ThreadPool::pop_next_locked() {
   return Job{};
 }
 
-void ThreadPool::record_error_locked(const Job& job,
-                                     std::exception_ptr error) {
-  std::exception_ptr& slot =
-      job.group != nullptr ? job.group->first_error_ : first_error_;
-  if (slot == nullptr) {
-    slot = std::move(error);
+bool ThreadPool::take_group_job_locked(const TaskGroup& group, Job& out) {
+  for (Queue* queue : queues_) {
+    auto it =
+        std::find_if(queue->jobs_.begin(), queue->jobs_.end(),
+                     [&group](const Job& j) { return j.group == &group; });
+    if (it != queue->jobs_.end()) {
+      out = std::move(*it);
+      queue->jobs_.erase(it);
+      --queued_total_;
+      trace_lane_depth(queue->lane_id_, queue->jobs_.size());
+      return true;
+    }
   }
+  return false;
 }
 
-void ThreadPool::finish_job_locked(const Job& job) {
-  --in_flight_;
-  --job.queue->in_flight_;
-  if (job.group != nullptr && --job.group->pending_ == 0) {
-    job.group->done_or_work_.notify_all();
+void ThreadPool::run_job(std::unique_lock<std::mutex>& lock, Job& job,
+                         const char* span_name) {
+  lock.unlock();
+  std::exception_ptr error;
+  try {
+    obs::Span span("pool", span_name);
+    job.fn();
+  } catch (...) {
+    error = std::current_exception();
   }
-  if (in_flight_ == 0 || job.queue->in_flight_ == 0) {
-    all_idle_.notify_all();
+  lock.lock();
+  if (job.group != nullptr) {
+    if (error != nullptr && job.group->first_error_ == nullptr) {
+      job.group->first_error_ = std::move(error);
+    }
+    if (--job.group->pending_ == 0) {
+      job.group->done_or_work_.notify_all();
+    }
+  }
+  if (--job.queue->in_flight_ == 0) {
+    lane_drained_.notify_all();
   }
 }
 
@@ -227,79 +240,29 @@ void ThreadPool::worker_loop(int index) {
       return;  // stopping_ and drained
     }
     Job job = pop_next_locked();
-    lock.unlock();
-    std::exception_ptr error;
-    try {
-      obs::Span span("pool", "task");
-      job.fn();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    lock.lock();
-    if (error != nullptr) {
-      record_error_locked(job, std::move(error));
-    }
-    finish_job_locked(job);
+    run_job(lock, job, "task");
   }
-}
-
-WavefrontProgress::WavefrontProgress(int rows) {
-  rows_.reserve(static_cast<std::size_t>(std::max(0, rows)));
-  for (int i = 0; i < rows; ++i) {
-    rows_.push_back(std::make_unique<Row>());
-  }
-}
-
-void WavefrontProgress::publish(int row, int done) {
-  Row& r = *rows_[static_cast<std::size_t>(row)];
-  // seq_cst on the done-store / waiters-load pair (and their counterparts in
-  // wait_for) forbids the store-load reordering that would let a publisher
-  // miss a consumer mid-parking AND that consumer miss the new progress
-  // value — the classic lost-wakeup interleaving.
-  r.done.store(done);
-  if (r.waiters.load() > 0) {
-    // The lock orders this wakeup against a consumer that passed the
-    // predicate check but has not finished parking yet.
-    const std::lock_guard<std::mutex> lock(r.mutex);
-    r.advanced.notify_all();
-  }
-}
-
-void WavefrontProgress::wait_for(int row, int need) {
-  Row& r = *rows_[static_cast<std::size_t>(row)];
-  // Bounded spin: wavefront neighbours usually trail by microseconds, so a
-  // few polls avoid the syscall entirely in the common case.
-  for (int spin = 0; spin < 64; ++spin) {
-    if (r.done.load(std::memory_order_acquire) >= need) {
-      return;
-    }
-  }
-  r.waiters.fetch_add(1);
-  {
-    std::unique_lock<std::mutex> lock(r.mutex);
-    r.advanced.wait(lock, [&r, need] { return r.done.load() >= need; });
-  }
-  r.waiters.fetch_sub(1);
-}
-
-int WavefrontProgress::progress(int row) const {
-  return rows_[static_cast<std::size_t>(row)]->done.load(
-      std::memory_order_acquire);
 }
 
 void ReadyCounter::publish(std::uint64_t value) {
-  // Running maximum with the same seq_cst store/waiters-load handshake as
-  // WavefrontProgress::publish (see the comment there).
+  // seq_cst on the value-store / waiters-load pair (and their counterparts
+  // in wait_for) forbids the store-load reordering that would let a
+  // publisher miss a consumer mid-parking AND that consumer miss the new
+  // value — the classic lost-wakeup interleaving.
   std::uint64_t cur = value_.load();
   while (cur < value && !value_.compare_exchange_weak(cur, value)) {
   }
   if (waiters_.load() > 0) {
+    // The lock orders this wakeup against a consumer that passed the
+    // predicate check but has not finished parking yet.
     const std::lock_guard<std::mutex> lock(mutex_);
     advanced_.notify_all();
   }
 }
 
 void ReadyCounter::wait_for(std::uint64_t value) {
+  // Bounded spin: wavefront neighbours usually trail by microseconds, so a
+  // few polls avoid the syscall entirely in the common case.
   for (int spin = 0; spin < 64; ++spin) {
     if (value_.load(std::memory_order_acquire) >= value) {
       return;

@@ -2,10 +2,11 @@
 // A small fixed-size worker pool for the encoder's parallel stages.
 //
 // Design constraints, in order:
-//   1. Determinism support: every pool thread has a stable 0-based index
-//      (worker_index()), so callers can give each worker private state — the
-//      encoding pipeline hands each worker its own cloned MotionEstimator
-//      and merges statistics afterwards.
+//   1. Determinism support: every thread running pool tasks has a stable
+//      0-based index (worker_index()) below size() + 1, so callers can give
+//      each worker private state — the encoding pipeline hands each worker
+//      its own MotionEstimator (worker 0 runs the caller's estimator) and
+//      merges statistics afterwards.
 //   2. FIFO dispatch *per lane*: tasks of one Queue start in submission
 //      order. The wavefront scheduler in codec::EncoderPipeline relies on
 //      this to guarantee that a macroblock row's predecessor row is always
@@ -16,18 +17,26 @@
 //   3. Fair multi-session scheduling: when several Queues hold work (one
 //      per concurrent encode/decode session), the dispatcher round-robins
 //      across them, so one saturating session cannot starve the others.
-//   4. No task futures or result plumbing — callers use wait_idle() or a
-//      TaskGroup wait as the stage barrier and write results into pre-sized
-//      arrays.
+//   4. No task futures or result plumbing — callers use a TaskGroup wait as
+//      the stage barrier and write results into pre-sized arrays.
+//
+// A thread that waits on a group HELPS: it runs the group's queued tasks
+// itself. A waiter from outside the pool does so as its extra worker,
+// worker_index() == size(), so one outside thread at a time may wait on
+// groups whose tasks use per-worker state. A pool of ZERO workers starts no
+// threads at all: its tasks run only on whichever thread calls wait(group)
+// for them, in lane-FIFO order, as worker 0. This is the single-threaded
+// encoder's executor — the same task graph as N workers, without any
+// thread hand-off.
 //
 // Tasks may throw. An exception escaping a task is captured (never
 // std::terminate): the first error of a TaskGroup is latched on the group
-// and rethrown by the wait(group) barrier once the group's count drains;
-// ungrouped task errors latch on the pool and rethrow from wait_idle().
+// and rethrown by the wait(group) barrier once the group's count drains.
 // Later errors of the same batch are dropped — first error wins — and the
-// batch always runs to completion so barrier counting stays intact. It is
-// the caller's job (codec::EncoderPipeline does this) to make sure a task
-// that throws still publishes whatever progress its siblings park on.
+// batch always runs to completion so barrier counting stays intact; an
+// ungrouped task's error has no barrier to surface at and is dropped. It
+// is the caller's job (codec::EncoderPipeline does this) to make sure a
+// task that throws still publishes whatever progress its siblings park on.
 
 #include <atomic>
 #include <condition_variable>
@@ -36,7 +45,6 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -47,9 +55,9 @@ class ThreadPool;
 
 /// Completion tracker for a batch of tasks submitted to a ThreadPool.
 ///
-/// Unlike wait_idle(), a TaskGroup barrier covers only the tasks submitted
-/// with it, so independent batches — the stages of two different frames, or
-/// two sessions sharing one pool — can wait without observing each other.
+/// A TaskGroup barrier covers only the tasks submitted with it, so
+/// independent batches — the stages of two different frames, or two
+/// sessions sharing one pool — can wait without observing each other.
 /// A group belongs to one pool at a time; reuse is fine once a wait has
 /// returned (the pending count is back to zero).
 class TaskGroup {
@@ -84,10 +92,10 @@ class ThreadPool {
  public:
   /// An independent FIFO lane of the pool — one per encode/decode session.
   /// Jobs within a lane start in submission order; the dispatcher
-  /// round-robins across lanes that hold work. The destructor blocks until
-  /// every job submitted to the lane has finished, then unregisters it, so
-  /// a Queue may simply be destroyed together with its session. Must not
-  /// outlive the pool.
+  /// round-robins across lanes that hold work. The destructor runs the
+  /// lane's still-queued jobs itself and blocks until the running ones have
+  /// finished, then unregisters the lane, so a Queue may simply be
+  /// destroyed together with its session. Must not outlive the pool.
   class Queue {
    public:
     explicit Queue(ThreadPool& pool);
@@ -107,42 +115,37 @@ class ThreadPool {
     std::size_t lane_id_ = 0;
   };
 
-  /// Spawns `threads` workers. `threads` < 1 is clamped to 1.
+  /// Spawns `threads` workers; `threads` <= 0 starts none (tasks then run
+  /// inside wait(group) on the waiting thread — see the header comment).
   explicit ThreadPool(int threads);
 
-  /// Drains every lane (runs every submitted task) and joins the workers.
+  /// Joins the workers. Every lane must already be gone (Queue drains).
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Number of worker threads.
+  /// Number of worker threads (0 for an inline pool).
   [[nodiscard]] int size() const { return static_cast<int>(workers_.size()); }
-
-  /// Enqueues a task on the pool's default lane. Tasks start in FIFO order
-  /// relative to other default-lane tasks.
-  void submit(std::function<void()> task);
 
   /// Enqueues a task on `queue`, optionally tagged with `group` so a
   /// wait(group) barrier covers it.
   void submit(Queue& queue, std::function<void()> task,
               TaskGroup* group = nullptr);
 
-  /// Blocks until every submitted task (all lanes) has finished, then
-  /// rethrows (and clears) the first error an ungrouped task threw.
-  void wait_idle();
-
   /// Blocks until every task tagged with `group` has finished, then rethrows
-  /// (and clears) the first error a task of the group threw. When called
-  /// from one of this pool's own workers the wait HELPS: it runs queued
-  /// tasks of that group (in lane order) instead of parking, so a task may
-  /// submit subtasks and wait for them without deadlocking the pool. Only
-  /// the waited group's tasks are helped — stealing unrelated work could
-  /// park this worker on a dependency that is itself queued behind it.
+  /// (and clears) the first error a task of the group threw. The wait
+  /// HELPS: it runs queued tasks of that group (in lane order) instead of
+  /// parking — from outside the pool as worker size() — so a task may
+  /// submit subtasks and wait for them without deadlocking the pool, and a
+  /// zero-worker pool makes progress at all. Only the waited group's tasks
+  /// are helped — stealing unrelated work could park this thread on a
+  /// dependency that is itself queued behind it.
   void wait(TaskGroup& group);
 
-  /// 0-based index of the calling pool thread, or -1 when called from a
-  /// thread that does not belong to any ThreadPool.
+  /// 0-based index of the calling pool thread, size() for an outside
+  /// thread while it helps a wait (so 0 on a zero-worker pool), or -1
+  /// outside any pool task.
   [[nodiscard]] static int worker_index();
 
   /// Picks a worker count: `requested` if positive, the hardware
@@ -154,78 +157,43 @@ class ThreadPool {
   /// Pops the next job round-robin across lanes. Requires queued_total_ > 0
   /// and the pool mutex held.
   Job pop_next_locked();
-  /// Post-run bookkeeping: counters, group completion, idle/drain wakeups.
-  /// Requires the pool mutex held.
-  void finish_job_locked(const Job& job);
-  /// Latches `error` as the first error of the job's group (or of the pool
-  /// for ungrouped jobs). Requires the pool mutex held.
-  void record_error_locked(const Job& job, std::exception_ptr error);
+  /// Removes the first queued job of `group` (lanes in registration order,
+  /// each front to back) into `out`; false when none is queued. Requires
+  /// the pool mutex held.
+  bool take_group_job_locked(const TaskGroup& group, Job& out);
+  /// Runs `job` with `lock` released, latches its error on its group, and
+  /// does the post-run bookkeeping (counts, group completion, lane-drain
+  /// wakeups). `lock` must hold the pool mutex on entry and exit.
+  void run_job(std::unique_lock<std::mutex>& lock, Job& job,
+               const char* span_name);
 
   std::vector<std::thread> workers_;
   std::mutex mutex_;
   std::condition_variable work_available_;
-  /// Woken when the pool goes idle or a lane drains (Queue::~Queue waits).
-  std::condition_variable all_idle_;
-  std::vector<Queue*> queues_;    ///< registered lanes; [0] is the default
+  /// Woken when a lane drains (Queue::~Queue waits on it).
+  std::condition_variable lane_drained_;
+  std::vector<Queue*> queues_;    ///< registered lanes
   std::size_t rr_next_ = 0;       ///< round-robin cursor into queues_
   std::size_t next_lane_id_ = 0;  ///< observability lane ids (never reused)
   std::size_t queued_total_ = 0;  ///< jobs queued across all lanes
-  std::size_t in_flight_ = 0;     ///< queued + currently running tasks
-  /// First exception an UNGROUPED task threw; consumed by wait_idle().
-  std::exception_ptr first_error_;
   bool stopping_ = false;
-  /// Default lane for the two-argument submit(); declared after the
-  /// bookkeeping it registers into.
-  std::unique_ptr<Queue> default_queue_;
 };
 
-/// Per-row completion counters for wavefront-ordered parallel loops.
-///
-/// A producer working through row R publishes its progress with
-/// publish(R, n); a consumer of row R+1 blocks in wait_for(R, need) until
-/// row R has advanced far enough. The wait is a parked condition-variable
-/// wait after a short bounded spin — under contention (more rows in flight
-/// than cores, busy machines) blocked rows sleep instead of burning a core
-/// on yield loops, which is what the encoder's wavefront used to do.
-///
-/// The fast path is a lock-free acquire load; publish only takes the row's
-/// mutex when a waiter is (or may be) parked. Progress values must be
-/// monotonically non-decreasing per row.
-class WavefrontProgress {
- public:
-  /// `rows` independent counters, all starting at 0.
-  explicit WavefrontProgress(int rows);
-
-  /// Publishes `done` as row `row`'s progress (release order) and wakes any
-  /// parked waiters of that row.
-  void publish(int row, int done);
-
-  /// Blocks until row `row`'s progress reaches at least `need`.
-  void wait_for(int row, int need);
-
-  /// Current progress of `row` (acquire order).
-  [[nodiscard]] int progress(int row) const;
-
-  [[nodiscard]] int rows() const { return static_cast<int>(rows_.size()); }
-
- private:
-  struct Row {
-    std::atomic<int> done{0};
-    std::atomic<int> waiters{0};  ///< parked (or parking) consumers
-    std::mutex mutex;
-    std::condition_variable advanced;
-  };
-  // unique_ptr keeps Row's non-movable members happy inside the vector.
-  std::vector<std::unique_ptr<Row>> rows_;
-};
-
-/// A single monotonic progress counter with parked waiters — the cross-frame
-/// sibling of WavefrontProgress. The frame pipeline publishes cumulative
-/// reconstructed-row counts through one of these (a 64-bit value never wraps
-/// over a stream, so the counter needs no per-frame reset and a stale waiter
-/// can never be released early by a later frame reusing small values).
+/// A monotonic progress counter with parked waiters. The encoder pipeline
+/// keeps one per macroblock row for the intra-frame wavefront and one per
+/// reconstruction parity for the cross-frame reference gate, and publishes
+/// CUMULATIVE values into both (a 64-bit value never wraps over a stream),
+/// so no counter is ever reset or reallocated per frame, and a stale waiter
+/// can never be released early by a later frame reusing small values.
 /// publish() takes the running maximum, so callers may publish out of order.
-class ReadyCounter {
+///
+/// The wait is a parked condition-variable wait after a short bounded spin
+/// — under contention (more rows in flight than cores, busy machines)
+/// blocked rows sleep instead of burning a core on yield loops. The fast
+/// path is a lock-free acquire load; publish only takes the mutex when a
+/// waiter is (or may be) parked. Cache-line aligned so neighbouring rows'
+/// counters in an array do not false-share.
+class alignas(64) ReadyCounter {
  public:
   /// Raises the counter to at least `value` and wakes parked waiters.
   void publish(std::uint64_t value);

@@ -133,7 +133,7 @@ TEST(DeblockLoop, EncoderDecoderParityWithFilterOn) {
     (void)encoder.encode_frame(f);
     recons.push_back(encoder.last_recon());
   }
-  Decoder decoder(encoder.finish());
+  Decoder decoder(encoder.finish(), DecoderConfig{});
   const auto decoded = decoder.decode_all();
   ASSERT_EQ(decoded.size(), recons.size());
   for (std::size_t i = 0; i < decoded.size(); ++i) {
@@ -171,8 +171,8 @@ TEST(DeblockLoop, FlagTravelsPerStream) {
   EXPECT_FALSE(
       recons_with.back().y().visible_equals(recons_without.back().y()));
 
-  Decoder dec_with(with);
-  Decoder dec_without(without);
+  Decoder dec_with(with, DecoderConfig{});
+  Decoder dec_without(without, DecoderConfig{});
   EXPECT_TRUE(dec_with.decode_all().back().y().visible_equals(
       recons_with.back().y()));
   EXPECT_TRUE(dec_without.decode_all().back().y().visible_equals(

@@ -331,6 +331,36 @@ TEST(FaultSoak, LatchedSessionFailsFastOnSubmit) {
   }
 }
 
+TEST(FaultSoak, StandaloneEncoderLatchesLikeASession) {
+  // A standalone Encoder runs the same pipeline as a session: at one thread
+  // (zero-worker pool) and at four, the failing frame's encode_frame
+  // rethrows its SessionError, failed() latches, and later frames fail
+  // fast with kSessionFailed.
+  const auto frames = test_sequence("foreman", 2);
+  const util::FaultInjector injector("fault:site=encode_throw,p=1,seed=1");
+  for (const int threads : {1, 4}) {
+    EncoderConfig config;
+    config.qp = 16;
+    config.parallel.threads = threads;
+    const auto estimator = core::builtin_estimators().create("ACBM");
+    Encoder encoder({frames[0].width(), frames[0].height()}, config,
+                    *estimator);
+    encoder.set_fault_injector(&injector, 0);
+    EXPECT_FALSE(encoder.failed());
+    const SessionErrorClass expected_classes[] = {
+        SessionErrorClass::kEncodeFailed, SessionErrorClass::kSessionFailed};
+    for (const SessionErrorClass expected : expected_classes) {
+      try {
+        (void)encoder.encode_frame(frames[0]);
+        FAIL() << "threads=" << threads << ": encode_frame returned";
+      } catch (const SessionError& e) {
+        EXPECT_EQ(e.error_class(), expected) << "threads=" << threads;
+      }
+      EXPECT_TRUE(encoder.failed()) << "threads=" << threads;
+    }
+  }
+}
+
 // ------------------------------------------------- deadlines & shedding ---
 
 // A frame whose deadline has already passed is shed with kTimeout at

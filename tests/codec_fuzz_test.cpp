@@ -37,7 +37,7 @@ std::vector<std::uint8_t> valid_stream(int frames_count = 4,
 /// outcome than clean frames is a bug surfaced by ASAN/UBSAN or gtest.
 void expect_survives(const std::vector<std::uint8_t>& data) {
   try {
-    Decoder decoder(data);
+    Decoder decoder(data, DecoderConfig{});
     while (true) {
       const auto frame = decoder.decode_frame();
       if (!frame.has_value()) {
@@ -87,7 +87,8 @@ TEST(DecoderFuzz, AllTruncationLengths) {
                                         stream.begin() + static_cast<long>(len));
     if (len < 12) {
       // Shorter than the sequence header: constructor must throw.
-      EXPECT_THROW(Decoder d(truncated), DecodeError) << "len " << len;
+      EXPECT_THROW(Decoder d(truncated, DecoderConfig{}), DecodeError)
+          << "len " << len;
     } else {
       expect_survives(truncated);
     }
@@ -124,8 +125,10 @@ TEST(DecoderFuzz, DuplicatedAndReorderedFrames) {
 }
 
 TEST(DecoderFuzz, EmptyAndTinyInputs) {
-  EXPECT_THROW(Decoder d(std::vector<std::uint8_t>{}), DecodeError);
-  EXPECT_THROW(Decoder d(std::vector<std::uint8_t>{0x41}), DecodeError);
+  EXPECT_THROW(Decoder d(std::vector<std::uint8_t>{}, DecoderConfig{}),
+               DecodeError);
+  EXPECT_THROW(Decoder d(std::vector<std::uint8_t>{0x41}, DecoderConfig{}),
+               DecodeError);
 }
 
 // ----------------------------------------------------- ACV2 (sliced) cases
@@ -164,7 +167,8 @@ TEST(DecoderFuzz, SlicedAllTruncationLengths) {
     std::vector<std::uint8_t> truncated(stream.begin(),
                                         stream.begin() + static_cast<long>(len));
     if (len < 12) {
-      EXPECT_THROW(Decoder d(truncated), DecodeError) << "len " << len;
+      EXPECT_THROW(Decoder d(truncated, DecoderConfig{}), DecodeError)
+          << "len " << len;
     } else {
       expect_survives(truncated);
     }
@@ -182,7 +186,7 @@ TEST(DecoderFuzz, SlicedParallelDecodeSurvivesCorruption) {
         static_cast<std::uint32_t>(corrupted.size()));
     corrupted[byte] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
     try {
-      Decoder decoder(corrupted, /*threads=*/3);
+      Decoder decoder(corrupted, DecoderConfig{.threads = 3});
       (void)decoder.decode_all();
     } catch (const DecodeError&) {
       // structural corruption — acceptable
@@ -198,7 +202,7 @@ TEST(DecoderFuzz, CorruptSlicePayloadIsConcealedAndResynchronised) {
   // still decodes.
   const auto stream = valid_stream(3, /*slices=*/3);
   const auto reference_frames = [&] {
-    Decoder d(stream);
+    Decoder d(stream, DecoderConfig{});
     return d.decode_all();
   }();
   ASSERT_EQ(reference_frames.size(), 3u);
@@ -221,7 +225,7 @@ TEST(DecoderFuzz, CorruptSlicePayloadIsConcealedAndResynchronised) {
     corrupted[kHeaderBytes + i] = 0;
   }
 
-  Decoder decoder(corrupted);
+  Decoder decoder(corrupted, DecoderConfig{});
   const auto decoded = decoder.decode_all();
   ASSERT_EQ(decoded.size(), 3u);  // resynchronised: no frame was lost
   EXPECT_GE(decoder.concealed_slices(), 1u);
@@ -275,7 +279,7 @@ TEST(DecoderFuzz, TruncatedDecodeIsAPrefixOfTheFullDecode) {
   for (const int slices : {1, 3}) {
     const auto stream = valid_stream(4, slices);
     const auto reference = [&] {
-      Decoder d(stream);
+      Decoder d(stream, DecoderConfig{});
       return d.decode_all();
     }();
     ASSERT_EQ(reference.size(), 4u);
@@ -284,7 +288,7 @@ TEST(DecoderFuzz, TruncatedDecodeIsAPrefixOfTheFullDecode) {
           stream.begin(), stream.begin() + static_cast<long>(len));
       std::vector<video::Frame> decoded;
       try {
-        Decoder decoder(truncated);
+        Decoder decoder(truncated, DecoderConfig{});
         while (auto frame = decoder.decode_frame()) {
           decoded.push_back(std::move(*frame));
         }
@@ -313,7 +317,7 @@ TEST(DecoderFuzz, SliceHeaderCorruptionIsRejected) {
   corrupted[17] = 0xFF;
   EXPECT_THROW(
       {
-        Decoder d(corrupted);
+        Decoder d(corrupted, DecoderConfig{});
         (void)d.decode_all();
       },
       DecodeError);
@@ -323,7 +327,7 @@ TEST(DecoderFuzz, SliceHeaderCorruptionIsRejected) {
   overrun[21] = 0x7F;  // top byte of slice 0's u32 payload length
   EXPECT_THROW(
       {
-        Decoder d(overrun);
+        Decoder d(overrun, DecoderConfig{});
         (void)d.decode_all();
       },
       DecodeError);

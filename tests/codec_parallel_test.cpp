@@ -196,6 +196,31 @@ TEST(ParallelEncode, AcbmDecisionLogIdenticalAfterMerge) {
   }
 }
 
+TEST(ParallelEncode, MidStreamRecordLogHonouredAtOneThread) {
+  // At threads=1 worker 0 runs the caller's own estimator (no clone), so
+  // switching the decision log on between frames takes effect at the next
+  // frame — examples/inspect_decisions relies on this to log only the last
+  // frame.
+  const auto frames = test_sequence("foreman", 4);
+  EncoderConfig config;
+  config.qp = 18;
+  core::Acbm acbm;
+  Encoder encoder({frames[0].width(), frames[0].height()}, config, acbm);
+  for (std::size_t i = 0; i + 1 < frames.size(); ++i) {
+    encoder.encode_frame(frames[i]);
+  }
+  EXPECT_TRUE(acbm.decision_log().empty());
+  acbm.set_record_log(true);
+  encoder.encode_frame(frames.back());
+
+  const std::size_t mbs = static_cast<std::size_t>(
+      (frames[0].width() / 16) * (frames[0].height() / 16));
+  ASSERT_EQ(acbm.decision_log().size(), mbs);
+  for (const core::BlockDecision& d : acbm.decision_log()) {
+    EXPECT_EQ(d.frame, static_cast<int>(frames.size()) - 1);
+  }
+}
+
 TEST(ParallelEncode, RateDistortionModeIdentical) {
   const auto frames = test_sequence("carphone", 6);
   EncoderConfig config;
@@ -217,19 +242,6 @@ TEST(ParallelEncode, AutoThreadCountIdentical) {
   EXPECT_EQ(encode_with(frames, "ACBM", parallel).stream, serial.stream);
 }
 
-TEST(ParallelEncode, NonDeterministicFlagStillBitExactToday) {
-  // ParallelConfig::deterministic = false is an API reservation; the
-  // wavefront scheduler currently stays bit-exact either way.
-  const auto frames = test_sequence("foreman", 4);
-  EncoderConfig config;
-  config.qp = 16;
-  const EncodeOutcome serial = encode_with(frames, "ACBM", config);
-  EncoderConfig parallel = config;
-  parallel.parallel.threads = 4;
-  parallel.parallel.deterministic = false;
-  EXPECT_EQ(encode_with(frames, "ACBM", parallel).stream, serial.stream);
-}
-
 TEST(ParallelEncode, ParallelStreamDecodes) {
   const auto frames = test_sequence("foreman", 6);
   EncoderConfig config;
@@ -237,7 +249,7 @@ TEST(ParallelEncode, ParallelStreamDecodes) {
   config.parallel.threads = 4;
   const EncodeOutcome outcome = encode_with(frames, "ACBM", config);
 
-  Decoder decoder(outcome.stream);
+  Decoder decoder(outcome.stream, DecoderConfig{});
   const std::vector<video::Frame> decoded = decoder.decode_all();
   EXPECT_EQ(decoded.size(), frames.size());
 }

@@ -171,7 +171,7 @@ TEST(PlanStage, PlannedStreamDecodesToEncoderReconstruction) {
   }
   const auto stream = encoder.finish();
 
-  Decoder decoder(stream);
+  Decoder decoder(stream, DecoderConfig{});
   const std::vector<video::Frame> decoded = decoder.decode_all();
   ASSERT_EQ(decoded.size(), recons.size());
   for (std::size_t i = 0; i < decoded.size(); ++i) {

@@ -49,7 +49,7 @@ double min_decoded_luma_psnr(const std::vector<video::Frame>& source,
                              int qp) {
   EncoderConfig config;
   config.qp = qp;
-  Decoder decoder(encode_stream(source, config));
+  Decoder decoder(encode_stream(source, config), DecoderConfig{});
   const auto decoded = decoder.decode_all();
   EXPECT_EQ(decoded.size(), source.size());
   double worst = 1e9;
@@ -99,7 +99,7 @@ TEST(CodecProperty, ReconstructionIndependentOfSliceCount) {
   for (int slices : {1, 2, 4}) {
     EncoderConfig c = config;
     c.slices = slices;
-    Decoder decoder(encode_stream(frames, c));
+    Decoder decoder(encode_stream(frames, c), DecoderConfig{});
     decoded.push_back(decoder.decode_all());
     ASSERT_EQ(decoded.back().size(), frames.size()) << slices << " slices";
   }
@@ -175,7 +175,7 @@ TEST(CodecProperty, SessionPacketsTileTheStream) {
   const std::vector<std::uint8_t> standalone = encode_stream(frames, config);
   EXPECT_EQ(concatenated, standalone);
 
-  Decoder decoder(concatenated);
+  Decoder decoder(concatenated, DecoderConfig{});
   EXPECT_EQ(decoder.decode_all().size(), frames.size());
 }
 

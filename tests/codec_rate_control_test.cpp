@@ -186,7 +186,7 @@ TEST(Encoder, VaryingQpStreamStaysDecodable) {
     (void)encoder.encode_frame(frames[i]);
     recons.push_back(encoder.last_recon());
   }
-  Decoder decoder(encoder.finish());
+  Decoder decoder(encoder.finish(), DecoderConfig{});
   const auto decoded = decoder.decode_all();
   ASSERT_EQ(decoded.size(), recons.size());
   for (std::size_t i = 0; i < decoded.size(); ++i) {

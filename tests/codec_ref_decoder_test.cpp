@@ -224,7 +224,7 @@ TEST(RefDecoderCrossValidation, SampleExactOverGeneratedCorpus) {
 
   for (const StreamCase& c : corpus) {
     SCOPED_TRACE(c.name);
-    Decoder opt(c.stream, /*threads=*/2);
+    Decoder opt(c.stream, DecoderConfig{.threads = 2});
     RefDecoder ref(c.stream);
     EXPECT_EQ(ref.version(), opt.version());
     EXPECT_EQ(ref.width(), opt.size().width);

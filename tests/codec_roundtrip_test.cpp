@@ -40,7 +40,7 @@ TEST(RoundTrip, HeaderSurvives) {
   cfg.fps_den = 1;
   Encoder enc({64, 48}, cfg, pbm);
   const auto bytes = enc.finish();
-  const Decoder dec(bytes);
+  const Decoder dec(bytes, DecoderConfig{});
   EXPECT_EQ(dec.size().width, 64);
   EXPECT_EQ(dec.size().height, 48);
   EXPECT_EQ(dec.rate().num, 10);
@@ -50,14 +50,14 @@ TEST(RoundTrip, HeaderSurvives) {
 TEST(RoundTrip, EmptyStreamDecodesToNoFrames) {
   me::Pbm pbm;
   Encoder enc({64, 48}, EncoderConfig{}, pbm);
-  Decoder dec(enc.finish());
+  Decoder dec(enc.finish(), DecoderConfig{});
   EXPECT_FALSE(dec.decode_frame().has_value());
 }
 
 TEST(RoundTrip, GarbageInputThrows) {
   const std::vector<std::uint8_t> garbage = {1, 2, 3, 4, 5, 6, 7, 8,
                                              9, 10, 11, 12};
-  EXPECT_THROW(Decoder dec(garbage), DecodeError);
+  EXPECT_THROW(Decoder dec(garbage, DecoderConfig{}), DecodeError);
 }
 
 TEST(RoundTrip, TruncatedStreamThrowsNotCrashes) {
@@ -72,7 +72,7 @@ TEST(RoundTrip, TruncatedStreamThrowsNotCrashes) {
   }
   auto bytes = enc.finish();
   bytes.resize(bytes.size() * 2 / 3);
-  Decoder dec(bytes);
+  Decoder dec(bytes, DecoderConfig{});
   EXPECT_THROW(
       {
         while (dec.decode_frame()) {
@@ -108,7 +108,7 @@ TEST_P(RoundTripEstimatorTest, DecoderMatchesEncoderReconstruction) {
   }
   const auto bytes = enc.finish();
 
-  Decoder dec(bytes);
+  Decoder dec(bytes, DecoderConfig{});
   for (std::size_t i = 0; i < frames.size(); ++i) {
     const auto decoded = dec.decode_frame();
     ASSERT_TRUE(decoded.has_value()) << "frame " << i;
@@ -141,7 +141,7 @@ TEST(RoundTrip, IntraPeriodStreams) {
     (void)enc.encode_frame(f);
     recons.push_back(enc.last_recon());
   }
-  Decoder dec(enc.finish());
+  Decoder dec(enc.finish(), DecoderConfig{});
   const auto decoded = dec.decode_all();
   ASSERT_EQ(decoded.size(), recons.size());
   for (std::size_t i = 0; i < decoded.size(); ++i) {
@@ -162,7 +162,7 @@ TEST(RoundTrip, NoHalfPelStreams) {
     (void)enc.encode_frame(f);
     recons.push_back(enc.last_recon());
   }
-  Decoder dec(enc.finish());
+  Decoder dec(enc.finish(), DecoderConfig{});
   const auto decoded = dec.decode_all();
   ASSERT_EQ(decoded.size(), recons.size());
   for (std::size_t i = 0; i < decoded.size(); ++i) {
@@ -181,7 +181,7 @@ TEST(RoundTrip, DecodedQualityTracksQp) {
     for (const auto& f : frames) {
       (void)enc.encode_frame(f);
     }
-    Decoder dec(enc.finish());
+    Decoder dec(enc.finish(), DecoderConfig{});
     const auto decoded = dec.decode_all();
     double psnr = 0.0;
     for (std::size_t i = 0; i < decoded.size(); ++i) {

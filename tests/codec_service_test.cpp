@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -205,8 +206,7 @@ TEST(ServiceEncode, RateDistortionModeIdentical) {
 
 TEST(ServiceEncode, SynchronousEncodeFrameWorksOnServiceEncoder) {
   // encode_frame on a shared-pool encoder routes through the async path and
-  // blocks per frame — still byte-identical, and submit_frame on a
-  // standalone encoder must refuse instead of deadlocking.
+  // blocks per frame — still byte-identical.
   const auto frames = test_sequence("foreman", 5);
   EncoderConfig config;
   config.qp = 16;
@@ -223,11 +223,42 @@ TEST(ServiceEncode, SynchronousEncodeFrameWorksOnServiceEncoder) {
     EXPECT_GE(report.frame_wall_seconds, 0.0);
   }
   EXPECT_EQ(session.finish(), reference);
+}
 
-  const auto estimator = core::builtin_estimators().create("ACBM");
-  Encoder standalone({frames[0].width(), frames[0].height()}, config,
-                     *estimator);
-  EXPECT_THROW(standalone.submit_frame(frames[0]), std::logic_error);
+TEST(ServiceEncode, StandaloneSubmitFramePacketsTileEncodeFrameStream) {
+  // A standalone encoder runs the same engine as a session: submit_frame
+  // works on it at one thread (zero-worker pool: every future is resolved
+  // on return) and at four, and the packets concatenate to encode_frame's
+  // bytes.
+  const auto frames = test_sequence("foreman", 6);
+  EncoderConfig config;
+  config.qp = 16;
+  const auto reference = encode_standalone(frames, "ACBM", config);
+
+  for (const int threads : {1, 4}) {
+    config.parallel.threads = threads;
+    const auto estimator = core::builtin_estimators().create("ACBM");
+    Encoder encoder({frames[0].width(), frames[0].height()}, config,
+                    *estimator);
+    std::vector<std::future<EncodedFrame>> futures;
+    for (const video::Frame& frame : frames) {
+      futures.push_back(encoder.submit_frame(frame));
+      if (threads == 1) {
+        EXPECT_EQ(futures.back().wait_for(std::chrono::seconds(0)),
+                  std::future_status::ready);
+      }
+    }
+    std::vector<std::uint8_t> concatenated;
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      const EncodedFrame packet = futures[i].get();
+      EXPECT_EQ(packet.frame_index, i);
+      concatenated.insert(concatenated.end(), packet.bytes.begin(),
+                          packet.bytes.end());
+    }
+    EXPECT_FALSE(encoder.failed());
+    EXPECT_EQ(concatenated, reference) << "threads=" << threads;
+    EXPECT_EQ(encoder.finish(), reference) << "threads=" << threads;
+  }
 }
 
 TEST(ServiceEncode, ServiceStreamDecodesOnSharedPool) {
@@ -244,7 +275,7 @@ TEST(ServiceEncode, ServiceStreamDecodesOnSharedPool) {
                         config, core::builtin_estimators().create("ACBM"));
   const SessionOutcome outcome = drive_session(session, frames);
 
-  Decoder own_pool(outcome.stream, /*threads=*/4);
+  Decoder own_pool(outcome.stream, DecoderConfig{.threads = 4});
   const std::vector<video::Frame> expected = own_pool.decode_all();
   ASSERT_EQ(expected.size(), frames.size());
 
@@ -252,7 +283,7 @@ TEST(ServiceEncode, ServiceStreamDecodesOnSharedPool) {
   std::vector<std::thread> drivers;
   for (std::size_t d = 0; d < decoded.size(); ++d) {
     drivers.emplace_back([&, d] {
-      Decoder decoder(outcome.stream, service.pool());
+      Decoder decoder(outcome.stream, DecoderConfig{}, service.pool());
       decoded[d] = decoder.decode_all();
     });
   }

@@ -153,7 +153,7 @@ TEST(SliceRoundTrip, DecoderMatchesEncoderReconstruction) {
   config.parallel.threads = 4;
   const EncodeResult outcome = encode_with(frames, "ACBM", config);
 
-  Decoder decoder(outcome.stream);
+  Decoder decoder(outcome.stream, DecoderConfig{});
   EXPECT_EQ(decoder.version(), 2);
   std::size_t i = 0;
   while (auto frame = decoder.decode_frame()) {
@@ -173,8 +173,8 @@ TEST(SliceRoundTrip, ParallelDecodeIdenticalToSerial) {
   config.slices = 3;
   const EncodeResult outcome = encode_with(frames, "ACBM", config);
 
-  Decoder serial(outcome.stream, /*threads=*/1);
-  Decoder parallel(outcome.stream, /*threads=*/4);
+  Decoder serial(outcome.stream, DecoderConfig{.threads = 1});
+  Decoder parallel(outcome.stream, DecoderConfig{.threads = 4});
   const auto serial_frames = serial.decode_all();
   const auto parallel_frames = parallel.decode_all();
   ASSERT_EQ(serial_frames.size(), parallel_frames.size());
@@ -193,7 +193,7 @@ TEST(SliceRoundTrip, RateDistortionModeRoundTrips) {
   config.mode_decision = ModeDecision::kRateDistortion;
   const EncodeResult outcome = encode_with(frames, "PBM", config);
 
-  Decoder decoder(outcome.stream);
+  Decoder decoder(outcome.stream, DecoderConfig{});
   const auto decoded = decoder.decode_all();
   ASSERT_EQ(decoded.size(), frames.size());
   for (std::size_t i = 0; i < decoded.size(); ++i) {
@@ -219,7 +219,7 @@ TEST(SliceRoundTrip, IntraPeriodStreamsRoundTrip) {
   config.intra_period = 2;
   const EncodeResult outcome = encode_with(frames, "ACBM", config);
 
-  Decoder decoder(outcome.stream, /*threads=*/2);
+  Decoder decoder(outcome.stream, DecoderConfig{.threads = 2});
   const auto decoded = decoder.decode_all();
   ASSERT_EQ(decoded.size(), frames.size());
   for (std::size_t i = 0; i < decoded.size(); ++i) {
@@ -240,7 +240,7 @@ TEST(SliceEncode, SliceCountClampsToMacroblockRows) {
   three.slices = 3;
   EXPECT_EQ(encode_with(frames, "ACBM", three).stream, outcome.stream);
 
-  Decoder decoder(outcome.stream);
+  Decoder decoder(outcome.stream, DecoderConfig{});
   EXPECT_EQ(decoder.decode_all().size(), frames.size());
   EXPECT_EQ(decoder.last_frame_slices(), 3);
 }
@@ -256,7 +256,7 @@ TEST(SliceEncode, DeblockingComposesWithSlices) {
   config.parallel.threads = 2;
   const EncodeResult outcome = encode_with(frames, "ACBM", config);
 
-  Decoder decoder(outcome.stream, /*threads=*/3);
+  Decoder decoder(outcome.stream, DecoderConfig{.threads = 3});
   const auto decoded = decoder.decode_all();
   ASSERT_EQ(decoded.size(), frames.size());
   for (std::size_t i = 0; i < decoded.size(); ++i) {

@@ -140,7 +140,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   bool small = size <= kDifferentialMaxBytes;
   if (small) {
     try {
-      const acbm::codec::Decoder probe(input);
+      const acbm::codec::Decoder probe(input, acbm::codec::DecoderConfig{});
       small = probe.size().width <= kDifferentialMaxDimension &&
               probe.size().height <= kDifferentialMaxDimension;
     } catch (const acbm::codec::DecodeError&) {
@@ -153,7 +153,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     // Too big to cross-check against the naive decoder at fuzzing speed;
     // still exercise the optimized path fully (under the sanitizers).
     try {
-      acbm::codec::Decoder decoder(input);
+      acbm::codec::Decoder decoder(input, acbm::codec::DecoderConfig{});
       while (decoder.decode_frame()) {
       }
     } catch (const acbm::codec::DecodeError&) {

@@ -47,7 +47,7 @@ PipelineResult run_pipeline(const std::vector<video::Frame>& frames,
     result.positions += r.me_positions;
   }
   // Measure quality through the *decoder*, proving the full loop.
-  codec::Decoder dec(enc.finish());
+  codec::Decoder dec(enc.finish(), codec::DecoderConfig{});
   const auto decoded = dec.decode_all();
   EXPECT_EQ(decoded.size(), frames.size());
   double psnr = 0.0;

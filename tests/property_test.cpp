@@ -49,7 +49,7 @@ TEST_P(PictureSizeTest, EncodeDecodeParityAtAnyLegalSize) {
     (void)encoder.encode_frame(f);
     recons.push_back(encoder.last_recon());
   }
-  codec::Decoder decoder(encoder.finish());
+  codec::Decoder decoder(encoder.finish(), codec::DecoderConfig{});
   EXPECT_EQ(decoder.size().width, w);
   EXPECT_EQ(decoder.size().height, h);
   const auto decoded = decoder.decode_all();

@@ -1,6 +1,8 @@
-// util::ThreadPool: task completion, the wait_idle() barrier, stable worker
-// indices, FIFO dispatch, and thread-count resolution — the properties the
-// parallel encoding pipeline is built on.
+// util::ThreadPool: task completion, the TaskGroup barrier, stable worker
+// indices, FIFO dispatch per lane, the zero-worker (inline) pool, and
+// thread-count resolution — the properties the encoding pipeline is built
+// on — plus util::ReadyCounter, the progress counter its wavefront and
+// reference gate park on.
 
 #include "util/thread_pool.hpp"
 
@@ -24,55 +26,101 @@ namespace {
 
 TEST(ThreadPool, RunsEverySubmittedTask) {
   ThreadPool pool(4);
+  ThreadPool::Queue lane(pool);
+  TaskGroup group;
   std::atomic<int> count{0};
   for (int i = 0; i < 200; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+    pool.submit(lane, [&count] {
+      count.fetch_add(1, std::memory_order_relaxed);
+    }, &group);
   }
-  pool.wait_idle();
+  pool.wait(group);
   EXPECT_EQ(count.load(), 200);
 }
 
-TEST(ThreadPool, SizeClampsToAtLeastOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1);
-  ThreadPool pool2(3);
-  EXPECT_EQ(pool2.size(), 3);
+TEST(ThreadPool, SizeIsTheWorkerCountAndZeroStartsNoThreads) {
+  ThreadPool inline_pool(0);
+  EXPECT_EQ(inline_pool.size(), 0);
+  ThreadPool negative(-3);  // clamps to zero workers, never throws
+  EXPECT_EQ(negative.size(), 0);
+  ThreadPool pool(3);
+  EXPECT_EQ(pool.size(), 3);
 }
 
-TEST(ThreadPool, WaitIdleWithoutTasksReturns) {
+TEST(ThreadPool, WaitOnEmptyGroupReturns) {
   ThreadPool pool(2);
-  pool.wait_idle();  // must not block
+  TaskGroup group;
+  pool.wait(group);  // must not block
+  ThreadPool inline_pool(0);
+  inline_pool.wait(group);
   SUCCEED();
 }
 
-TEST(ThreadPool, WaitIdleIsReusableAcrossBatches) {
+TEST(ThreadPool, GroupIsReusableAcrossBatches) {
   ThreadPool pool(2);
+  ThreadPool::Queue lane(pool);
+  TaskGroup group;
   std::atomic<int> count{0};
   for (int batch = 0; batch < 3; ++batch) {
     for (int i = 0; i < 20; ++i) {
-      pool.submit([&count] { count.fetch_add(1); });
+      pool.submit(lane, [&count] { count.fetch_add(1); }, &group);
     }
-    pool.wait_idle();
+    pool.wait(group);
     EXPECT_EQ(count.load(), (batch + 1) * 20);
   }
 }
 
 TEST(ThreadPool, WorkerIndicesAreStableAndInRange) {
   ThreadPool pool(3);
+  ThreadPool::Queue lane(pool);
+  TaskGroup group;
   std::mutex m;
   std::set<int> seen;
   for (int i = 0; i < 60; ++i) {
-    pool.submit([&] {
+    pool.submit(lane, [&] {
       const int index = ThreadPool::worker_index();
       const std::lock_guard<std::mutex> lock(m);
       seen.insert(index);
-    });
+    }, &group);
   }
-  pool.wait_idle();
+  pool.wait(group);
   for (int index : seen) {
     EXPECT_GE(index, 0);
-    EXPECT_LT(index, pool.size());
+    EXPECT_LE(index, pool.size());  // size(): the helping outside waiter
   }
+}
+
+TEST(ThreadPool, OutsideWaiterHelpsAsWorkerSize) {
+  // With every worker busy, a thread from outside the pool that waits on a
+  // group runs the group's tasks itself, as the extra worker size(), and
+  // is an outsider (-1) again once the wait returns.
+  ThreadPool pool(2);
+  ThreadPool::Queue lane(pool);
+  TaskGroup blockers;
+  std::atomic<int> blocked{0};
+  std::atomic<bool> release{false};
+  for (int i = 0; i < 2; ++i) {
+    pool.submit(lane, [&] {
+      blocked.fetch_add(1);
+      while (!release.load()) {
+        std::this_thread::yield();
+      }
+    }, &blockers);
+  }
+  while (blocked.load() < 2) {
+    std::this_thread::yield();
+  }
+  TaskGroup group;
+  std::vector<int> seen;
+  for (int i = 0; i < 3; ++i) {
+    pool.submit(lane, [&seen] { seen.push_back(ThreadPool::worker_index()); },
+                &group);
+  }
+  pool.wait(group);
+  EXPECT_EQ(seen, (std::vector<int>{2, 2, 2}));
+  EXPECT_EQ(ThreadPool::worker_index(), -1);
+  release.store(true);
+  pool.wait(blockers);
 }
 
 TEST(ThreadPool, WorkerIndexOutsidePoolIsMinusOne) {
@@ -83,27 +131,17 @@ TEST(ThreadPool, SingleThreadExecutesInSubmissionOrder) {
   // FIFO dispatch is part of the contract (the wavefront scheduler depends
   // on it); with one worker, dispatch order IS completion order.
   ThreadPool pool(1);
+  ThreadPool::Queue lane(pool);
+  TaskGroup group;
   std::vector<int> order;
   for (int i = 0; i < 50; ++i) {
-    pool.submit([&order, i] { order.push_back(i); });
+    pool.submit(lane, [&order, i] { order.push_back(i); }, &group);
   }
-  pool.wait_idle();
+  pool.wait(group);
   ASSERT_EQ(order.size(), 50u);
   for (int i = 0; i < 50; ++i) {
     EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
   }
-}
-
-TEST(ThreadPool, DestructorDrainsQueue) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 100; ++i) {
-      pool.submit([&count] { count.fetch_add(1); });
-    }
-    // No wait_idle: the destructor must still run everything.
-  }
-  EXPECT_EQ(count.load(), 100);
 }
 
 TEST(ThreadPool, ResolveThreadCount) {
@@ -119,19 +157,20 @@ TEST(ThreadPool, QueueLanesPreserveFifoWithinALane) {
   ThreadPool pool(1);
   ThreadPool::Queue a(pool);
   ThreadPool::Queue b(pool);
+  TaskGroup group;
   std::mutex m;
   std::vector<std::pair<int, int>> order;  // (lane, seq)
   for (int i = 0; i < 20; ++i) {
     pool.submit(a, [&, i] {
       const std::lock_guard<std::mutex> lock(m);
       order.emplace_back(0, i);
-    });
+    }, &group);
     pool.submit(b, [&, i] {
       const std::lock_guard<std::mutex> lock(m);
       order.emplace_back(1, i);
-    });
+    }, &group);
   }
-  pool.wait_idle();
+  pool.wait(group);
   int next[2] = {0, 0};
   for (const auto& [lane, seq] : order) {
     EXPECT_EQ(seq, next[lane]) << "lane " << lane;
@@ -152,6 +191,7 @@ TEST(ThreadPool, RoundRobinSharesWorkersAcrossSaturatingLanes) {
   ThreadPool::Queue modest(pool);
   std::mutex m;
   std::vector<int> order;
+  std::atomic<int> done{0};
   // Stall the worker so both lanes build a backlog before dispatch starts.
   std::atomic<bool> go{false};
   pool.submit(greedy, [&] {
@@ -163,16 +203,22 @@ TEST(ThreadPool, RoundRobinSharesWorkersAcrossSaturatingLanes) {
     pool.submit(greedy, [&] {
       const std::lock_guard<std::mutex> lock(m);
       order.push_back(0);
+      done.fetch_add(1);
     });
   }
   for (int i = 0; i < 10; ++i) {
     pool.submit(modest, [&] {
       const std::lock_guard<std::mutex> lock(m);
       order.push_back(1);
+      done.fetch_add(1);
     });
   }
   go.store(true);
-  pool.wait_idle();
+  // Poll instead of waiting on a group: a waiting thread would help, and
+  // the dispatcher's order is what this test observes.
+  while (done.load() < 60) {
+    std::this_thread::yield();
+  }
   ASSERT_EQ(order.size(), 60u);
   // The modest lane's 10 tasks must all complete within the first ~20
   // dispatches (alternation), not after the greedy lane's 50.
@@ -188,17 +234,18 @@ TEST(ThreadPool, TaskGroupWaitCoversOnlyItsOwnTasks) {
   ThreadPool pool(2);
   ThreadPool::Queue lane(pool);
   TaskGroup mine;
+  TaskGroup other;
   std::atomic<bool> blocker_running{false};
   std::atomic<bool> release_blocker{false};
   std::atomic<int> mine_done{0};
-  // An unrelated long-running task (no group): wait(mine) must not wait for
-  // it.
+  // An unrelated long-running task (another group): wait(mine) must not
+  // wait for it.
   pool.submit(lane, [&] {
     blocker_running.store(true);
     while (!release_blocker.load()) {
       std::this_thread::yield();
     }
-  });
+  }, &other);
   while (!blocker_running.load()) {
     std::this_thread::yield();
   }
@@ -209,7 +256,7 @@ TEST(ThreadPool, TaskGroupWaitCoversOnlyItsOwnTasks) {
   EXPECT_EQ(mine_done.load(), 8);
   EXPECT_FALSE(release_blocker.load());  // returned while the blocker runs
   release_blocker.store(true);
-  pool.wait_idle();
+  pool.wait(other);
 }
 
 TEST(ThreadPool, WorkerWaitingOnGroupHelpsItsTasks) {
@@ -218,6 +265,7 @@ TEST(ThreadPool, WorkerWaitingOnGroupHelpsItsTasks) {
   // this deadlock-or-help: parking would hang forever.
   ThreadPool pool(1);
   ThreadPool::Queue lane(pool);
+  TaskGroup outer;
   std::atomic<int> subtasks_done{0};
   std::atomic<bool> parent_done{false};
   pool.submit(lane, [&] {
@@ -227,8 +275,8 @@ TEST(ThreadPool, WorkerWaitingOnGroupHelpsItsTasks) {
     }
     pool.wait(group);
     parent_done.store(true);
-  });
-  pool.wait_idle();
+  }, &outer);
+  pool.wait(outer);
   EXPECT_EQ(subtasks_done.load(), 4);
   EXPECT_TRUE(parent_done.load());
 }
@@ -239,24 +287,26 @@ TEST(ThreadPool, WorkerWaitingOnGroupHelpsItsTasks) {
 // the first captured error from the matching wait. These are the primitives
 // the encoding pipeline's session-isolation guarantees stand on.
 
-TEST(ThreadPool, ThrowingTaskIsCapturedAndWaitIdleRethrows) {
+TEST(ThreadPool, ThrowingTaskIsCapturedAndWaitRethrowsOnce) {
   ThreadPool pool(2);
+  ThreadPool::Queue lane(pool);
+  TaskGroup group;
   std::atomic<int> survivors{0};
-  pool.submit([] { throw std::runtime_error("ungrouped boom"); });
+  pool.submit(lane, [] { throw std::runtime_error("boom"); }, &group);
   for (int i = 0; i < 8; ++i) {
-    pool.submit([&survivors] { survivors.fetch_add(1); });
+    pool.submit(lane, [&survivors] { survivors.fetch_add(1); }, &group);
   }
   try {
-    pool.wait_idle();
-    FAIL() << "wait_idle swallowed the task error";
+    pool.wait(group);
+    FAIL() << "wait(group) swallowed the task error";
   } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "ungrouped boom");
+    EXPECT_STREQ(e.what(), "boom");
   }
-  // The rest of the batch still ran, the error was consumed, and the pool
+  // The rest of the batch still ran, the error was consumed, and the group
   // is fully reusable.
   EXPECT_EQ(survivors.load(), 8);
-  pool.submit([&survivors] { survivors.fetch_add(1); });
-  pool.wait_idle();  // must not rethrow again
+  pool.submit(lane, [&survivors] { survivors.fetch_add(1); }, &group);
+  pool.wait(group);  // must not rethrow again
   EXPECT_EQ(survivors.load(), 9);
 }
 
@@ -288,6 +338,7 @@ TEST(ThreadPool, ThrowInsideHelpingWaitIsCaptured) {
   // error must surface to the parent task, not escape into the worker loop.
   ThreadPool pool(1);
   ThreadPool::Queue lane(pool);
+  TaskGroup outer;
   std::atomic<bool> parent_saw_error{false};
   std::atomic<int> siblings_done{0};
   pool.submit(lane, [&] {
@@ -303,8 +354,8 @@ TEST(ThreadPool, ThrowInsideHelpingWaitIsCaptured) {
     } catch (const std::runtime_error& e) {
       parent_saw_error.store(std::string(e.what()) == "subtask boom");
     }
-  });
-  pool.wait_idle();
+  }, &outer);
+  pool.wait(outer);
   EXPECT_TRUE(parent_saw_error.load());
   EXPECT_EQ(siblings_done.load(), 3) << "siblings must run despite the throw";
 }
@@ -337,8 +388,8 @@ TEST(ThreadPool, ThrowAfterPublicationDoesNotStrandCounterWaiters) {
 
 TEST(ThreadPool, DestructionDrainsPoisonedQueuedTasks) {
   // A poisoned session's lane may still hold throwing tasks when the pool
-  // goes down; the destructor must run them all without terminating and
-  // without hanging (nobody is left to consume the latched error).
+  // goes down; the lane's destructor must run them all without terminating
+  // and without hanging (ungrouped, nobody could consume their errors).
   std::atomic<int> done{0};
   {
     ThreadPool pool(2);
@@ -351,7 +402,7 @@ TEST(ThreadPool, DestructionDrainsPoisonedQueuedTasks) {
         }
       });
     }
-    // No wait_idle: destruction races dispatch of the poisoned backlog.
+    // No barrier: destruction races dispatch of the poisoned backlog.
   }
   EXPECT_EQ(done.load(), 16);
 }
@@ -475,76 +526,187 @@ TEST(ReadyCounter, WaiterNeverWakesBelowItsThreshold) {
   EXPECT_EQ(counter.value(), 16u);
 }
 
-TEST(WavefrontProgress, SatisfiedWaitReturnsImmediately) {
-  WavefrontProgress progress(2);
-  progress.publish(0, 5);
-  progress.wait_for(0, 5);  // must not block
-  progress.wait_for(0, 3);
-  EXPECT_EQ(progress.progress(0), 5);
-  EXPECT_EQ(progress.progress(1), 0);
+// --- per-row ReadyCounters: the encoder's wavefront -------------------
+
+TEST(ReadyCounter, PerRowCountersAreIndependent) {
+  std::vector<ReadyCounter> rows(2);
+  rows[0].publish(5);
+  rows[0].wait_for(5);  // must not block
+  rows[0].wait_for(3);
+  EXPECT_EQ(rows[0].value(), 5u);
+  EXPECT_EQ(rows[1].value(), 0u);
 }
 
-TEST(WavefrontProgress, ParkedWaiterWakesOnPublish) {
-  WavefrontProgress progress(1);
-  std::atomic<bool> released{false};
-  std::thread waiter([&] {
-    progress.wait_for(0, 10);
-    released.store(true);
-  });
-  // Publish below the threshold first: the waiter must stay parked.
-  progress.publish(0, 9);
-  EXPECT_FALSE(released.load());
-  progress.publish(0, 10);
-  waiter.join();
-  EXPECT_TRUE(released.load());
-}
-
-TEST(WavefrontProgress, WavefrontOrderingHoldsOnPool) {
-  // The encoder's exact usage pattern: row by waits for row by-1 to lead by
-  // two columns. Verify the dependency is never observed violated.
+TEST(ReadyCounter, WavefrontOrderingHoldsOnPool) {
+  // The encoder's exact usage pattern: one counter per row, row by waits
+  // for row by-1 to lead by two columns, and every frame publishes
+  // cumulative values (frame·cols + done) into the same counters, which are
+  // never reset. Verify the dependency is never observed violated — in
+  // particular that a later frame is never released by the previous
+  // frame's final values.
   constexpr int kRows = 8;
   constexpr int kCols = 32;
-  WavefrontProgress progress(kRows);
+  constexpr int kFrames = 3;
+  std::vector<ReadyCounter> progress(kRows);
   std::atomic<int> violations{0};
   ThreadPool pool(4);
-  for (int by = 0; by < kRows; ++by) {
-    pool.submit([&, by] {
-      for (int bx = 0; bx < kCols; ++bx) {
-        if (by > 0) {
-          const int need = std::min(bx + 2, kCols);
-          progress.wait_for(by - 1, need);
-          if (progress.progress(by - 1) < need) {
-            violations.fetch_add(1);
+  ThreadPool::Queue lane(pool);
+  TaskGroup group;
+  for (std::uint64_t frame = 0; frame < kFrames; ++frame) {
+    const std::uint64_t base = frame * kCols;
+    for (int by = 0; by < kRows; ++by) {
+      pool.submit(lane, [&, by, base] {
+        for (int bx = 0; bx < kCols; ++bx) {
+          if (by > 0) {
+            const std::uint64_t need =
+                base + static_cast<std::uint64_t>(std::min(bx + 2, kCols));
+            progress[static_cast<std::size_t>(by) - 1].wait_for(need);
+            if (progress[static_cast<std::size_t>(by) - 1].value() < need) {
+              violations.fetch_add(1);
+            }
           }
+          progress[static_cast<std::size_t>(by)].publish(
+              base + static_cast<std::uint64_t>(bx) + 1);
         }
-        progress.publish(by, bx + 1);
-      }
-    });
+      }, &group);
+    }
+    pool.wait(group);
   }
-  pool.wait_idle();
   EXPECT_EQ(violations.load(), 0);
-  for (int by = 0; by < kRows; ++by) {
-    EXPECT_EQ(progress.progress(by), kCols);
+  for (const ReadyCounter& row : progress) {
+    EXPECT_EQ(row.value(), static_cast<std::uint64_t>(kFrames * kCols));
   }
 }
 
-TEST(WavefrontProgress, ManyWaitersAllRelease) {
-  WavefrontProgress progress(1);
+TEST(ReadyCounter, ManyWaitersAllRelease) {
+  ReadyCounter counter;
   std::atomic<int> released{0};
   std::vector<std::thread> waiters;
-  for (int i = 0; i < 8; ++i) {
+  for (std::uint64_t i = 0; i < 8; ++i) {
     waiters.emplace_back([&, i] {
-      progress.wait_for(0, i + 1);
+      counter.wait_for(i + 1);
       released.fetch_add(1);
     });
   }
-  for (int step = 1; step <= 8; ++step) {
-    progress.publish(0, step);
+  for (std::uint64_t step = 1; step <= 8; ++step) {
+    counter.publish(step);
   }
   for (auto& t : waiters) {
     t.join();
   }
   EXPECT_EQ(released.load(), 8);
+}
+
+// --- zero-worker pool: tasks run inside the waiting thread --------------
+
+TEST(ZeroWorkerPool, WaitFromNonPoolThreadRunsTheGroup) {
+  ThreadPool pool(0);
+  ThreadPool::Queue lane(pool);
+  TaskGroup group;
+  std::atomic<int> count{0};
+  std::set<std::thread::id> threads;
+  for (int i = 0; i < 10; ++i) {
+    pool.submit(lane, [&] {
+      count.fetch_add(1);
+      threads.insert(std::this_thread::get_id());
+    }, &group);
+  }
+  EXPECT_EQ(count.load(), 0) << "nothing runs before someone waits";
+  // Helping works from any thread, not only the one that submitted.
+  std::thread helper([&] { pool.wait(group); });
+  helper.join();
+  EXPECT_EQ(count.load(), 10);
+  ASSERT_EQ(threads.size(), 1u);
+  EXPECT_NE(*threads.begin(), std::this_thread::get_id());
+}
+
+TEST(ZeroWorkerPool, RunsEachLaneInFifoOrder) {
+  ThreadPool pool(0);
+  ThreadPool::Queue a(pool);
+  ThreadPool::Queue b(pool);
+  TaskGroup group;
+  std::vector<std::pair<int, int>> order;  // (lane, seq)
+  for (int i = 0; i < 10; ++i) {
+    pool.submit(a, [&order, i] { order.emplace_back(0, i); }, &group);
+    pool.submit(b, [&order, i] { order.emplace_back(1, i); }, &group);
+  }
+  pool.wait(group);
+  int next[2] = {0, 0};
+  for (const auto& [lane, seq] : order) {
+    EXPECT_EQ(seq, next[lane]) << "lane " << lane;
+    ++next[lane];
+  }
+  EXPECT_EQ(next[0], 10);
+  EXPECT_EQ(next[1], 10);
+}
+
+TEST(ZeroWorkerPool, NestedSubmitAndWaitDoesNotDeadlock) {
+  // The encoder's shape: a frame task submits row tasks and waits for them
+  // from inside the outer wait.
+  ThreadPool pool(0);
+  ThreadPool::Queue lane(pool);
+  TaskGroup outer;
+  std::vector<int> order;
+  pool.submit(lane, [&] {
+    TaskGroup inner;
+    for (int i = 0; i < 4; ++i) {
+      pool.submit(lane, [&order, i] { order.push_back(i); }, &inner);
+    }
+    pool.wait(inner);
+    order.push_back(100);
+  }, &outer);
+  pool.wait(outer);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 100}));
+}
+
+TEST(ZeroWorkerPool, WaiterActsAsWorkerZeroThenRestores) {
+  ThreadPool pool(0);
+  ThreadPool::Queue lane(pool);
+  TaskGroup group;
+  std::vector<int> seen;
+  pool.submit(lane, [&] {
+    seen.push_back(ThreadPool::worker_index());
+    TaskGroup inner;
+    pool.submit(lane, [&] { seen.push_back(ThreadPool::worker_index()); },
+                &inner);
+    pool.wait(inner);
+    seen.push_back(ThreadPool::worker_index());  // nested wait restored it
+  }, &group);
+  EXPECT_EQ(ThreadPool::worker_index(), -1);
+  pool.wait(group);
+  EXPECT_EQ(seen, (std::vector<int>{0, 0, 0}));
+  EXPECT_EQ(ThreadPool::worker_index(), -1);
+}
+
+TEST(ZeroWorkerPool, WaitRethrowsTheFirstTaskError) {
+  ThreadPool pool(0);
+  ThreadPool::Queue lane(pool);
+  TaskGroup group;
+  int after = 0;
+  pool.submit(lane, [] { throw std::runtime_error("inline boom"); }, &group);
+  pool.submit(lane, [] { throw std::runtime_error("second boom"); }, &group);
+  pool.submit(lane, [&after] { ++after; }, &group);
+  try {
+    pool.wait(group);
+    FAIL() << "wait(group) swallowed the task error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "inline boom");
+  }
+  EXPECT_EQ(after, 1) << "the batch must still run to completion";
+  EXPECT_EQ(ThreadPool::worker_index(), -1);
+  pool.wait(group);  // consumed: must not rethrow again
+}
+
+TEST(ZeroWorkerPool, QueueDestructorRunsItsQueuedTasks) {
+  ThreadPool pool(0);
+  int count = 0;
+  {
+    ThreadPool::Queue lane(pool);
+    for (int i = 0; i < 5; ++i) {
+      pool.submit(lane, [&count] { ++count; });
+    }
+  }
+  EXPECT_EQ(count, 5);
 }
 
 }  // namespace
