@@ -1,16 +1,14 @@
 #include "codec/decoder.hpp"
 
-#include <algorithm>
-
 #include "codec/block_codec.hpp"
 #include "codec/coeff_coding.hpp"
 #include "codec/deblock.hpp"
 #include "codec/mc.hpp"
 #include "codec/mv_coding.hpp"
 #include "codec/quant.hpp"
+#include "codec/wire_format.hpp"
 #include "me/types.hpp"
 #include "obs/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace acbm::codec {
 
@@ -18,12 +16,6 @@ namespace {
 
 constexpr int kMb = me::kBlockSize;
 constexpr int kLumaBlockOffsets[4][2] = {{0, 0}, {8, 0}, {0, 8}, {8, 8}};
-// Local mirrors of the encoder's constants (encoder.hpp is not included to
-// keep the decoder linkable without the encoder's dependencies).
-constexpr std::uint32_t kMagicV1 = 0x41435631;  // "ACV1"
-constexpr std::uint32_t kMagicV2 = 0x41435632;  // "ACV2"
-constexpr std::uint32_t kSync = 0x7E5A;
-constexpr std::uint32_t kSliceSyncWord = 0x534C;  // "SL"
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
 void fnv_plane(const video::Plane& plane, int width, int height,
@@ -36,6 +28,13 @@ void fnv_plane(const video::Plane& plane, int width, int height,
   }
 }
 
+/// Worker count of a decoder's pool: none at one thread, so the slice
+/// tasks run on the thread that waits for them.
+int pool_workers(int threads) {
+  const int resolved = util::ThreadPool::resolve_thread_count(threads);
+  return resolved > 1 ? resolved : 0;
+}
+
 }  // namespace
 
 void Decoder::fail(DecodeErrorClass error_class, const std::string& message) {
@@ -46,13 +45,18 @@ void Decoder::fail(DecodeErrorClass error_class, const std::string& message) {
 
 Decoder::Decoder(std::span<const std::uint8_t> data,
                  const DecoderConfig& config)
-    : data_(data.begin(), data.end()), reader_(data_), config_(config) {
+    : data_(data.begin(), data.end()),
+      reader_(data_),
+      config_(config),
+      pool_(pool_workers(config.threads)),
+      queue_(pool_) {
   const std::uint32_t magic =
       static_cast<std::uint32_t>(reader_.get_bits(32));
-  if ((magic != kMagicV1 && magic != kMagicV2) || reader_.exhausted()) {
+  if ((magic != kSequenceMagic && magic != kSequenceMagicV2) ||
+      reader_.exhausted()) {
     fail(DecodeErrorClass::kHeader, "decoder: missing ACV1/ACV2 magic");
   }
-  version_ = magic == kMagicV2 ? 2 : 1;
+  version_ = magic == kSequenceMagicV2 ? 2 : 1;
   size_.width = static_cast<int>(reader_.get_bits(16));
   size_.height = static_cast<int>(reader_.get_bits(16));
   rate_.num = static_cast<int>(reader_.get_bits(16));
@@ -66,6 +70,7 @@ Decoder::Decoder(std::span<const std::uint8_t> data,
     fail(DecodeErrorClass::kHeader, "decoder: invalid sequence header");
   }
   ref_ = video::Frame(size_);
+  ref_half_.bind(&ref_.y());
   coded_field_ = me::MvField::for_picture(size_.width, size_.height);
 
   // Header-level expectations are decidable right here; mismatches are
@@ -85,25 +90,86 @@ Decoder::Decoder(std::span<const std::uint8_t> data,
   expect("version", config_.expect_version, version_);
 }
 
-Decoder::Decoder(std::span<const std::uint8_t> data,
-                 const DecoderConfig& config, util::ThreadPool& shared_pool)
-    : Decoder(data, config) {
-  shared_pool_ = &shared_pool;
-}
-
 Decoder::~Decoder() = default;
 
 std::optional<video::Frame> Decoder::decode_frame() {
   const obs::Span span("dec", "frame.decode", /*session=*/-1,
                        static_cast<std::int32_t>(report_.frames));
   const std::uint64_t concealed_before = report_.concealed_slices;
-  std::optional<video::Frame> out =
-      config_.conceal == Concealment::kResync && version_ == 2
-          ? decode_frame_resync()
-          : decode_frame_strict();
-  if (out.has_value()) {
-    account_frame(*out, concealed_before);
+  // conceal=resync recovers from directory and frame-header damage (the
+  // rules are normative, docs/RESILIENCE.md; RefDecoder implements them
+  // independently and the two must stay outcome-identical). ACV1 has no
+  // directory to resynchronise on, so it always decodes strictly.
+  const bool resync =
+      config_.conceal == Concealment::kResync && version_ == 2;
+  FrameLayout frame;
+  while (true) {
+    reader_.align();
+    if (reader_.bits_left() < 16 + 1 + 5 + 1) {
+      return std::nullopt;  // clean end of stream
+    }
+    frame = parse_frame(reader_);
+    if (frame.fault != FrameLayout::Fault::kHeader) {
+      break;
+    }
+    if (!resync) {
+      fail(DecodeErrorClass::kFrame, frame.message);
+    }
+    // Rule 1: no frame is emitted; scan on from the byte after the sync.
+    ++report_.resync_skips;
+    if (!seek_next_frame(frame.fault_offset + 1)) {
+      return std::nullopt;
+    }
   }
+  // The header validated, so this frame is emitted unless the policy
+  // throws: it becomes a prediction reference, and a scan triggered below
+  // may accept inter frame headers.
+  first_frame_ = false;
+
+  video::Frame out(size_);
+  coded_field_.reset_for_picture(size_.width, size_.height);
+  const int mbs_y = size_.height / kMb;
+  // Rule 2: an unusable slice count leaves the whole picture to conceal,
+  // counted and reported as one slice.
+  const int slice_count =
+      frame.fault == FrameLayout::Fault::kSliceCount ? 1 : frame.slice_count;
+  if (version_ == 1) {
+    // No slice boundaries to resynchronise on: corruption anywhere in the
+    // frame is a hard error.
+    if (!decode_rows(reader_, out, frame.qp, frame.inter_frame, 0, mbs_y,
+                     /*first_row=*/0) ||
+        reader_.exhausted()) {
+      fail(DecodeErrorClass::kFrame, "decoder: corrupt frame");
+    }
+  } else if (frame.fault == FrameLayout::Fault::kNone) {
+    decode_slice_payloads(frame.slices, out, frame.qp, frame.inter_frame);
+  } else if (!resync) {
+    fail(DecodeErrorClass::kDirectory, frame.message);
+  } else {
+    // Rules 2-3: entry k failed. Entry k-1's extent ends where entry k
+    // starts, which is exactly the byte that proved unreliable, so only
+    // entries 0..k-2 decode; rows from entry k-1's first row down (all rows
+    // when k == 0) conceal, counted as the slices they replace.
+    int conceal_from = 0;
+    if (!frame.slices.empty()) {
+      conceal_from = frame.slices.back().first_row;
+      frame.slices.pop_back();
+      decode_slice_payloads(frame.slices, out, frame.qp, frame.inter_frame);
+    }
+    conceal_rows(out, conceal_from, mbs_y);
+    report_.concealed_slices += static_cast<std::uint64_t>(
+        slice_count - static_cast<int>(frame.slices.size()));
+    ++report_.resync_skips;
+    seek_next_frame(frame.fault_offset + 1);
+  }
+  last_frame_slices_ = slice_count;
+
+  if (frame.deblock) {
+    deblock_frame(out, frame.qp);
+  }
+  out.extend_borders();
+  ref_ = out;  // the copy carries out's extended border
+  account_frame(out, concealed_before);
   return out;
 }
 
@@ -127,247 +193,90 @@ void Decoder::account_frame(const video::Frame& frame,
   }
 }
 
-std::optional<video::Frame> Decoder::decode_frame_strict() {
-  reader_.align();
-  if (reader_.bits_left() < 16 + 1 + 5 + 1) {
-    return std::nullopt;  // clean end of stream
+Decoder::FrameLayout Decoder::parse_frame(util::BitReader& br) const {
+  FrameLayout frame;
+  frame.fault = FrameLayout::Fault::kHeader;
+  frame.fault_offset = br.bit_position() / 8;
+  const std::uint32_t sync = static_cast<std::uint32_t>(br.get_bits(16));
+  frame.inter_frame = br.get_bit();
+  frame.qp = static_cast<int>(br.get_bits(5));
+  frame.deblock = br.get_bit();
+  if (sync != kFrameSync) {
+    frame.message = "decoder: lost frame sync";
+    return frame;
   }
-  if (reader_.get_bits(16) != kSync) {
-    fail(DecodeErrorClass::kFrame, "decoder: lost frame sync");
+  if (frame.qp < kMinQp || frame.qp > kMaxQp) {
+    frame.message = "decoder: qp out of range";
+    return frame;
   }
-  const bool inter_frame = reader_.get_bit();
-  const int qp = static_cast<int>(reader_.get_bits(5));
-  const bool deblock = reader_.get_bit();
-  if (qp < kMinQp || qp > kMaxQp) {
-    fail(DecodeErrorClass::kFrame, "decoder: qp out of range");
+  if (first_frame_ && frame.inter_frame) {
+    frame.message = "decoder: first frame must be intra";
+    return frame;
   }
-  if (first_frame_ && inter_frame) {
-    fail(DecodeErrorClass::kFrame, "decoder: first frame must be intra");
-  }
-
-  video::Frame out(size_);
-  coded_field_ = me::MvField::for_picture(size_.width, size_.height);
-  if (inter_frame) {
-    ref_half_ = video::HalfpelPlanes(ref_.y());
-  }
-
-  if (version_ == 2) {
-    decode_frame_slices(out, qp, inter_frame);
-  } else {
-    decode_frame_v1(out, qp, inter_frame);
+  if (version_ == 1) {
+    frame.fault = FrameLayout::Fault::kNone;
+    return frame;  // macroblock rows follow the header unaligned
   }
 
-  if (deblock) {
-    deblock_frame(out, qp);
-  }
-  out.extend_borders();
-  ref_ = out;
-  ref_.extend_borders();
-  first_frame_ = false;
-  return out;
-}
-
-std::optional<video::Frame> Decoder::decode_frame_resync() {
-  // conceal=resync, V2 only: nothing after the sequence header throws.
-  // Frame-header damage emits no frame and scans forward; directory damage
-  // conceals the unreachable rows, emits the frame, then scans. The scan
-  // rules are normative (docs/RESILIENCE.md) — RefDecoder implements them
-  // independently and the two must stay outcome-identical.
-  while (true) {
-    reader_.align();
-    if (reader_.bits_left() < 16 + 1 + 5 + 1) {
-      return std::nullopt;  // clean end of stream
-    }
-    const std::size_t frame_start = reader_.bit_position() / 8;
-    const std::uint64_t sync = reader_.get_bits(16);
-    const bool inter_frame = reader_.get_bit();
-    const int qp = static_cast<int>(reader_.get_bits(5));
-    const bool deblock = reader_.get_bit();
-    if (sync != kSync || qp < kMinQp || qp > kMaxQp ||
-        (first_frame_ && inter_frame)) {
-      ++report_.resync_skips;
-      if (!seek_next_frame(frame_start + 1)) {
-        return std::nullopt;
-      }
-      continue;
-    }
-    // The header validated, so this frame WILL be emitted (directory damage
-    // conceals, it does not abort). Clearing first_frame_ now lets a scan
-    // triggered inside decode_frame_slices_resync accept inter frame
-    // headers — the concealed frame is a legitimate prediction reference.
-    first_frame_ = false;
-
-    video::Frame out(size_);
-    coded_field_ = me::MvField::for_picture(size_.width, size_.height);
-    if (inter_frame) {
-      ref_half_ = video::HalfpelPlanes(ref_.y());
-    }
-    decode_frame_slices_resync(out, qp, inter_frame);
-    if (deblock) {
-      deblock_frame(out, qp);
-    }
-    out.extend_borders();
-    ref_ = out;
-    ref_.extend_borders();
-    return out;
-  }
-}
-
-void Decoder::decode_frame_v1(video::Frame& out, int qp, bool inter_frame) {
   const int mbs_y = size_.height / kMb;
-  last_frame_slices_ = 1;
-  // Legacy semantics: corruption anywhere in the frame is a hard error —
-  // there are no slice boundaries to resynchronise on.
-  if (!decode_rows(reader_, out, qp, inter_frame, 0, mbs_y,
-                   /*first_row=*/0) ||
-      reader_.exhausted()) {
-    fail(DecodeErrorClass::kFrame, "decoder: corrupt frame");
-  }
-}
-
-void Decoder::decode_frame_slices(video::Frame& out, int qp,
-                                  bool inter_frame) {
-  const int mbs_y = size_.height / kMb;
-  reader_.align();
-  const int slice_count = static_cast<int>(reader_.get_bits(8));
-  if (reader_.exhausted() || slice_count < 1 || slice_count > mbs_y) {
-    fail(DecodeErrorClass::kDirectory, "decoder: invalid slice count");
+  br.align();
+  frame.fault = FrameLayout::Fault::kSliceCount;
+  frame.fault_offset = br.bit_position() / 8;
+  frame.slice_count = static_cast<int>(br.get_bits(8));
+  if (br.exhausted() || frame.slice_count < 1 || frame.slice_count > mbs_y) {
+    frame.message = "decoder: invalid slice count";
+    return frame;
   }
 
-  // Pass 1 — walk the slice directory. Payload lengths let us locate every
-  // slice header without decoding any macroblock, which is both the
-  // resynchronisation mechanism and what makes the payloads independently
-  // decodable afterwards.
-  std::vector<SliceEntry> slices(static_cast<std::size_t>(slice_count));
-  for (int s = 0; s < slice_count; ++s) {
-    SliceEntry& entry = slices[static_cast<std::size_t>(s)];
-    reader_.align();
-    const std::uint32_t sync =
-        static_cast<std::uint32_t>(reader_.get_bits(16));
-    const int index = static_cast<int>(reader_.get_bits(8));
-    const int first_row = static_cast<int>(reader_.get_bits(16));
-    const std::uint64_t payload_bytes = reader_.get_bits(32);
-    if (reader_.exhausted() || sync != kSliceSyncWord || index != s) {
-      fail(DecodeErrorClass::kDirectory, "decoder: lost slice sync");
+  // The directory walk: payload lengths locate every slice header without
+  // decoding any macroblock, which is both the resynchronisation mechanism
+  // and what makes the payloads independently decodable afterwards.
+  frame.fault = FrameLayout::Fault::kEntry;
+  frame.slices.reserve(static_cast<std::size_t>(frame.slice_count));
+  for (int s = 0; s < frame.slice_count; ++s) {
+    br.align();
+    frame.fault_offset = br.bit_position() / 8;
+    const std::uint32_t slice_sync =
+        static_cast<std::uint32_t>(br.get_bits(16));
+    const int index = static_cast<int>(br.get_bits(8));
+    const int first_row = static_cast<int>(br.get_bits(16));
+    const std::uint64_t payload_bytes = br.get_bits(32);
+    if (br.exhausted() || slice_sync != kSliceSync || index != s) {
+      frame.message = "decoder: lost slice sync";
+      return frame;
     }
-    const int prev_first =
-        s > 0 ? slices[static_cast<std::size_t>(s) - 1].first_row : 0;
     if (first_row >= mbs_y || (s == 0 ? first_row != 0
-                                      : first_row <= prev_first)) {
-      fail(DecodeErrorClass::kDirectory, "decoder: invalid slice row layout");
+                                      : first_row <= frame.slices.back()
+                                                         .first_row)) {
+      frame.message = "decoder: invalid slice row layout";
+      return frame;
     }
-    if (payload_bytes > reader_.bits_left() / 8) {
-      fail(DecodeErrorClass::kDirectory, "decoder: truncated slice payload");
+    if (payload_bytes > br.bits_left() / 8) {
+      frame.message = "decoder: truncated slice payload";
+      return frame;
     }
+    if (s > 0) {
+      frame.slices.back().end_row = first_row;
+    }
+    SliceEntry& entry = frame.slices.emplace_back();
     entry.first_row = first_row;
-    entry.offset = reader_.bit_position() / 8;  // aligned above
+    entry.end_row = mbs_y;
+    entry.offset = br.bit_position() / 8;  // aligned above
     entry.bytes = static_cast<std::size_t>(payload_bytes);
-    reader_.skip_bits(entry.bytes * 8);
+    br.skip_bits(entry.bytes * 8);
   }
-  for (int s = 0; s < slice_count; ++s) {
-    slices[static_cast<std::size_t>(s)].end_row =
-        s + 1 < slice_count ? slices[static_cast<std::size_t>(s) + 1].first_row
-                            : mbs_y;
-  }
-
-  decode_slice_payloads(slices, out, qp, inter_frame);
-  last_frame_slices_ = slice_count;
-}
-
-void Decoder::decode_frame_slices_resync(video::Frame& out, int qp,
-                                         bool inter_frame) {
-  const int mbs_y = size_.height / kMb;
-  reader_.align();
-  const std::size_t count_off = reader_.bit_position() / 8;
-  const int slice_count = static_cast<int>(reader_.get_bits(8));
-  if (reader_.exhausted() || slice_count < 1 || slice_count > mbs_y) {
-    // An unusable slice count leaves nothing navigable in this frame: the
-    // whole picture is concealed (counted as one concealment) and decoding
-    // scans on from the byte after the count.
-    conceal_rows(out, 0, mbs_y);
-    ++report_.concealed_slices;
-    last_frame_slices_ = 1;
-    ++report_.resync_skips;
-    seek_next_frame(count_off + 1);
-    return;
-  }
-
-  // Pass 1 with damage detection instead of throws: stop at the first
-  // entry that fails any directory invariant.
-  std::vector<SliceEntry> slices;
-  slices.reserve(static_cast<std::size_t>(slice_count));
-  int valid_entries = slice_count;
-  std::size_t damage_off = 0;
-  for (int s = 0; s < slice_count; ++s) {
-    reader_.align();
-    const std::size_t entry_off = reader_.bit_position() / 8;
-    const std::uint32_t sync =
-        static_cast<std::uint32_t>(reader_.get_bits(16));
-    const int index = static_cast<int>(reader_.get_bits(8));
-    const int first_row = static_cast<int>(reader_.get_bits(16));
-    const std::uint64_t payload_bytes = reader_.get_bits(32);
-    const int prev_first = s > 0 ? slices.back().first_row : 0;
-    if (reader_.exhausted() || sync != kSliceSyncWord || index != s ||
-        first_row >= mbs_y ||
-        (s == 0 ? first_row != 0 : first_row <= prev_first) ||
-        payload_bytes > reader_.bits_left() / 8) {
-      valid_entries = s;
-      damage_off = entry_off;
-      break;
-    }
-    SliceEntry entry;
-    entry.first_row = first_row;
-    entry.offset = reader_.bit_position() / 8;  // aligned above
-    entry.bytes = static_cast<std::size_t>(payload_bytes);
-    slices.push_back(entry);
-    reader_.skip_bits(entry.bytes * 8);
-  }
-
-  if (valid_entries == slice_count) {
-    // Intact directory — identical to the strict path from here on.
-    for (int s = 0; s < slice_count; ++s) {
-      slices[static_cast<std::size_t>(s)].end_row =
-          s + 1 < slice_count
-              ? slices[static_cast<std::size_t>(s) + 1].first_row
-              : mbs_y;
-    }
-    decode_slice_payloads(slices, out, qp, inter_frame);
-    last_frame_slices_ = slice_count;
-    return;
-  }
-
-  // Entry k is damaged. Entries 0..k-1 parsed, but entry k-1's extent
-  // depends on entry k's first row, so only slices 0..k-2 have known
-  // extents and decode; rows from entry k-1's first row down are concealed
-  // (all rows when k == 0), counted as the slices they replace.
-  const int k = valid_entries;
-  if (k >= 2) {
-    std::vector<SliceEntry> known(
-        slices.begin(), slices.begin() + static_cast<std::ptrdiff_t>(k - 1));
-    for (int s = 0; s + 1 < k; ++s) {
-      known[static_cast<std::size_t>(s)].end_row =
-          slices[static_cast<std::size_t>(s) + 1].first_row;
-    }
-    decode_slice_payloads(known, out, qp, inter_frame);
-  }
-  const int conceal_from =
-      k >= 1 ? slices[static_cast<std::size_t>(k) - 1].first_row : 0;
-  conceal_rows(out, conceal_from, mbs_y);
-  report_.concealed_slices +=
-      static_cast<std::uint64_t>(slice_count - std::max(0, k - 1));
-  last_frame_slices_ = slice_count;
-  ++report_.resync_skips;
-  seek_next_frame(damage_off + 1);
+  frame.fault = FrameLayout::Fault::kNone;
+  return frame;
 }
 
 void Decoder::decode_slice_payloads(std::vector<SliceEntry>& slices,
                                     video::Frame& out, int qp,
                                     bool inter_frame) {
-  // Pass 2 — decode the payloads, each from its own BitReader. Slices write
-  // only row-disjoint regions of `out` and the coded field and predict
-  // vectors strictly within their own rows, so they are independent; with a
-  // worker pool they run concurrently and the output is identical either
-  // way.
+  // Decode the payloads, each from its own BitReader. Slices write only
+  // row-disjoint regions of `out` and the coded field and predict vectors
+  // strictly within their own rows, so they are independent: the pool's
+  // workers run them concurrently (a zero-worker pool runs them here, in
+  // order, inside wait) and the output is identical either way.
   const auto decode_one = [&](SliceEntry& entry) {
     const obs::Span span("dec", "slice.decode", /*session=*/-1,
                          static_cast<std::int32_t>(report_.frames),
@@ -381,40 +290,17 @@ void Decoder::decode_slice_payloads(std::vector<SliceEntry>& slices,
                                     // leftover payload means the entropy
                                     // data desynchronised somewhere
   };
-  const int slice_count = static_cast<int>(slices.size());
-  const int workers =
-      shared_pool_ != nullptr
-          ? shared_pool_->size()
-          : util::ThreadPool::resolve_thread_count(config_.threads);
-  if (workers > 1 && slice_count > 1) {
-    util::ThreadPool* pool = shared_pool_;
-    if (pool == nullptr) {
-      if (!pool_) {
-        pool_ = std::make_unique<util::ThreadPool>(workers);
-      }
-      pool = pool_.get();
-    }
-    if (!queue_) {
-      queue_ = std::make_unique<util::ThreadPool::Queue>(*pool);
-    }
-    // The group covers this frame's slices only, so on a shared pool the
-    // barrier never waits on (or is woken by) other sessions' traffic.
-    util::TaskGroup group;
-    for (SliceEntry& entry : slices) {
-      pool->submit(
-          *queue_, [&decode_one, &entry] { decode_one(entry); }, &group);
-    }
-    pool->wait(group);
-  } else {
-    for (SliceEntry& entry : slices) {
-      decode_one(entry);
-    }
+  util::TaskGroup group;
+  for (SliceEntry& entry : slices) {
+    pool_.submit(queue_, [&decode_one, &entry] { decode_one(entry); },
+                 &group);
   }
+  pool_.wait(group);
 
-  // Pass 3 — conceal whatever failed. The slice's region is rewritten
-  // wholesale (a corrupt payload may have deposited partial macroblocks
-  // before the error was detected), which keeps the output deterministic.
-  // Under conceal=off the first failure is fatal instead.
+  // Conceal whatever failed. The slice's region is rewritten wholesale (a
+  // corrupt payload may have deposited partial macroblocks before the error
+  // was detected), which keeps the output deterministic. Under
+  // conceal=off the first failure is fatal instead.
   for (const SliceEntry& entry : slices) {
     if (!entry.ok) {
       if (config_.conceal == Concealment::kOff) {
@@ -427,67 +313,25 @@ void Decoder::decode_slice_payloads(std::vector<SliceEntry>& slices,
 }
 
 bool Decoder::seek_next_frame(std::size_t from_byte) {
-  // Resynchronisation scan (normative; docs/RESILIENCE.md): a byte offset
-  // is a valid restart point iff the frame sync word, frame header fields,
-  // slice count and the *entire* slice directory all validate — payload
-  // hops included — so a restart can never land on entropy data that
-  // merely looks like a sync word without paying for it structurally.
-  const int mbs_y = size_.height / kMb;
-  const auto u16 = [&](std::size_t at) {
-    return (static_cast<std::uint32_t>(data_[at]) << 8) |
-           static_cast<std::uint32_t>(data_[at + 1]);
-  };
+  // Rule 5: a byte offset is a restart point iff parse_frame() reads a
+  // complete frame there — header, slice count and the entire directory,
+  // payload hops included — so a restart can never land on entropy data
+  // that merely looks like a sync word without paying for it structurally.
+  std::size_t restart = data_.size();
   for (std::size_t o = from_byte; o + 4 <= data_.size(); ++o) {
-    if (u16(o) != kSync) {
-      continue;
+    if (((std::uint32_t{data_[o]} << 8) | data_[o + 1]) != kFrameSync) {
+      continue;  // cheap prefilter; parse_frame checks the sync again
     }
-    const std::uint8_t header = data_[o + 2];
-    const bool inter = (header & 0x80u) != 0;
-    const int qp = (header >> 2) & 0x1F;
-    if (qp < kMinQp || qp > kMaxQp) {
-      continue;
+    util::BitReader candidate(data_);
+    candidate.skip_bits(o * 8);
+    if (parse_frame(candidate).fault == FrameLayout::Fault::kNone) {
+      restart = o;
+      break;
     }
-    if (first_frame_ && inter) {
-      continue;  // a restart before any emitted frame must be intra
-    }
-    const int count = data_[o + 3];
-    if (count < 1 || count > mbs_y) {
-      continue;
-    }
-    std::size_t p = o + 4;
-    bool ok = true;
-    int prev_first = 0;
-    for (int s = 0; s < count; ++s) {
-      if (data_.size() - p < 9) {
-        ok = false;
-        break;
-      }
-      const int first_row = static_cast<int>(u16(p + 3));
-      const std::size_t payload =
-          (static_cast<std::size_t>(data_[p + 5]) << 24) |
-          (static_cast<std::size_t>(data_[p + 6]) << 16) |
-          (static_cast<std::size_t>(data_[p + 7]) << 8) |
-          static_cast<std::size_t>(data_[p + 8]);
-      if (u16(p) != kSliceSyncWord || data_[p + 2] != s ||
-          first_row >= mbs_y ||
-          (s == 0 ? first_row != 0 : first_row <= prev_first) ||
-          payload > data_.size() - (p + 9)) {
-        ok = false;
-        break;
-      }
-      prev_first = first_row;
-      p += 9 + payload;
-    }
-    if (!ok) {
-      continue;
-    }
-    reader_ = util::BitReader(data_);
-    reader_.skip_bits(o * 8);
-    return true;
   }
   reader_ = util::BitReader(data_);
-  reader_.skip_bits(data_.size() * 8);
-  return false;
+  reader_.skip_bits(restart * 8);
+  return restart < data_.size();
 }
 
 bool Decoder::decode_rows(util::BitReader& br, video::Frame& out, int qp,

@@ -27,13 +27,18 @@
 //                   construction in this mode.
 //   conceal=off     Strict: even payload corruption throws.
 //
+// One engine serves every policy: a single frame driver and a single
+// frame-header + slice-directory parser run for strict and resync decoding
+// alike, and the policy decides only what happens on damage. Slices always
+// decode as tasks on the decoder's own pool, which has zero workers at
+// threads=1 (the tasks then run on the calling thread).
+//
 // Progress and damage accounting stream into a structured DecodeReport
 // (frames, per-frame concealments, resync skips, error class, sample
 // digest) instead of hidden counters; decode_stream() runs a whole stream
 // to completion without throwing and returns the report.
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -42,7 +47,7 @@
 
 #include "me/mv_field.hpp"
 #include "util/bitstream.hpp"
-#include "util/thread_pool.hpp"  // nested ThreadPool::Queue needs the full type
+#include "util/thread_pool.hpp"
 #include "video/frame.hpp"
 #include "video/interp.hpp"
 #include "video/y4m_io.hpp"
@@ -76,9 +81,10 @@ enum class DecodeErrorClass {
 /// value is compared against the stream and a mismatch is recorded in
 /// DecodeReport::expectation_failures (never thrown).
 struct DecoderConfig {
-  /// Worker threads for slice-parallel decoding of ACV2 frames: 1 = serial
-  /// (default), 0 = one worker per hardware thread, N = exactly N workers.
-  /// Output is identical at every thread count.
+  /// Worker threads for slice-parallel decoding of ACV2 frames: 1 = no
+  /// worker threads, slices run on the calling thread through a zero-worker
+  /// pool (default), 0 = one worker per hardware thread, N = exactly N
+  /// workers. Output is identical at every thread count.
   int threads = 1;
   Concealment conceal = Concealment::kSlice;
   std::int64_t expect_width = -1;
@@ -112,16 +118,6 @@ class Decoder {
   /// ACV1/ACV2 stream. The buffer is copied so the decoder owns its input.
   Decoder(std::span<const std::uint8_t> data, const DecoderConfig& config);
 
-  /// Shared-pool variant: slice-parallel decoding runs on one FIFO lane of
-  /// `shared_pool` (which must outlive the decoder) instead of a pool built
-  /// per decoder instance — N concurrent decoders share the machine's
-  /// workers fairly rather than oversubscribing it N-fold, and each
-  /// decoder's stage barrier covers only its own tasks. Output is identical
-  /// to the own-pool constructor. config.threads is ignored (the pool's
-  /// size applies).
-  Decoder(std::span<const std::uint8_t> data, const DecoderConfig& config,
-          util::ThreadPool& shared_pool);
-
   ~Decoder();
 
   Decoder(const Decoder&) = delete;
@@ -133,7 +129,8 @@ class Decoder {
   /// Decodes the next frame; std::nullopt at clean end-of-stream. Throws
   /// DecodeError on unconcealable corruption for the configured policy
   /// (never, for V2 streams under conceal=resync); the error class and
-  /// message are recorded in report() before the throw.
+  /// message are recorded in report() before the throw. A decoder that has
+  /// thrown is finished: do not call decode_frame() on it again.
   std::optional<video::Frame> decode_frame();
 
   /// Decodes every remaining frame; rethrows like decode_frame().
@@ -162,13 +159,8 @@ class Decoder {
   /// for every ACV1 frame).
   [[nodiscard]] int last_frame_slices() const { return last_frame_slices_; }
 
-  /// Total slices concealed so far (= report().concealed_slices).
-  [[nodiscard]] std::uint64_t concealed_slices() const {
-    return report_.concealed_slices;
-  }
-
  private:
-  /// ACV2 slice-directory entry (pass 1 product; see decode_frame_slices).
+  /// ACV2 slice-directory entry.
   struct SliceEntry {
     int first_row = 0;
     int end_row = 0;
@@ -177,32 +169,48 @@ class Decoder {
     bool ok = false;
   };
 
+  /// One frame's header and, for ACV2, its slice directory as parse_frame()
+  /// read them, up to the first check that failed.
+  struct FrameLayout {
+    enum class Fault { kNone, kHeader, kSliceCount, kEntry };
+    bool inter_frame = false;
+    int qp = 0;
+    bool deblock = false;
+    int slice_count = 1;
+    /// The entries that validated, in order; under Fault::kEntry their
+    /// count is the index of the bad entry, and the last one's end_row is
+    /// not yet known.
+    std::vector<SliceEntry> slices;
+    Fault fault = Fault::kNone;
+    const char* message = nullptr;  ///< the failed check's error text
+    /// Byte offset of the failing header, slice count or entry.
+    std::size_t fault_offset = 0;
+  };
+
   /// Records the class/message in report_ and throws DecodeError.
   [[noreturn]] void fail(DecodeErrorClass error_class,
                          const std::string& message);
 
-  std::optional<video::Frame> decode_frame_strict();
-  std::optional<video::Frame> decode_frame_resync();
-  void decode_frame_v1(video::Frame& out, int qp, bool inter_frame);
-  void decode_frame_slices(video::Frame& out, int qp, bool inter_frame);
-  void decode_frame_slices_resync(video::Frame& out, int qp,
-                                  bool inter_frame);
+  /// Reads a frame header and (ACV2) the slice count and slice directory
+  /// from `br`, hopping over the payloads, and checks them in wire order
+  /// (docs/RESILIENCE.md rules 1-3 and 5). On success `br` stands after the
+  /// frame's last payload. The frame driver and the resync scan both call
+  /// it, so they agree on what a valid frame is.
+  [[nodiscard]] FrameLayout parse_frame(util::BitReader& br) const;
 
-  /// Passes 2+3 over a parsed directory: decode payloads (in parallel when
-  /// configured), then conceal failures — or, under conceal=off, throw on
-  /// the first bad payload.
+  /// Decodes `slices`' payloads as tasks on the pool's lane, then conceals
+  /// the failures — or, under conceal=off, throws on the first bad payload.
   void decode_slice_payloads(std::vector<SliceEntry>& slices,
                              video::Frame& out, int qp, bool inter_frame);
 
   /// conceal=resync: scans data_ from `from_byte` for the next byte offset
-  /// that validates as a complete frame header + slice directory
-  /// (docs/RESILIENCE.md "resynchronisation scan") and repositions the
-  /// reader there. Returns false — reader at end-of-stream — when no
-  /// candidate validates.
+  /// where parse_frame() reads a complete frame (docs/RESILIENCE.md rule 5)
+  /// and repositions the reader there. Returns false — reader at
+  /// end-of-stream — when no candidate validates.
   bool seek_next_frame(std::size_t from_byte);
 
-  /// Frame bookkeeping shared by both decode paths: frame count, per-frame
-  /// concealment, sample digest, expect_slices.
+  /// Per-frame bookkeeping: frame count, per-frame concealment, sample
+  /// digest, expect_slices.
   void account_frame(const video::Frame& frame,
                      std::uint64_t concealed_before);
 
@@ -236,19 +244,17 @@ class Decoder {
   video::PictureSize size_{};
   video::FrameRate rate_{};
   video::Frame ref_;
+  /// Borrows ref_.y() for predict_luma, which reads only the integer plane.
   video::HalfpelPlanes ref_half_;
   me::MvField coded_field_;
   int version_ = 1;
   bool first_frame_ = true;
   int last_frame_slices_ = 1;
   bool slices_mismatch_recorded_ = false;
-  std::unique_ptr<util::ThreadPool> pool_;  ///< created at first parallel use
-  util::ThreadPool* shared_pool_ = nullptr;  ///< injected pool, not owned
-  /// This decoder's FIFO lane of whichever pool is active; its TaskGroup
-  /// waits are what keep concurrent decoders from observing each other.
-  /// Declared after pool_ so the lane unregisters before an owned pool
-  /// tears down.
-  std::unique_ptr<util::ThreadPool::Queue> queue_;
+  util::ThreadPool pool_;  ///< zero workers at threads=1
+  /// This decoder's FIFO lane of pool_. Declared after pool_ so the lane
+  /// unregisters before the pool tears down.
+  util::ThreadPool::Queue queue_;
 };
 
 }  // namespace acbm::codec

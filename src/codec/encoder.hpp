@@ -45,6 +45,7 @@
 
 #include "codec/dct.hpp"
 #include "codec/session_error.hpp"
+#include "codec/wire_format.hpp"
 #include "me/estimator.hpp"
 #include "me/mv_field.hpp"
 #include "util/bitstream.hpp"
@@ -62,17 +63,6 @@ class Registry;
 }
 
 namespace acbm::codec {
-
-/// Magic and sync constants of the ACV1 bitstream.
-inline constexpr std::uint32_t kSequenceMagic = 0x41435631;    // "ACV1"
-inline constexpr std::uint32_t kSequenceMagicV2 = 0x41435632;  // "ACV2"
-inline constexpr std::uint32_t kFrameSync = 0x7E5A;
-/// Marker starting every slice header in ACV2 streams ("SL"). Lets a decoder
-/// that lost a slice's payload re-verify it is standing on the next header
-/// before trusting its fields.
-inline constexpr std::uint32_t kSliceSync = 0x534C;
-/// u8 on the wire bounds the per-frame slice count.
-inline constexpr int kMaxSlices = 255;
 
 /// Threading knobs for the encoding pipeline. The motion-estimation stage
 /// runs row-parallel in wavefront order (row N may lead row N+1 by at least

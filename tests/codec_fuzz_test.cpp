@@ -228,7 +228,7 @@ TEST(DecoderFuzz, CorruptSlicePayloadIsConcealedAndResynchronised) {
   Decoder decoder(corrupted, DecoderConfig{});
   const auto decoded = decoder.decode_all();
   ASSERT_EQ(decoded.size(), 3u);  // resynchronised: no frame was lost
-  EXPECT_GE(decoder.concealed_slices(), 1u);
+  EXPECT_GE(decoder.report().concealed_slices, 1u);
 }
 
 TEST(DecoderFuzz, SliceDirectoryTargetedCorruption) {
@@ -331,6 +331,53 @@ TEST(DecoderFuzz, SliceHeaderCorruptionIsRejected) {
         (void)d.decode_all();
       },
       DecodeError);
+}
+
+TEST(DecoderFuzz, StrictFaultsReportClassAndMessage) {
+  // One targeted byte edit per structural check of the first frame, decoded
+  // under both non-resync policies: the report must name the layer and the
+  // exact check that failed, in the order the checks run. Layout: 12-byte
+  // sequence header; frame sync at 12..13; header byte 14 (inter bit 7, qp
+  // bits 6..2, deblock bit 1); slice count at 15; slice 0's entry at 16
+  // (sync 16..17, index 18, first row 19..20, payload length 21..24).
+  const auto stream = valid_stream(3, /*slices=*/3);
+  ASSERT_EQ(stream[14] & 0x80, 0);  // frame 0 is intra
+  struct Fault {
+    const char* name;
+    std::size_t byte;
+    std::uint8_t value;
+    DecodeErrorClass error_class;
+    const char* message;
+  };
+  const Fault faults[] = {
+      {"bad frame sync", 12, static_cast<std::uint8_t>(stream[12] ^ 0xFF),
+       DecodeErrorClass::kFrame, "decoder: lost frame sync"},
+      {"qp out of range", 14, static_cast<std::uint8_t>(stream[14] & ~0x7C),
+       DecodeErrorClass::kFrame, "decoder: qp out of range"},
+      {"inter first frame", 14, static_cast<std::uint8_t>(stream[14] | 0x80),
+       DecodeErrorClass::kFrame, "decoder: first frame must be intra"},
+      {"invalid slice count", 15, 0, DecodeErrorClass::kDirectory,
+       "decoder: invalid slice count"},
+      {"lost slice sync", 16, static_cast<std::uint8_t>(stream[16] ^ 0xFF),
+       DecodeErrorClass::kDirectory, "decoder: lost slice sync"},
+      {"bad row layout", 20, 1, DecodeErrorClass::kDirectory,
+       "decoder: invalid slice row layout"},
+      {"truncated payload", 21, 0x7F, DecodeErrorClass::kDirectory,
+       "decoder: truncated slice payload"},
+  };
+  for (const Concealment conceal : {Concealment::kSlice, Concealment::kOff}) {
+    for (const Fault& fault : faults) {
+      auto corrupted = stream;
+      corrupted[fault.byte] = fault.value;
+      DecoderConfig config;
+      config.conceal = conceal;
+      Decoder decoder(corrupted, config);
+      const DecodeReport report = decoder.decode_stream();
+      EXPECT_EQ(report.frames, 0u) << fault.name;
+      EXPECT_EQ(report.error_class, fault.error_class) << fault.name;
+      EXPECT_EQ(report.error_message, fault.message) << fault.name;
+    }
+  }
 }
 
 }  // namespace

@@ -245,7 +245,7 @@ TEST(RefDecoderCrossValidation, SampleExactOverGeneratedCorpus) {
       ++frames;
     }
     EXPECT_EQ(frames, c.frames) << c.name;
-    EXPECT_EQ(ref.concealed_slices(), opt.concealed_slices()) << c.name;
+    EXPECT_EQ(ref.concealed_slices(), opt.report().concealed_slices) << c.name;
     EXPECT_EQ(ref.last_frame_slices(), opt.last_frame_slices()) << c.name;
   }
 }
@@ -289,7 +289,7 @@ Outcome optimized_outcome(const std::vector<std::uint8_t>& stream,
         }
       }
     }
-    out.concealed = decoder.concealed_slices();
+    out.concealed = decoder.report().concealed_slices;
     out.resync_skips = decoder.report().resync_skips;
   } catch (const DecodeError&) {
     out.error = true;

@@ -20,7 +20,6 @@
 #include <thread>
 #include <vector>
 
-#include "codec/decoder.hpp"
 #include "codec/encoder.hpp"
 #include "codec/service.hpp"
 #include "core/builtin_estimators.hpp"
@@ -258,45 +257,6 @@ TEST(ServiceEncode, StandaloneSubmitFramePacketsTileEncodeFrameStream) {
     EXPECT_FALSE(encoder.failed());
     EXPECT_EQ(concatenated, reference) << "threads=" << threads;
     EXPECT_EQ(encoder.finish(), reference) << "threads=" << threads;
-  }
-}
-
-TEST(ServiceEncode, ServiceStreamDecodesOnSharedPool) {
-  // Round trip through the shared-pool decoder constructor: two decoders on
-  // one pool, each on its own lane, must reproduce the per-decoder-pool
-  // output.
-  const auto frames = test_sequence("foreman", 6);
-  EncoderConfig config;
-  config.qp = 16;
-  config.slices = 4;
-
-  EncoderService service(4);
-  EncodeSession session(service, {frames[0].width(), frames[0].height()},
-                        config, core::builtin_estimators().create("ACBM"));
-  const SessionOutcome outcome = drive_session(session, frames);
-
-  Decoder own_pool(outcome.stream, DecoderConfig{.threads = 4});
-  const std::vector<video::Frame> expected = own_pool.decode_all();
-  ASSERT_EQ(expected.size(), frames.size());
-
-  std::vector<std::vector<video::Frame>> decoded(2);
-  std::vector<std::thread> drivers;
-  for (std::size_t d = 0; d < decoded.size(); ++d) {
-    drivers.emplace_back([&, d] {
-      Decoder decoder(outcome.stream, DecoderConfig{}, service.pool());
-      decoded[d] = decoder.decode_all();
-    });
-  }
-  for (std::thread& t : drivers) {
-    t.join();
-  }
-  for (const std::vector<video::Frame>& frames_out : decoded) {
-    ASSERT_EQ(frames_out.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_TRUE(frames_out[i].y().visible_equals(expected[i].y())) << i;
-      EXPECT_TRUE(frames_out[i].cb().visible_equals(expected[i].cb())) << i;
-      EXPECT_TRUE(frames_out[i].cr().visible_equals(expected[i].cr())) << i;
-    }
   }
 }
 

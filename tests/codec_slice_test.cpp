@@ -163,7 +163,7 @@ TEST(SliceRoundTrip, DecoderMatchesEncoderReconstruction) {
   }
   EXPECT_EQ(i, frames.size());
   EXPECT_EQ(decoder.last_frame_slices(), 3);
-  EXPECT_EQ(decoder.concealed_slices(), 0u);
+  EXPECT_EQ(decoder.report().concealed_slices, 0u);
 }
 
 TEST(SliceRoundTrip, ParallelDecodeIdenticalToSerial) {

@@ -69,7 +69,7 @@ Outcome optimized_outcome(std::span<const std::uint8_t> input, bool resync) {
         }
       }
     }
-    out.concealed = decoder.concealed_slices();
+    out.concealed = decoder.report().concealed_slices;
     out.resync_skips = decoder.report().resync_skips;
   } catch (const acbm::codec::DecodeError&) {
     out.error = true;

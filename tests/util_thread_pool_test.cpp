@@ -134,8 +134,17 @@ TEST(ThreadPool, SingleThreadExecutesInSubmissionOrder) {
   ThreadPool::Queue lane(pool);
   TaskGroup group;
   std::vector<int> order;
+  std::atomic<int> done{0};
   for (int i = 0; i < 50; ++i) {
-    pool.submit(lane, [&order, i] { order.push_back(i); }, &group);
+    pool.submit(lane, [&order, &done, i] {
+      order.push_back(i);
+      done.fetch_add(1);
+    }, &group);
+  }
+  // Poll before waiting: a waiting thread would help, running tasks
+  // alongside the worker, and the worker's order is what this test observes.
+  while (done.load() < 50) {
+    std::this_thread::yield();
   }
   pool.wait(group);
   ASSERT_EQ(order.size(), 50u);
@@ -169,6 +178,13 @@ TEST(ThreadPool, QueueLanesPreserveFifoWithinALane) {
       const std::lock_guard<std::mutex> lock(m);
       order.emplace_back(1, i);
     }, &group);
+  }
+  // Poll before waiting, as above: only the worker may run the tasks.
+  while (true) {
+    const std::lock_guard<std::mutex> lock(m);
+    if (order.size() == 40) {
+      break;
+    }
   }
   pool.wait(group);
   int next[2] = {0, 0};
@@ -318,9 +334,20 @@ TEST(ThreadPool, WaitGroupRethrowsFirstErrorOfItsGroupOnly) {
   TaskGroup bad;
   TaskGroup good;
   std::atomic<int> done{0};
-  pool.submit(lane, [] { throw std::runtime_error("boom0"); }, &bad);
-  pool.submit(lane, [] { throw std::runtime_error("boom1"); }, &bad);
+  pool.submit(lane, [&done] {
+    done.fetch_add(1);
+    throw std::runtime_error("boom0");
+  }, &bad);
+  pool.submit(lane, [&done] {
+    done.fetch_add(1);
+    throw std::runtime_error("boom1");
+  }, &bad);
   pool.submit(lane, [&done] { done.fetch_add(1); }, &good);
+  // Let the worker start every task before waiting: a helping waiter could
+  // otherwise run boom1 alongside boom0 and latch it first.
+  while (done.load() < 3) {
+    std::this_thread::yield();
+  }
   try {
     pool.wait(bad);
     FAIL() << "wait(group) swallowed the task error";
@@ -328,7 +355,7 @@ TEST(ThreadPool, WaitGroupRethrowsFirstErrorOfItsGroupOnly) {
     EXPECT_STREQ(e.what(), "boom0") << "first captured error must win";
   }
   pool.wait(good);  // must return cleanly: its group had no error
-  EXPECT_EQ(done.load(), 1);
+  EXPECT_EQ(done.load(), 3);
 }
 
 TEST(ThreadPool, ThrowInsideHelpingWaitIsCaptured) {
