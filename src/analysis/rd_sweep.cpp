@@ -1,5 +1,6 @@
 #include "analysis/rd_sweep.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "codec/config_map.hpp"
@@ -52,12 +53,11 @@ std::unique_ptr<me::MotionEstimator> make_estimator(Algorithm algorithm,
   // is a veneer over the parameterized spec path: the AcbmParams struct is
   // rendered into spec pairs (format_double round-trips exactly) and bound
   // by the registry like any CLI-authored spec.
-  me::EstimatorSpec spec;
-  spec.name = algorithm_name(algorithm);
+  std::string spec = algorithm_name(algorithm);
   if (algorithm == Algorithm::kAcbm) {
-    spec.params = {{"alpha", util::format_double(params.alpha)},
-                   {"beta", util::format_double(params.beta)},
-                   {"gamma", util::format_double(params.gamma)}};
+    spec += ":alpha=" + util::format_double(params.alpha) +
+            ",beta=" + util::format_double(params.beta) +
+            ",gamma=" + util::format_double(params.gamma);
   }
   return core::builtin_estimators().create(spec);
 }
@@ -65,6 +65,24 @@ std::unique_ptr<me::MotionEstimator> make_estimator(Algorithm algorithm,
 std::unique_ptr<me::MotionEstimator> make_estimator(std::string_view spec) {
   return core::builtin_estimators().create(spec);
 }
+
+namespace {
+
+/// The encoder configuration a sweep runs at, except its per-point qp and
+/// frame rate.
+codec::EncoderConfig encoder_config(const SweepConfig& config) {
+  codec::EncoderConfig ec;
+  ec.search_range = config.search_range;
+  ec.half_pel = config.half_pel;
+  ec.me_lambda = config.me_lambda;
+  ec.mode_decision = config.mode_decision;
+  ec.deblock = config.deblock;
+  ec.parallel = config.parallel;
+  ec.slices = config.slices;
+  return ec;
+}
+
+}  // namespace
 
 RdPoint run_rd_point(const std::vector<video::Frame>& frames, int fps,
                      me::MotionEstimator& estimator, int qp,
@@ -74,15 +92,8 @@ RdPoint run_rd_point(const std::vector<video::Frame>& frames, int fps,
   }
   estimator.reset();
 
-  codec::EncoderConfig ec;
+  codec::EncoderConfig ec = encoder_config(config);
   ec.qp = qp;
-  ec.search_range = config.search_range;
-  ec.half_pel = config.half_pel;
-  ec.me_lambda = config.me_lambda;
-  ec.mode_decision = config.mode_decision;
-  ec.deblock = config.deblock;
-  ec.parallel = config.parallel;
-  ec.slices = config.slices;
   ec.fps_num = fps;
   ec.fps_den = 1;
 
@@ -176,28 +187,59 @@ RdCurve run_rd_sweep(const std::vector<video::Frame>& frames, int fps,
 
 namespace {
 
-/// The sweep keys that map 1:1 onto EncoderConfig fields (run_rd_point
-/// copies them straight across). Their parsing, types and ranges live in
-/// codec/config_map.cpp's single key table; from_spec delegates so the two
-/// grammars cannot drift.
-constexpr const char* kSharedKeys[] = {"range",   "halfpel", "me_lambda",
-                                       "mode",    "deblock", "slices",
-                                       "threads"};
+constexpr const char* kSweepOwner = "sweep config";
 
-std::string sweep_spec_usage() {
-  std::string out =
-      "sweep config grammar: key=val[,key=val...] over\n"
-      "  qps=16:18:20:22:24:26:28:30 (colon-separated quantisers; empty "
-      "list allowed)\n";
-  out += "plus these keys, with the same types/ranges as the encoder "
-         "config grammar:\n ";
-  for (const char* key : kSharedKeys) {
-    out += ' ';
-    out += key;
+/// The sweep keys: the qps list, then the encoder keys a sweep shares with
+/// EncoderConfig, taken from the encoder's own list by name (so types,
+/// ranges and help cannot drift) in the sweep's canonical order. Estimator
+/// parameters like alpha/beta/gamma are not sweep keys; they travel in the
+/// estimator spec ("ACBM:alpha=500").
+std::vector<util::ParamDesc> sweep_keys(const SweepConfig& config) {
+  std::string qps;
+  for (std::size_t i = 0; i < config.qps.size(); ++i) {
+    if (i > 0) {
+      qps += ':';
+    }
+    qps += std::to_string(config.qps[i]);
   }
-  out += "\n(estimator parameters like alpha/beta/gamma belong in the "
-         "estimator spec, e.g. \"ACBM:alpha=500\")\n";
-  return out;
+  std::vector<util::ParamDesc> keys = {util::ParamDesc::text(
+      "qps", qps,
+      "colon-separated quantisers, each 1..31 (empty list allowed)")};
+  const std::vector<util::ParamDesc> encoder_keys =
+      codec::encoder_config_keys(encoder_config(config));
+  for (const char* shared : {"range", "halfpel", "me_lambda", "mode",
+                             "deblock", "slices", "threads"}) {
+    keys.push_back(*std::find_if(
+        encoder_keys.begin(), encoder_keys.end(),
+        [shared](const util::ParamDesc& key) { return key.key == shared; }));
+  }
+  return keys;
+}
+
+/// Colon-separated so the list nests inside the comma-separated pair
+/// grammar; an empty value is the empty list (to_spec round-trip).
+std::vector<int> parse_qps(const std::string& list) {
+  std::vector<int> qps;
+  std::size_t begin = 0;
+  while (!list.empty()) {
+    std::size_t end = list.find(':', begin);
+    if (end == std::string::npos) {
+      end = list.size();
+    }
+    // An empty entry (leading/trailing/double colon) throws here.
+    const std::int64_t qp = util::parse_int_strict(
+        list.substr(begin, end - begin), "qps entry");
+    if (qp < 1 || qp > 31) {
+      throw util::SpecError(std::string(kSweepOwner) + ": qp " +
+                            std::to_string(qp) + " out of range [1, 31]");
+    }
+    qps.push_back(static_cast<int>(qp));
+    if (end == list.size()) {
+      break;
+    }
+    begin = end + 1;
+  }
+  return qps;
 }
 
 }  // namespace
@@ -208,90 +250,24 @@ SweepConfig SweepConfig::from_spec(std::string_view spec) {
 
 SweepConfig SweepConfig::from_spec(std::string_view spec,
                                    const SweepConfig& base) {
+  const util::ParamSet params =
+      util::ParamSet::bind("", spec, sweep_keys(base), kSweepOwner);
   SweepConfig config = base;
-  std::vector<util::KeyValue> shared;
-  for (const util::KeyValue& pair : util::parse_kv_list(spec)) {
-    if (pair.first == "qps") {
-      // Colon-separated so the list nests inside the comma-separated pair
-      // grammar; an empty value is the empty list (to_spec round-trip).
-      std::vector<int> qps;
-      const std::string& list = pair.second;
-      std::size_t begin = 0;
-      while (begin <= list.size() && !list.empty()) {
-        std::size_t end = list.find(':', begin);
-        if (end == std::string_view::npos) {
-          end = list.size();
-        }
-        // An empty entry (leading/trailing/double colon) throws here.
-        const std::int64_t qp = util::parse_int_strict(
-            list.substr(begin, end - begin), "qps entry");
-        if (qp < 1 || qp > 31) {
-          throw util::SpecError("sweep config: qp " + std::to_string(qp) +
-                                " out of range [1, 31]");
-        }
-        qps.push_back(static_cast<int>(qp));
-        if (end == list.size()) {
-          break;
-        }
-        begin = end + 1;
-      }
-      config.qps = std::move(qps);
-      continue;
-    }
-    bool is_shared = false;
-    for (const char* key : kSharedKeys) {
-      if (pair.first == key) {
-        is_shared = true;
-        break;
-      }
-    }
-    if (!is_shared) {
-      throw util::SpecError("sweep config: unknown key \"" + pair.first +
-                            "\"; valid keys:\n" + sweep_spec_usage());
-    }
-    shared.push_back(pair);
-  }
-
-  // Round-trip the shared keys through the codec key table: sweep fields →
-  // EncoderConfig, apply the pairs (validated there), copy back.
-  codec::EncoderConfig ec;
-  ec.search_range = config.search_range;
-  ec.half_pel = config.half_pel;
-  ec.me_lambda = config.me_lambda;
-  ec.mode_decision = config.mode_decision;
-  ec.deblock = config.deblock;
-  ec.slices = config.slices;
-  ec.parallel.threads = config.parallel.threads;
-  ec = codec::encoder_config_from_spec(util::format_kv_list(shared), ec);
-  config.search_range = ec.search_range;
-  config.half_pel = ec.half_pel;
-  config.me_lambda = ec.me_lambda;
-  config.mode_decision = ec.mode_decision;
-  config.deblock = ec.deblock;
-  config.slices = ec.slices;
-  config.parallel.threads = ec.parallel.threads;
+  config.qps = parse_qps(params.get_text("qps"));
+  config.search_range = static_cast<int>(params.get_int("range"));
+  config.half_pel = params.get_bool("halfpel");
+  config.me_lambda = params.get_double("me_lambda");
+  config.mode_decision =
+      static_cast<codec::ModeDecision>(params.get_choice("mode"));
+  config.deblock = params.get_bool("deblock");
+  config.slices = static_cast<int>(params.get_int("slices"));
+  config.parallel.threads = static_cast<int>(params.get_int("threads"));
   return config;
 }
 
 std::string SweepConfig::to_spec() const {
-  std::string out = "qps=";
-  for (std::size_t i = 0; i < qps.size(); ++i) {
-    if (i > 0) {
-      out += ':';
-    }
-    out += std::to_string(qps[i]);
-  }
-  out += ",range=" + std::to_string(search_range);
-  out += std::string(",halfpel=") + (half_pel ? "1" : "0");
-  out += ",me_lambda=" + util::format_double(me_lambda);
-  out += std::string(",mode=") +
-         (mode_decision == codec::ModeDecision::kRateDistortion
-              ? "rd"
-              : "heuristic");
-  out += std::string(",deblock=") + (deblock ? "1" : "0");
-  out += ",slices=" + std::to_string(slices);
-  out += ",threads=" + std::to_string(parallel.threads);
-  return out;
+  return util::ParamSet::bind("", "", sweep_keys(*this), kSweepOwner)
+      .to_spec();
 }
 
 }  // namespace acbm::analysis

@@ -1,387 +1,138 @@
 #include "codec/config_map.hpp"
 
-#include <cstdint>
-#include <vector>
-
-#include "util/kv.hpp"
-
 namespace acbm::codec {
 
 namespace {
 
-/// One table drives parsing, rendering and usage text, so the three views
-/// of the grammar cannot drift apart. Numeric payloads (int/bool included)
-/// travel as double through get/set; kMode is the one string-valued key and
-/// is handled inline.
-struct KeySpec {
-  enum class Kind { kInt, kDouble, kBool, kMode };
+constexpr const char* kEncoderOwner = "encoder config";
+constexpr const char* kDecoderOwner = "decoder config";
 
-  const char* name;
-  Kind kind;
-  double min_value;
-  double max_value;
-  const char* help;
-  double (*get)(const EncoderConfig&);
-  void (*set)(EncoderConfig&, double);
-};
-
-constexpr double kGet = 0.0;  // silences unused warnings in kMode entries
-double mode_get(const EncoderConfig&) { return kGet; }
-void mode_set(EncoderConfig&, double) {}
-
-const std::vector<KeySpec>& key_table() {
-  static const std::vector<KeySpec> keys = {
-      {"qp", KeySpec::Kind::kInt, 1, 31, "quantiser",
-       [](const EncoderConfig& c) { return double(c.qp); },
-       [](EncoderConfig& c, double v) { c.qp = int(v); }},
-      {"range", KeySpec::Kind::kInt, 1, 23,
-       "integer search range p (paper: 15; bounded by the plane border)",
-       [](const EncoderConfig& c) { return double(c.search_range); },
-       [](EncoderConfig& c, double v) { c.search_range = int(v); }},
-      {"halfpel", KeySpec::Kind::kBool, 0, 1,
-       "half-pel refinement + compensation",
-       [](const EncoderConfig& c) { return c.half_pel ? 1.0 : 0.0; },
-       [](EncoderConfig& c, double v) { c.half_pel = v != 0.0; }},
-      {"intra_period", KeySpec::Kind::kInt, 0, 100000,
-       "intra refresh period (0 = only frame 0)",
-       [](const EncoderConfig& c) { return double(c.intra_period); },
-       [](EncoderConfig& c, double v) { c.intra_period = int(v); }},
-      {"me_lambda", KeySpec::Kind::kDouble, 0, 1e6,
-       "lambda for rate-aware ME (0 = pure SAD, paper)",
-       [](const EncoderConfig& c) { return c.me_lambda; },
-       [](EncoderConfig& c, double v) { c.me_lambda = v; }},
-      {"intra_bias", KeySpec::Kind::kInt, -65536, 65536,
-       "TMN INTRA decision bias",
-       [](const EncoderConfig& c) { return double(c.intra_bias); },
-       [](EncoderConfig& c, double v) { c.intra_bias = int(v); }},
-      {"skip", KeySpec::Kind::kBool, 0, 1,
-       "emit COD=1 for zero-MV zero-CBP macroblocks",
-       [](const EncoderConfig& c) { return c.allow_skip ? 1.0 : 0.0; },
-       [](EncoderConfig& c, double v) { c.allow_skip = v != 0.0; }},
-      {"deblock", KeySpec::Kind::kBool, 0, 1,
-       "in-loop Annex-J deblocking filter",
-       [](const EncoderConfig& c) { return c.deblock ? 1.0 : 0.0; },
-       [](EncoderConfig& c, double v) { c.deblock = v != 0.0; }},
-      {"slices", KeySpec::Kind::kInt, 1, kMaxSlices,
-       "entropy-coding slices per frame (1 = legacy ACV1)",
-       [](const EncoderConfig& c) { return double(c.slices); },
-       [](EncoderConfig& c, double v) { c.slices = int(v); }},
-      {"mode", KeySpec::Kind::kMode, 0, 0,
-       "macroblock mode decision: heuristic|rd", mode_get, mode_set},
-      {"threads", KeySpec::Kind::kInt, 0, 4096,
-       "pipeline worker threads (0 = all cores; bit-exact at any count)",
-       [](const EncoderConfig& c) { return double(c.parallel.threads); },
-       [](EncoderConfig& c, double v) { c.parallel.threads = int(v); }},
-      {"fps", KeySpec::Kind::kInt, 1, 65535,
-       "frame-rate numerator (sequence header)",
-       [](const EncoderConfig& c) { return double(c.fps_num); },
-       [](EncoderConfig& c, double v) { c.fps_num = int(v); }},
-      {"fps_den", KeySpec::Kind::kInt, 1, 65535,
-       "frame-rate denominator",
-       [](const EncoderConfig& c) { return double(c.fps_den); },
-       [](EncoderConfig& c, double v) { c.fps_den = int(v); }},
+/// The decoder keys, defaults from `c`. All expect_* keys share one range:
+/// -1 (unchecked) .. 2^31.
+std::vector<util::ParamDesc> decoder_config_keys(const DecoderConfig& c) {
+  using util::ParamDesc;
+  constexpr std::int64_t kExpectMax = std::int64_t{1} << 31;
+  return {
+      ParamDesc::integer("threads", c.threads, 0, 4096,
+                         "slice-decode worker threads (0 = all cores; "
+                         "output identical at any count)"),
+      // Choices in Concealment order.
+      ParamDesc::choice("conceal", {"slice", "resync", "off"},
+                        static_cast<std::size_t>(c.conceal),
+                        "concealment policy: slice (payload conceal, "
+                        "directory throws) | resync (directory/frame-header "
+                        "recovery too) | off (strict)"),
+      ParamDesc::integer("expect_width", c.expect_width, -1, kExpectMax,
+                         "assert luma width (-1 = unchecked)"),
+      ParamDesc::integer("expect_height", c.expect_height, -1, kExpectMax,
+                         "assert luma height (-1 = unchecked)"),
+      ParamDesc::integer("expect_fps", c.expect_fps, -1, kExpectMax,
+                         "assert integer frame rate (-1 = unchecked)"),
+      ParamDesc::integer("expect_frames", c.expect_frames, -1, kExpectMax,
+                         "assert total decoded frames at end of stream (-1 "
+                         "= unchecked)"),
+      ParamDesc::integer("expect_slices", c.expect_slices, -1, kExpectMax,
+                         "assert slices per frame, every frame (-1 = "
+                         "unchecked)"),
+      ParamDesc::integer("expect_version", c.expect_version, -1, kExpectMax,
+                         "assert bitstream revision 1|2 (-1 = unchecked)"),
   };
-  return keys;
-}
-
-std::string default_text(const KeySpec& key) {
-  static const EncoderConfig defaults;
-  switch (key.kind) {
-    case KeySpec::Kind::kInt:
-      return std::to_string(
-          static_cast<std::int64_t>(key.get(defaults)));
-    case KeySpec::Kind::kDouble:
-      return util::format_double(key.get(defaults));
-    case KeySpec::Kind::kBool:
-      return key.get(defaults) != 0.0 ? "1" : "0";
-    case KeySpec::Kind::kMode:
-      return defaults.mode_decision == ModeDecision::kRateDistortion
-                 ? "rd"
-                 : "heuristic";
-  }
-  return {};
 }
 
 }  // namespace
 
+std::vector<util::ParamDesc> encoder_config_keys(const EncoderConfig& c) {
+  using util::ParamDesc;
+  return {
+      ParamDesc::integer("qp", c.qp, 1, 31, "quantiser"),
+      ParamDesc::integer("range", c.search_range, 1, 23,
+                         "integer search range p (paper: 15; bounded by the "
+                         "plane border)"),
+      ParamDesc::boolean("halfpel", c.half_pel,
+                         "half-pel refinement + compensation"),
+      ParamDesc::integer("intra_period", c.intra_period, 0, 100000,
+                         "intra refresh period (0 = only frame 0)"),
+      ParamDesc::number("me_lambda", c.me_lambda, 0, 1e6,
+                        "lambda for rate-aware ME (0 = pure SAD, paper)"),
+      ParamDesc::integer("intra_bias", c.intra_bias, -65536, 65536,
+                         "TMN INTRA decision bias"),
+      ParamDesc::boolean("skip", c.allow_skip,
+                         "emit COD=1 for zero-MV zero-CBP macroblocks"),
+      ParamDesc::boolean("deblock", c.deblock,
+                         "in-loop Annex-J deblocking filter"),
+      ParamDesc::integer("slices", c.slices, 1, kMaxSlices,
+                         "entropy-coding slices per frame (1 = legacy ACV1)"),
+      // Choices in ModeDecision order.
+      ParamDesc::choice("mode", {"heuristic", "rd"},
+                        static_cast<std::size_t>(c.mode_decision),
+                        "macroblock mode decision"),
+      ParamDesc::integer("threads", c.parallel.threads, 0, 4096,
+                         "pipeline worker threads (0 = all cores; bit-exact "
+                         "at any count)"),
+      ParamDesc::integer("fps", c.fps_num, 1, 65535,
+                         "frame-rate numerator (sequence header)"),
+      ParamDesc::integer("fps_den", c.fps_den, 1, 65535,
+                         "frame-rate denominator"),
+  };
+}
+
 std::string config_spec_usage() {
-  std::string out =
-      "encoder config grammar: key=val[,key=val...] over the keys\n";
-  for (const KeySpec& key : key_table()) {
-    out += "  ";
-    out += key.name;
-    out += '=';
-    out += default_text(key);
-    switch (key.kind) {
-      case KeySpec::Kind::kInt:
-        out += " (" +
-               std::to_string(static_cast<std::int64_t>(key.min_value)) +
-               ".." +
-               std::to_string(static_cast<std::int64_t>(key.max_value)) +
-               ")";
-        break;
-      case KeySpec::Kind::kDouble:
-        out += " (" + util::format_double(key.min_value) + ".." +
-               util::format_double(key.max_value) + ")";
-        break;
-      case KeySpec::Kind::kBool:
-        out += " (0|1)";
-        break;
-      case KeySpec::Kind::kMode:
-        out += " (heuristic|rd)";
-        break;
-    }
-    out += ": ";
-    out += key.help;
-    out += '\n';
-  }
-  return out;
+  return "encoder config grammar: key=val[,key=val...] over the keys\n" +
+         util::describe_params(encoder_config_keys({}));
 }
 
 EncoderConfig encoder_config_from_spec(std::string_view spec,
                                        const EncoderConfig& base) {
+  const util::ParamSet params = util::ParamSet::bind(
+      "", spec, encoder_config_keys(base), kEncoderOwner);
   EncoderConfig config = base;
-  for (const util::KeyValue& pair : util::parse_kv_list(spec)) {
-    const KeySpec* key = nullptr;
-    for (const KeySpec& candidate : key_table()) {
-      if (pair.first == candidate.name) {
-        key = &candidate;
-        break;
-      }
-    }
-    if (key == nullptr) {
-      throw util::SpecError("encoder config: unknown key \"" + pair.first +
-                            "\"; valid keys:\n" + config_spec_usage());
-    }
-    const std::string what = "encoder config key " + pair.first;
-    switch (key->kind) {
-      case KeySpec::Kind::kInt: {
-        const std::int64_t value =
-            util::parse_int_strict(pair.second, what);
-        if (value < static_cast<std::int64_t>(key->min_value) ||
-            value > static_cast<std::int64_t>(key->max_value)) {
-          throw util::SpecError(
-              "encoder config: " + pair.first + '=' + pair.second +
-              " out of range [" +
-              std::to_string(static_cast<std::int64_t>(key->min_value)) +
-              ", " +
-              std::to_string(static_cast<std::int64_t>(key->max_value)) +
-              ']');
-        }
-        key->set(config, static_cast<double>(value));
-        break;
-      }
-      case KeySpec::Kind::kDouble: {
-        const double value = util::parse_double_strict(pair.second, what);
-        if (!(value >= key->min_value && value <= key->max_value)) {
-          throw util::SpecError("encoder config: " + pair.first + '=' +
-                                pair.second + " out of range [" +
-                                util::format_double(key->min_value) + ", " +
-                                util::format_double(key->max_value) + ']');
-        }
-        key->set(config, value);
-        break;
-      }
-      case KeySpec::Kind::kBool:
-        key->set(config,
-                 util::parse_bool_strict(pair.second, what) ? 1.0 : 0.0);
-        break;
-      case KeySpec::Kind::kMode:
-        if (pair.second == "heuristic") {
-          config.mode_decision = ModeDecision::kHeuristic;
-        } else if (pair.second == "rd") {
-          config.mode_decision = ModeDecision::kRateDistortion;
-        } else {
-          throw util::SpecError("encoder config: mode=" + pair.second +
-                                " is not one of {heuristic, rd}");
-        }
-        break;
-    }
-  }
+  config.qp = static_cast<int>(params.get_int("qp"));
+  config.search_range = static_cast<int>(params.get_int("range"));
+  config.half_pel = params.get_bool("halfpel");
+  config.intra_period = static_cast<int>(params.get_int("intra_period"));
+  config.me_lambda = params.get_double("me_lambda");
+  config.intra_bias = static_cast<int>(params.get_int("intra_bias"));
+  config.allow_skip = params.get_bool("skip");
+  config.deblock = params.get_bool("deblock");
+  config.slices = static_cast<int>(params.get_int("slices"));
+  config.mode_decision = static_cast<ModeDecision>(params.get_choice("mode"));
+  config.parallel.threads = static_cast<int>(params.get_int("threads"));
+  config.fps_num = static_cast<int>(params.get_int("fps"));
+  config.fps_den = static_cast<int>(params.get_int("fps_den"));
   return config;
 }
 
-namespace {
-
-/// The decoder table mirrors the encoder's KeySpec shape, with `conceal`
-/// as the one enum-valued key (handled inline like the encoder's kMode).
-/// All expect_* keys share one int range: -1 (unchecked) .. 2^31.
-struct DecoderKeySpec {
-  enum class Kind { kInt, kConceal };
-
-  const char* name;
-  Kind kind;
-  std::int64_t min_value;
-  std::int64_t max_value;
-  const char* help;
-  std::int64_t (*get)(const DecoderConfig&);
-  void (*set)(DecoderConfig&, std::int64_t);
-};
-
-const std::vector<DecoderKeySpec>& decoder_key_table() {
-  constexpr std::int64_t kExpectMax = std::int64_t{1} << 31;
-  static const std::vector<DecoderKeySpec> keys = {
-      {"threads", DecoderKeySpec::Kind::kInt, 0, 4096,
-       "slice-decode worker threads (0 = all cores; output identical at "
-       "any count)",
-       [](const DecoderConfig& c) { return std::int64_t{c.threads}; },
-       [](DecoderConfig& c, std::int64_t v) {
-         c.threads = static_cast<int>(v);
-       }},
-      {"conceal", DecoderKeySpec::Kind::kConceal, 0, 0,
-       "concealment policy: slice (payload conceal, directory throws) | "
-       "resync (directory/frame-header recovery too) | off (strict)",
-       [](const DecoderConfig&) { return std::int64_t{0}; },
-       [](DecoderConfig&, std::int64_t) {}},
-      {"expect_width", DecoderKeySpec::Kind::kInt, -1, kExpectMax,
-       "assert luma width (-1 = unchecked)",
-       [](const DecoderConfig& c) { return c.expect_width; },
-       [](DecoderConfig& c, std::int64_t v) { c.expect_width = v; }},
-      {"expect_height", DecoderKeySpec::Kind::kInt, -1, kExpectMax,
-       "assert luma height (-1 = unchecked)",
-       [](const DecoderConfig& c) { return c.expect_height; },
-       [](DecoderConfig& c, std::int64_t v) { c.expect_height = v; }},
-      {"expect_fps", DecoderKeySpec::Kind::kInt, -1, kExpectMax,
-       "assert integer frame rate (-1 = unchecked)",
-       [](const DecoderConfig& c) { return c.expect_fps; },
-       [](DecoderConfig& c, std::int64_t v) { c.expect_fps = v; }},
-      {"expect_frames", DecoderKeySpec::Kind::kInt, -1, kExpectMax,
-       "assert total decoded frames at end of stream (-1 = unchecked)",
-       [](const DecoderConfig& c) { return c.expect_frames; },
-       [](DecoderConfig& c, std::int64_t v) { c.expect_frames = v; }},
-      {"expect_slices", DecoderKeySpec::Kind::kInt, -1, kExpectMax,
-       "assert slices per frame, every frame (-1 = unchecked)",
-       [](const DecoderConfig& c) { return c.expect_slices; },
-       [](DecoderConfig& c, std::int64_t v) { c.expect_slices = v; }},
-      {"expect_version", DecoderKeySpec::Kind::kInt, -1, kExpectMax,
-       "assert bitstream revision 1|2 (-1 = unchecked)",
-       [](const DecoderConfig& c) { return c.expect_version; },
-       [](DecoderConfig& c, std::int64_t v) { c.expect_version = v; }},
-  };
-  return keys;
+std::string to_spec(const EncoderConfig& config) {
+  return util::ParamSet::bind("", "", encoder_config_keys(config),
+                              kEncoderOwner)
+      .to_spec();
 }
-
-const char* conceal_name(Concealment conceal) {
-  switch (conceal) {
-    case Concealment::kSlice:
-      return "slice";
-    case Concealment::kResync:
-      return "resync";
-    case Concealment::kOff:
-      return "off";
-  }
-  return "?";
-}
-
-}  // namespace
 
 std::string decoder_config_spec_usage() {
-  static const DecoderConfig defaults;
-  std::string out =
-      "decoder config grammar: key=val[,key=val...] over the keys\n";
-  for (const DecoderKeySpec& key : decoder_key_table()) {
-    out += "  ";
-    out += key.name;
-    out += '=';
-    if (key.kind == DecoderKeySpec::Kind::kConceal) {
-      out += conceal_name(defaults.conceal);
-      out += " (slice|resync|off)";
-    } else {
-      out += std::to_string(key.get(defaults));
-      out += " (" + std::to_string(key.min_value) + ".." +
-             std::to_string(key.max_value) + ")";
-    }
-    out += ": ";
-    out += key.help;
-    out += '\n';
-  }
-  return out;
+  return "decoder config grammar: key=val[,key=val...] over the keys\n" +
+         util::describe_params(decoder_config_keys({}));
 }
 
 DecoderConfig decoder_config_from_spec(std::string_view spec,
                                        const DecoderConfig& base) {
+  const util::ParamSet params = util::ParamSet::bind(
+      "", spec, decoder_config_keys(base), kDecoderOwner);
   DecoderConfig config = base;
-  for (const util::KeyValue& pair : util::parse_kv_list(spec)) {
-    const DecoderKeySpec* key = nullptr;
-    for (const DecoderKeySpec& candidate : decoder_key_table()) {
-      if (pair.first == candidate.name) {
-        key = &candidate;
-        break;
-      }
-    }
-    if (key == nullptr) {
-      throw util::SpecError("decoder config: unknown key \"" + pair.first +
-                            "\"; valid keys:\n" + decoder_config_spec_usage());
-    }
-    if (key->kind == DecoderKeySpec::Kind::kConceal) {
-      if (pair.second == "slice") {
-        config.conceal = Concealment::kSlice;
-      } else if (pair.second == "resync") {
-        config.conceal = Concealment::kResync;
-      } else if (pair.second == "off") {
-        config.conceal = Concealment::kOff;
-      } else {
-        throw util::SpecError("decoder config: conceal=" + pair.second +
-                              " is not one of {slice, resync, off}");
-      }
-      continue;
-    }
-    const std::int64_t value = util::parse_int_strict(
-        pair.second, "decoder config key " + pair.first);
-    if (value < key->min_value || value > key->max_value) {
-      throw util::SpecError(
-          "decoder config: " + pair.first + '=' + pair.second +
-          " out of range [" + std::to_string(key->min_value) + ", " +
-          std::to_string(key->max_value) + ']');
-    }
-    key->set(config, value);
-  }
+  config.threads = static_cast<int>(params.get_int("threads"));
+  config.conceal = static_cast<Concealment>(params.get_choice("conceal"));
+  config.expect_width = params.get_int("expect_width");
+  config.expect_height = params.get_int("expect_height");
+  config.expect_fps = params.get_int("expect_fps");
+  config.expect_frames = params.get_int("expect_frames");
+  config.expect_slices = params.get_int("expect_slices");
+  config.expect_version = params.get_int("expect_version");
   return config;
 }
 
 std::string to_spec(const DecoderConfig& config) {
-  std::string out;
-  for (const DecoderKeySpec& key : decoder_key_table()) {
-    if (!out.empty()) {
-      out += ',';
-    }
-    out += key.name;
-    out += '=';
-    if (key.kind == DecoderKeySpec::Kind::kConceal) {
-      out += conceal_name(config.conceal);
-    } else {
-      out += std::to_string(key.get(config));
-    }
-  }
-  return out;
-}
-
-std::string to_spec(const EncoderConfig& config) {
-  std::string out;
-  for (const KeySpec& key : key_table()) {
-    if (!out.empty()) {
-      out += ',';
-    }
-    out += key.name;
-    out += '=';
-    switch (key.kind) {
-      case KeySpec::Kind::kInt:
-        out += std::to_string(static_cast<std::int64_t>(key.get(config)));
-        break;
-      case KeySpec::Kind::kDouble:
-        out += util::format_double(key.get(config));
-        break;
-      case KeySpec::Kind::kBool:
-        out += key.get(config) != 0.0 ? "1" : "0";
-        break;
-      case KeySpec::Kind::kMode:
-        out += config.mode_decision == ModeDecision::kRateDistortion
-                   ? "rd"
-                   : "heuristic";
-        break;
-    }
-  }
-  return out;
+  return util::ParamSet::bind("", "", decoder_config_keys(config),
+                              kDecoderOwner)
+      .to_spec();
 }
 
 }  // namespace acbm::codec

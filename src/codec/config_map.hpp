@@ -1,6 +1,6 @@
 #pragma once
-// String key=value ↔ codec::EncoderConfig bridge (the encoder half of the
-// project's spec grammar; the estimator half is me/spec.hpp).
+// String key=value ↔ codec::EncoderConfig / DecoderConfig bridge: the
+// encoder and decoder grammars of the spec engine in util/kv.hpp.
 //
 // A config spec is a comma-separated key=value list over typed keys:
 //
@@ -18,9 +18,11 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "codec/decoder.hpp"
 #include "codec/encoder.hpp"
+#include "util/kv.hpp"
 
 namespace acbm::codec {
 
@@ -38,8 +40,13 @@ namespace acbm::codec {
 /// fields the grammar covers.
 [[nodiscard]] std::string to_spec(const EncoderConfig& config);
 
-/// One line per key (key=default (range): help) — the table unknown-key
-/// errors embed and CLI --help prints.
+/// The encoder keys in declaration order, with `config`'s values as their
+/// defaults — the one list parsing, to_spec and usage text share (and the
+/// sweep grammar borrows its encoder keys from).
+[[nodiscard]] std::vector<util::ParamDesc> encoder_config_keys(
+    const EncoderConfig& config);
+
+/// One line per key (key=default (range): help) — what CLI --help prints.
 [[nodiscard]] std::string config_spec_usage();
 
 /// @brief Parses "key=val,key=val" into a DecoderConfig (the decoder half

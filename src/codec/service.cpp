@@ -8,33 +8,37 @@
 
 namespace acbm::codec {
 
+namespace {
+
+/// The overload keys, defaults from `policy`. degrade= is not among them:
+/// it is the verbatim tail overload_policy_from_spec cuts off first.
+std::vector<util::ParamDesc> overload_keys(const OverloadPolicy& policy) {
+  using util::ParamDesc;
+  return {
+      ParamDesc::integer("queue", policy.queue_limit, 0, 100000,
+                         "admission queue limit in frames (0 = unbounded)"),
+      ParamDesc::integer("deadline_ms", policy.deadline_ms, 0, 3600000,
+                         "per-frame dispatch deadline from submit (0 = "
+                         "none)"),
+  };
+}
+
+}  // namespace
+
 std::string overload_spec_usage() {
-  return
-      "overload spec grammar: overload:key=val[,key=val...] over the keys\n"
-      "  queue=0         admission queue limit in frames (0 = unbounded)\n"
-      "  deadline_ms=0   per-frame dispatch deadline from submit (0 = none)\n"
-      "  degrade=SPEC    estimator spec to encode with while overloaded\n"
-      "                  instead of shedding; must be the LAST key (the\n"
-      "                  rest of the spec is taken verbatim)\n";
+  return "overload spec grammar: overload:key=val[,key=val...] over the "
+         "keys\n" +
+         util::describe_params(overload_keys({})) +
+         "  degrade=SPEC: estimator spec to encode with while overloaded\n"
+         "      instead of shedding; must be the LAST key (the rest of the\n"
+         "      spec is taken verbatim)\n";
 }
 
 OverloadPolicy overload_policy_from_spec(std::string_view spec) {
-  std::string_view name = spec;
-  std::string_view kv;
-  if (const std::size_t colon = spec.find(':');
-      colon != std::string_view::npos) {
-    name = spec.substr(0, colon);
-    kv = spec.substr(colon + 1);
-  }
-  while (!name.empty() && name.front() == ' ') {
-    name.remove_prefix(1);
-  }
-  while (!name.empty() && name.back() == ' ') {
-    name.remove_suffix(1);
-  }
+  auto [name, kv] = util::split_spec_name(spec);
   if (name != "overload") {
     throw util::SpecError("overload: spec must start with \"overload\", got \"" +
-                          std::string(name) + "\"; " + overload_spec_usage());
+                          name + "\"; " + overload_spec_usage());
   }
 
   OverloadPolicy policy;
@@ -51,33 +55,17 @@ OverloadPolicy overload_policy_from_spec(std::string_view spec) {
     }
     kv = kv.substr(0, at == 0 ? 0 : at - 1);
   }
-  for (const util::KeyValue& pair : util::parse_kv_list(kv)) {
-    const std::string what = "overload key " + pair.first;
-    if (pair.first == "queue") {
-      const std::int64_t value = util::parse_int_strict(pair.second, what);
-      if (value < 0 || value > 100000) {
-        throw util::SpecError("overload: queue=" + pair.second +
-                              " out of range [0, 100000]");
-      }
-      policy.queue_limit = static_cast<int>(value);
-    } else if (pair.first == "deadline_ms") {
-      const std::int64_t value = util::parse_int_strict(pair.second, what);
-      if (value < 0 || value > 3600000) {
-        throw util::SpecError("overload: deadline_ms=" + pair.second +
-                              " out of range [0, 3600000]");
-      }
-      policy.deadline_ms = static_cast<int>(value);
-    } else {
-      throw util::SpecError("overload: unknown key \"" + pair.first + "\"; " +
-                            overload_spec_usage());
-    }
-  }
+  const util::ParamSet params = util::ParamSet::bind(
+      std::move(name), kv, overload_keys(policy), "overload");
+  policy.queue_limit = static_cast<int>(params.get_int("queue"));
+  policy.deadline_ms = static_cast<int>(params.get_int("deadline_ms"));
   return policy;
 }
 
 std::string to_spec(const OverloadPolicy& policy) {
-  std::string out = "overload:queue=" + std::to_string(policy.queue_limit);
-  out += ",deadline_ms=" + std::to_string(policy.deadline_ms);
+  std::string out =
+      util::ParamSet::bind("overload", "", overload_keys(policy), "overload")
+          .to_spec();
   if (!policy.degrade.empty()) {
     out += ",degrade=" + policy.degrade;
   }

@@ -15,17 +15,16 @@ namespace acbm::core {
 
 namespace {
 
-using me::ParamDesc;
-using me::ParamSet;
+using util::ParamDesc;
+using util::ParamSet;
 
-me::DecimationPattern pattern_from_choice(const std::string& choice) {
-  if (choice == "quincunx") {
-    return me::DecimationPattern::kQuincunx4to1;
-  }
-  if (choice == "rowskip") {
-    return me::DecimationPattern::kRowSkip2to1;
-  }
-  return me::DecimationPattern::kNone;
+/// Registers a knob-less estimator: no keys, a factory that ignores its
+/// (empty) ParamSet.
+template <class Estimator>
+void add_plain(me::EstimatorRegistry& registry, std::string name) {
+  registry.add(std::move(name), {}, [](const ParamSet&) {
+    return std::make_unique<Estimator>();
+  });
 }
 
 me::EstimatorRegistry make_builtin_registry() {
@@ -53,12 +52,13 @@ me::EstimatorRegistry make_builtin_registry() {
       });
   registry.add(
       "FSBM",
-      {ParamDesc::choice("dec", {"none", "quincunx", "rowskip"}, "none",
+      // Choices in me::DecimationPattern order.
+      {ParamDesc::choice("dec", {"none", "quincunx", "rowskip"}, 0,
                          "pixel-decimation pattern for the SAD (none "
                          "reproduces the paper's exact FSBM)")},
       [](const ParamSet& params) {
         return std::make_unique<me::FullSearch>(
-            pattern_from_choice(params.get_choice("dec")));
+            static_cast<me::DecimationPattern>(params.get_choice("dec")));
       });
   registry.add(
       "PBM",
@@ -72,14 +72,12 @@ me::EstimatorRegistry make_builtin_registry() {
   // Candidate-reduction baselines (paper refs [3–5] family). Knob-less: the
   // search range every one of them scales to arrives per block via
   // BlockContext::window (EncoderConfig's "range" key).
-  registry.add("TSS", [] { return std::make_unique<me::Tss>(); });
-  registry.add("NTSS", [] { return std::make_unique<me::Ntss>(); });
-  registry.add("4SS", [] { return std::make_unique<me::Fss>(); });
-  registry.add("DS", [] { return std::make_unique<me::DiamondSearch>(); });
-  registry.add("HEXBS",
-               [] { return std::make_unique<me::HexagonSearch>(); });
-  registry.add("CDS",
-               [] { return std::make_unique<me::CrossDiamondSearch>(); });
+  add_plain<me::Tss>(registry, "TSS");
+  add_plain<me::Ntss>(registry, "NTSS");
+  add_plain<me::Fss>(registry, "4SS");
+  add_plain<me::DiamondSearch>(registry, "DS");
+  add_plain<me::HexagonSearch>(registry, "HEXBS");
+  add_plain<me::CrossDiamondSearch>(registry, "CDS");
   // Pixel-decimation baselines (paper refs [6–8] family).
   registry.add(
       "FSBM-adec",
@@ -97,8 +95,7 @@ me::EstimatorRegistry make_builtin_registry() {
             static_cast<std::uint32_t>(params.get_int("half_below"));
         return std::make_unique<me::AdaptiveDecimationSearch>(thresholds);
       });
-  registry.add("FSBM-sub",
-               [] { return std::make_unique<me::SubsampledFullSearch>(); });
+  add_plain<me::SubsampledFullSearch>(registry, "FSBM-sub");
   return registry;
 }
 

@@ -5,7 +5,8 @@
 
 namespace acbm::me {
 
-void EstimatorRegistry::add(std::string name, std::vector<ParamDesc> params,
+void EstimatorRegistry::add(std::string name,
+                            std::vector<util::ParamDesc> params,
                             Factory factory) {
   if (name.empty()) {
     throw std::invalid_argument("estimator registry: empty name");
@@ -40,17 +41,6 @@ void EstimatorRegistry::add(std::string name, std::vector<ParamDesc> params,
   entries_.push_back({std::move(name), std::move(params), std::move(factory)});
 }
 
-void EstimatorRegistry::add(
-    std::string name,
-    std::function<std::unique_ptr<MotionEstimator>()> factory) {
-  if (!factory) {
-    throw std::invalid_argument("estimator registry: null factory for " +
-                                name);
-  }
-  add(std::move(name), {},
-      [factory = std::move(factory)](const ParamSet&) { return factory(); });
-}
-
 bool EstimatorRegistry::contains(std::string_view name) const {
   for (const Entry& entry : entries_) {
     if (entry.name == name) {
@@ -80,22 +70,22 @@ const EstimatorRegistry::Entry& EstimatorRegistry::entry_for(
 
 std::unique_ptr<MotionEstimator> EstimatorRegistry::create(
     std::string_view spec) const {
-  return create(EstimatorSpec::parse(spec));
-}
-
-std::unique_ptr<MotionEstimator> EstimatorRegistry::create(
-    const EstimatorSpec& spec) const {
-  const Entry& entry = entry_for(spec.name);
-  return entry.factory(ParamSet::bind(spec, entry.params, entry.name));
+  auto [name, pairs] = util::split_spec_name(spec);
+  const Entry& entry = entry_for(name);
+  return entry.factory(util::ParamSet::bind(std::move(name), pairs,
+                                            entry.params,
+                                            "estimator " + entry.name));
 }
 
 std::string EstimatorRegistry::canonical_spec(std::string_view spec) const {
-  const EstimatorSpec parsed = EstimatorSpec::parse(spec);
-  const Entry& entry = entry_for(parsed.name);
-  return ParamSet::bind(parsed, entry.params, entry.name).to_spec();
+  auto [name, pairs] = util::split_spec_name(spec);
+  const Entry& entry = entry_for(name);
+  return util::ParamSet::bind(std::move(name), pairs, entry.params,
+                              "estimator " + entry.name)
+      .to_spec();
 }
 
-const std::vector<ParamDesc>& EstimatorRegistry::params(
+const std::vector<util::ParamDesc>& EstimatorRegistry::params(
     std::string_view name) const {
   return entry_for(name).params;
 }
@@ -115,7 +105,7 @@ std::string EstimatorRegistry::spec_usage() const {
       "(a bare NAME uses every default; keys are validated per estimator)\n";
   for (const Entry& entry : entries_) {
     out += entry.name + '\n';
-    out += describe_params(entry.params);
+    out += util::describe_params(entry.params);
   }
   return out;
 }

@@ -12,7 +12,7 @@
 // registering one factory plus the descriptors of its knobs.
 //
 // The registry itself is layer-neutral (it only knows the MotionEstimator
-// interface and the spec grammar in me/spec.hpp). The instance pre-populated
+// interface and the spec engine in util/kv.hpp). The instance pre-populated
 // with every algorithm in this library lives one layer up, in
 // core::builtin_estimators(), because the paper's own contribution
 // (core::Acbm) sits above the me:: search library.
@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "me/estimator.hpp"
-#include "me/spec.hpp"
+#include "util/kv.hpp"
 
 namespace acbm::me {
 
@@ -39,7 +39,7 @@ class EstimatorRegistry {
   /// The ParamSet carries every declared knob (explicit or default); the
   /// factory reads them with the typed getters and never sees raw strings.
   using Factory =
-      std::function<std::unique_ptr<MotionEstimator>(const ParamSet&)>;
+      std::function<std::unique_ptr<MotionEstimator>(const util::ParamSet&)>;
 
   /// @brief Registers `factory` under `name` with its parameter descriptors.
   /// @param name non-empty key, conventionally the estimator's name().
@@ -49,19 +49,15 @@ class EstimatorRegistry {
   /// @param factory callable producing a fresh instance per call
   /// @throws std::invalid_argument if the name is empty, reserved-character
   ///         tainted, or already registered (duplicates are always a bug)
-  void add(std::string name, std::vector<ParamDesc> params, Factory factory);
-
-  /// Back-compat convenience for knob-less estimators: wraps a zero-argument
-  /// callable and declares no parameters.
-  void add(std::string name,
-           std::function<std::unique_ptr<MotionEstimator>()> factory);
+  void add(std::string name, std::vector<util::ParamDesc> params,
+           Factory factory);
 
   /// @return true when `name` (a bare estimator name, not a full spec) has
   ///         a registered factory.
   [[nodiscard]] bool contains(std::string_view name) const;
 
   /// @brief Creates a fresh estimator from a spec.
-  /// @param spec "NAME" or "NAME:key=val,..." (see me/spec.hpp; bare names
+  /// @param spec "NAME" or "NAME:key=val,..." (see util/kv.hpp; bare names
   ///        mean all-default parameters, so pre-spec call sites keep
   ///        working unchanged)
   /// @return a new instance from the matching factory
@@ -72,11 +68,6 @@ class EstimatorRegistry {
   ///         a separate help path
   [[nodiscard]] std::unique_ptr<MotionEstimator> create(
       std::string_view spec) const;
-
-  /// Pre-parsed overload for programmatic construction (e.g. the analysis
-  /// layer building a spec from an AcbmParams struct).
-  [[nodiscard]] std::unique_ptr<MotionEstimator> create(
-      const EstimatorSpec& spec) const;
 
   /// @brief Validates `spec` and returns its canonical form — every
   /// declared key at its effective value, declaration order, e.g.
@@ -89,7 +80,7 @@ class EstimatorRegistry {
 
   /// @brief Descriptors declared for `name` (a bare estimator name).
   /// @throws util::SpecError for unknown names
-  [[nodiscard]] const std::vector<ParamDesc>& params(
+  [[nodiscard]] const std::vector<util::ParamDesc>& params(
       std::string_view name) const;
 
   /// @return registered names in registration order (the display order of
@@ -106,7 +97,7 @@ class EstimatorRegistry {
  private:
   struct Entry {
     std::string name;
-    std::vector<ParamDesc> params;
+    std::vector<util::ParamDesc> params;
     Factory factory;
   };
   [[nodiscard]] const Entry& entry_for(std::string_view name) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <iterator>
 
 #include "util/kv.hpp"
 #include "util/rng.hpp"
@@ -37,28 +38,31 @@ std::uint32_t read_u16(std::span<const std::uint8_t> data, std::size_t pos) {
          static_cast<std::uint32_t>(data[pos + 1]);
 }
 
-const char* model_name(ChannelModel model) {
-  switch (model) {
-    case ChannelModel::kIid:
-      return "iid";
-    case ChannelModel::kGilbert:
-      return "gilbert";
-    case ChannelModel::kTrunc:
-      return "trunc";
-  }
-  return "?";
-}
+/// Model names, in ChannelModel order.
+constexpr const char* kModelNames[] = {"iid", "gilbert", "trunc"};
 
-const char* hit_name(ChannelHit hit) {
-  switch (hit) {
-    case ChannelHit::kDrop:
-      return "drop";
-    case ChannelHit::kFlip:
-      return "flip";
-    case ChannelHit::kHeader:
-      return "header";
+/// The keys `config.model` takes, defaults from `config`.
+std::vector<util::ParamDesc> channel_keys(const ChannelConfig& config) {
+  using util::ParamDesc;
+  if (config.model == ChannelModel::kTrunc) {
+    return {ParamDesc::number("at", config.at, 0, 1,
+                              "keep the first at*size bytes (1 = identity)")};
   }
-  return "?";
+  std::vector<ParamDesc> keys = {ParamDesc::number(
+      "loss", config.loss, 0, 0.99, "stationary per-unit loss fraction")};
+  if (config.model == ChannelModel::kGilbert) {
+    keys.push_back(ParamDesc::integer("burst", config.burst, 1, 1000000,
+                                      "mean burst length in units"));
+  }
+  keys.push_back(ParamDesc::unsigned_integer(
+      "seed", config.seed, "PRNG seed; same seed, same realization"));
+  // Choices in ChannelHit order.
+  keys.push_back(ParamDesc::choice("hit", {"drop", "flip", "header"},
+                                   static_cast<std::size_t>(config.hit),
+                                   "what a lost unit suffers"));
+  keys.push_back(ParamDesc::integer("flips", config.flips, 1, 64,
+                                    "bit flips per hit unit"));
+  return keys;
 }
 
 /// The per-unit loss decision process; one PRNG draw per unit in both
@@ -106,120 +110,47 @@ void flip_bits(std::uint8_t* bytes, std::size_t size_bytes, int flips,
 }  // namespace
 
 std::string channel_spec_usage() {
-  return
-      "channel spec grammar: MODEL:key=val[,key=val...] over the models\n"
-      "  iid:loss=0,seed=1,hit=drop,flips=3\n"
-      "      independent per-unit loss; loss (0..0.99), seed (>=0),\n"
-      "      hit (drop|flip|header), flips per hit unit (1..64)\n"
-      "  gilbert:loss=0,burst=8,seed=1,hit=drop,flips=3\n"
-      "      Gilbert-Elliott bursty loss; loss = stationary loss fraction\n"
-      "      (0..0.99), burst = mean burst length in units (1..1000000),\n"
-      "      seed/hit/flips as for iid\n"
-      "  trunc:at=0.5\n"
-      "      keep the first at*size bytes (at in 0..1; 1 = identity)\n";
+  std::string out =
+      "channel spec grammar: MODEL:key=val[,key=val...] over the models\n";
+  for (std::size_t model = 0; model < std::size(kModelNames); ++model) {
+    ChannelConfig config;
+    config.model = static_cast<ChannelModel>(model);
+    out += std::string(kModelNames[model]) + '\n' +
+           util::describe_params(channel_keys(config));
+  }
+  return out;
 }
 
 ChannelConfig channel_config_from_spec(std::string_view spec) {
-  // "MODEL" or "MODEL:key=val,...". The model name is mandatory — a bare
-  // key list has no meaning without knowing which process interprets it.
-  std::string_view name = spec;
-  std::string_view kv;
-  if (const std::size_t colon = spec.find(':');
-      colon != std::string_view::npos) {
-    name = spec.substr(0, colon);
-    kv = spec.substr(colon + 1);
+  auto [name, pairs] = util::split_spec_name(spec);
+  const auto* model = std::find(std::begin(kModelNames),
+                                std::end(kModelNames), name);
+  if (model == std::end(kModelNames)) {
+    throw util::SpecError("channel: unknown model \"" + name + "\"; " +
+                          channel_spec_usage());
   }
-  while (!name.empty() && name.front() == ' ') {
-    name.remove_prefix(1);
-  }
-  while (!name.empty() && name.back() == ' ') {
-    name.remove_suffix(1);
-  }
-
   ChannelConfig config;
-  if (name == "iid") {
-    config.model = ChannelModel::kIid;
-  } else if (name == "gilbert") {
-    config.model = ChannelModel::kGilbert;
-  } else if (name == "trunc") {
-    config.model = ChannelModel::kTrunc;
-  } else {
-    throw util::SpecError("channel: unknown model \"" + std::string(name) +
-                          "\"; " + channel_spec_usage());
+  config.model =
+      static_cast<ChannelModel>(model - std::begin(kModelNames));
+  const util::ParamSet params = util::ParamSet::bind(
+      name, pairs, channel_keys(config), "channel " + name);
+  if (config.model == ChannelModel::kTrunc) {
+    config.at = params.get_double("at");
+    return config;
   }
-
-  for (const util::KeyValue& pair : util::parse_kv_list(kv)) {
-    const std::string what = "channel key " + pair.first;
-    const bool lossy = config.model != ChannelModel::kTrunc;
-    if (lossy && pair.first == "loss") {
-      config.loss = util::parse_double_strict(pair.second, what);
-      if (!(config.loss >= 0.0 && config.loss <= 0.99)) {
-        throw util::SpecError("channel: loss=" + pair.second +
-                              " out of range [0, 0.99]");
-      }
-    } else if (config.model == ChannelModel::kGilbert &&
-               pair.first == "burst") {
-      const std::int64_t value = util::parse_int_strict(pair.second, what);
-      if (value < 1 || value > 1000000) {
-        throw util::SpecError("channel: burst=" + pair.second +
-                              " out of range [1, 1000000]");
-      }
-      config.burst = static_cast<int>(value);
-    } else if (lossy && pair.first == "seed") {
-      const std::int64_t value = util::parse_int_strict(pair.second, what);
-      if (value < 0) {
-        throw util::SpecError("channel: seed must be >= 0");
-      }
-      config.seed = static_cast<std::uint64_t>(value);
-    } else if (lossy && pair.first == "hit") {
-      if (pair.second == "drop") {
-        config.hit = ChannelHit::kDrop;
-      } else if (pair.second == "flip") {
-        config.hit = ChannelHit::kFlip;
-      } else if (pair.second == "header") {
-        config.hit = ChannelHit::kHeader;
-      } else {
-        throw util::SpecError("channel: hit=" + pair.second +
-                              " is not one of {drop, flip, header}");
-      }
-    } else if (lossy && pair.first == "flips") {
-      const std::int64_t value = util::parse_int_strict(pair.second, what);
-      if (value < 1 || value > 64) {
-        throw util::SpecError("channel: flips=" + pair.second +
-                              " out of range [1, 64]");
-      }
-      config.flips = static_cast<int>(value);
-    } else if (config.model == ChannelModel::kTrunc && pair.first == "at") {
-      config.at = util::parse_double_strict(pair.second, what);
-      if (!(config.at >= 0.0 && config.at <= 1.0)) {
-        throw util::SpecError("channel: at=" + pair.second +
-                              " out of range [0, 1]");
-      }
-    } else {
-      throw util::SpecError("channel: unknown key \"" + pair.first +
-                            "\" for model " + std::string(name) + "; " +
-                            channel_spec_usage());
-    }
+  config.loss = params.get_double("loss");
+  if (config.model == ChannelModel::kGilbert) {
+    config.burst = static_cast<int>(params.get_int("burst"));
   }
+  config.seed = params.get_uint("seed");
+  config.hit = static_cast<ChannelHit>(params.get_choice("hit"));
+  config.flips = static_cast<int>(params.get_int("flips"));
   return config;
 }
 
 std::string to_spec(const ChannelConfig& config) {
-  std::string out = model_name(config.model);
-  out += ':';
-  if (config.model == ChannelModel::kTrunc) {
-    out += "at=" + util::format_double(config.at);
-    return out;
-  }
-  out += "loss=" + util::format_double(config.loss);
-  if (config.model == ChannelModel::kGilbert) {
-    out += ",burst=" + std::to_string(config.burst);
-  }
-  out += ",seed=" + std::to_string(config.seed);
-  out += ",hit=";
-  out += hit_name(config.hit);
-  out += ",flips=" + std::to_string(config.flips);
-  return out;
+  const char* name = kModelNames[static_cast<std::size_t>(config.model)];
+  return util::ParamSet::bind(name, "", channel_keys(config), name).to_spec();
 }
 
 Channel::Channel(const ChannelConfig& config) : config_(config) {}

@@ -63,7 +63,8 @@ struct ChannelConfig {
 
 /// @brief Parses "MODEL:key=val,..." (models iid, gilbert, trunc).
 /// @throws util::SpecError on unknown models/keys, malformed values and
-///         out-of-range values; the message embeds channel_spec_usage().
+///         out-of-range values; an unknown model's message embeds
+///         channel_spec_usage(), an unknown key's the model's key list.
 [[nodiscard]] ChannelConfig channel_config_from_spec(std::string_view spec);
 
 /// Canonical spec of `config`: the model name plus every key the model

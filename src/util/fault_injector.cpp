@@ -3,6 +3,8 @@
 #include <chrono>
 #include <new>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "util/kv.hpp"
 
@@ -20,100 +22,55 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-}  // namespace
-
-const char* fault_site_name(FaultSite site) {
-  switch (site) {
-    case FaultSite::kAlloc:
-      return "alloc";
-    case FaultSite::kEncodeThrow:
-      return "encode_throw";
-    case FaultSite::kTaskDelay:
-      return "task_delay_ms";
-  }
-  return "?";
+/// The fault keys, defaults from `config`.
+std::vector<ParamDesc> fault_keys(const FaultConfig& config) {
+  return {
+      // Choices in FaultSite order.
+      ParamDesc::choice("site", {"alloc", "encode_throw", "task_delay_ms"},
+                        static_cast<std::size_t>(config.site),
+                        "where the fault is delivered"),
+      ParamDesc::number("p", config.p, 0, 1,
+                        "per-frame firing probability"),
+      ParamDesc::unsigned_integer("seed", config.seed,
+                                  "hash seed; same seed, same firings"),
+      ParamDesc::integer("delay_ms", config.delay_ms, 1, 10000,
+                         "sleep length for site=task_delay_ms"),
+  };
 }
 
+}  // namespace
+
 std::string fault_spec_usage() {
-  return
-      "fault spec grammar: fault:key=val[,key=val...] over the keys\n"
-      "  site=encode_throw    alloc | encode_throw | task_delay_ms\n"
-      "  p=0                  per-frame firing probability (0..1)\n"
-      "  seed=1               hash seed (>=0); same seed, same firings\n"
-      "  delay_ms=5           sleep length for site=task_delay_ms (1..10000)\n";
+  return "fault spec grammar: fault:key=val[,key=val...] over the keys\n" +
+         describe_params(fault_keys({}));
 }
 
 FaultConfig fault_config_from_spec(std::string_view spec) {
-  // "fault" or "fault:key=val,...". The prefix is mandatory for the same
-  // reason the channel grammar requires a model name: a bare key list does
-  // not say which subsystem interprets it.
-  std::string_view name = spec;
-  std::string_view kv;
-  if (const std::size_t colon = spec.find(':');
-      colon != std::string_view::npos) {
-    name = spec.substr(0, colon);
-    kv = spec.substr(colon + 1);
-  }
-  while (!name.empty() && name.front() == ' ') {
-    name.remove_prefix(1);
-  }
-  while (!name.empty() && name.back() == ' ') {
-    name.remove_suffix(1);
-  }
+  // The "fault" prefix is mandatory for the same reason the channel grammar
+  // requires a model name: a bare key list does not say which subsystem
+  // interprets it.
+  auto [name, pairs] = split_spec_name(spec);
   if (name != "fault") {
-    throw SpecError("fault: spec must start with \"fault\", got \"" +
-                    std::string(name) + "\"; " + fault_spec_usage());
+    throw SpecError("fault: spec must start with \"fault\", got \"" + name +
+                    "\"; " + fault_spec_usage());
   }
-
+  const ParamSet params =
+      ParamSet::bind(std::move(name), pairs, fault_keys({}), "fault");
   FaultConfig config;
-  for (const KeyValue& pair : parse_kv_list(kv)) {
-    const std::string what = "fault key " + pair.first;
-    if (pair.first == "site") {
-      if (pair.second == "alloc") {
-        config.site = FaultSite::kAlloc;
-      } else if (pair.second == "encode_throw") {
-        config.site = FaultSite::kEncodeThrow;
-      } else if (pair.second == "task_delay_ms") {
-        config.site = FaultSite::kTaskDelay;
-      } else {
-        throw SpecError("fault: site=" + pair.second +
-                        " is not one of {alloc, encode_throw, task_delay_ms}");
-      }
-    } else if (pair.first == "p") {
-      config.p = parse_double_strict(pair.second, what);
-      if (!(config.p >= 0.0 && config.p <= 1.0)) {
-        throw SpecError("fault: p=" + pair.second + " out of range [0, 1]");
-      }
-    } else if (pair.first == "seed") {
-      const std::int64_t value = parse_int_strict(pair.second, what);
-      if (value < 0) {
-        throw SpecError("fault: seed must be >= 0");
-      }
-      config.seed = static_cast<std::uint64_t>(value);
-    } else if (pair.first == "delay_ms") {
-      const std::int64_t value = parse_int_strict(pair.second, what);
-      if (value < 1 || value > 10000) {
-        throw SpecError("fault: delay_ms=" + pair.second +
-                        " out of range [1, 10000]");
-      }
-      config.delay_ms = static_cast<int>(value);
-    } else {
-      throw SpecError("fault: unknown key \"" + pair.first + "\"; " +
-                      fault_spec_usage());
-    }
-  }
+  config.site = static_cast<FaultSite>(params.get_choice("site"));
+  config.p = params.get_double("p");
+  config.seed = params.get_uint("seed");
+  config.delay_ms = static_cast<int>(params.get_int("delay_ms"));
   return config;
 }
 
 std::string to_spec(const FaultConfig& config) {
-  std::string out = "fault:site=";
-  out += fault_site_name(config.site);
-  out += ",p=" + format_double(config.p);
-  out += ",seed=" + std::to_string(config.seed);
-  if (config.site == FaultSite::kTaskDelay) {
-    out += ",delay_ms=" + std::to_string(config.delay_ms);
+  std::vector<ParamDesc> keys = fault_keys(config);
+  // delay_ms only means something at site=task_delay_ms.
+  if (config.site != FaultSite::kTaskDelay) {
+    keys.pop_back();
   }
-  return out;
+  return ParamSet::bind("fault", "", std::move(keys), "fault").to_spec();
 }
 
 bool FaultInjector::should_fire(std::uint64_t lane,

@@ -28,9 +28,6 @@ enum class FaultSite {
   kTaskDelay,    ///< slow task: sleeps delay_ms (for deadline/overload tests)
 };
 
-/// Canonical spec name of `site` (alloc | encode_throw | task_delay_ms).
-[[nodiscard]] const char* fault_site_name(FaultSite site);
-
 struct FaultConfig {
   FaultSite site = FaultSite::kEncodeThrow;
   double p = 0.0;           ///< per-event firing probability [0, 1]
@@ -46,7 +43,8 @@ struct FaultConfig {
 /// Throws util::SpecError on any unknown key or out-of-range value.
 [[nodiscard]] FaultConfig fault_config_from_spec(std::string_view spec);
 
-/// Canonical round-trip render of `config`.
+/// Canonical round-trip render of `config` (delay_ms appears only for
+/// site=task_delay_ms).
 [[nodiscard]] std::string to_spec(const FaultConfig& config);
 
 /// The exception thrown by site=encode_throw — a stand-in for "a bug in one

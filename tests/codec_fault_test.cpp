@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -120,6 +121,25 @@ TEST(FaultSpec, RejectsMalformedSpecs) {
                util::SpecError);
   EXPECT_THROW((void)util::fault_config_from_spec("fault:frequency=1"),
                util::SpecError);
+}
+
+TEST(FaultSpec, SeedsRoundTripOverTheFullUint64Range) {
+  for (const std::uint64_t seed :
+       {std::uint64_t{1} << 63, std::numeric_limits<std::uint64_t>::max()}) {
+    util::FaultConfig config;
+    config.seed = seed;
+    const std::string spec = util::to_spec(config);
+    EXPECT_EQ(util::fault_config_from_spec(spec).seed, seed) << spec;
+  }
+  util::FaultConfig config;
+  config.seed = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(util::to_spec(config),
+            "fault:site=encode_throw,p=0,seed=18446744073709551615");
+  EXPECT_THROW((void)util::fault_config_from_spec("fault:seed=-1"),
+               util::SpecError);
+  EXPECT_THROW(
+      (void)util::fault_config_from_spec("fault:seed=18446744073709551616"),
+      util::SpecError);
 }
 
 TEST(FaultSpec, FiringIsAPureHash) {

@@ -59,21 +59,23 @@ TEST(EstimatorRegistry, UnknownNameThrowsAndListsOptions) {
   }
 }
 
+/// A knob-less factory: registered with no keys, ignores its ParamSet.
+std::unique_ptr<me::MotionEstimator> make_pbm(const util::ParamSet&) {
+  return std::make_unique<me::Pbm>();
+}
+
 TEST(EstimatorRegistry, DuplicateAndEmptyRegistrationsThrow) {
   me::EstimatorRegistry registry;
-  registry.add("PBM", [] { return std::make_unique<me::Pbm>(); });
+  registry.add("PBM", {}, make_pbm);
   EXPECT_TRUE(registry.contains("PBM"));
-  EXPECT_THROW(
-      registry.add("PBM", [] { return std::make_unique<me::Pbm>(); }),
-      std::invalid_argument);
-  EXPECT_THROW(registry.add("", [] { return std::make_unique<me::Pbm>(); }),
-               std::invalid_argument);
-  EXPECT_THROW(registry.add("X", nullptr), std::invalid_argument);
+  EXPECT_THROW(registry.add("PBM", {}, make_pbm), std::invalid_argument);
+  EXPECT_THROW(registry.add("", {}, make_pbm), std::invalid_argument);
+  EXPECT_THROW(registry.add("X", {}, nullptr), std::invalid_argument);
 }
 
 TEST(EstimatorRegistry, CustomRegistryCreates) {
   me::EstimatorRegistry registry;
-  registry.add("mine", [] { return std::make_unique<me::Pbm>(); });
+  registry.add("mine", {}, make_pbm);
   const auto estimator = registry.create("mine");
   EXPECT_EQ(estimator->name(), "PBM");
 }
@@ -82,8 +84,8 @@ TEST(EstimatorRegistry, CustomParameterizedFactoryReceivesBoundParams) {
   me::EstimatorRegistry registry;
   double seen = -1.0;
   registry.add("mine",
-               {me::ParamDesc::number("knob", 2.5, 0.0, 10.0, "a knob")},
-               [&seen](const me::ParamSet& params) {
+               {util::ParamDesc::number("knob", 2.5, 0.0, 10.0, "a knob")},
+               [&seen](const util::ParamSet& params) {
                  seen = params.get_double("knob");
                  return std::make_unique<me::Pbm>();
                });

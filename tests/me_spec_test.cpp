@@ -1,26 +1,32 @@
-// The estimator spec grammar ("NAME:key=val,...") end to end: parsing and
-// canonical round-trips, duplicate-key rejection, range/type validation
-// with per-estimator key lists in the errors, bare-name back-compat, and
-// the semantic anchor that "ACBM:alpha=0,beta=0,gamma=0" is bit-identical
-// to AcbmParams::always_full_search().
+// The spec engine (util/kv.hpp) and the estimator grammar
+// ("NAME:key=val,...") end to end: parsing and canonical round-trips,
+// duplicate-key rejection, range/type validation with per-estimator key
+// lists in the errors, exact integers, one name-trimming rule across every
+// prefixed grammar, bare-name back-compat, and the semantic anchor that
+// "ACBM:alpha=0,beta=0,gamma=0" is bit-identical to
+// AcbmParams::always_full_search().
 
-#include "me/spec.hpp"
+#include "util/kv.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "codec/encoder.hpp"
+#include "codec/service.hpp"
 #include "core/acbm.hpp"
 #include "core/builtin_estimators.hpp"
 #include "core/params.hpp"
 #include "me/decimation.hpp"
 #include "me/full_search.hpp"
 #include "me/registry.hpp"
+#include "sim/channel.hpp"
 #include "synth/sequences.hpp"
-#include "util/kv.hpp"
+#include "util/fault_injector.hpp"
 
 namespace acbm {
 namespace {
@@ -71,39 +77,72 @@ TEST(KvGrammar, FormatDoubleRoundTripsAndPrefersPlainIntegers) {
       util::parse_double_strict(util::format_double(awkward), "x"), awkward);
 }
 
-// --------------------------------------------------------- EstimatorSpec
+// ------------------------------------------------------------ spec names
 
-TEST(EstimatorSpec, BareNameHasNoParams) {
-  const auto spec = me::EstimatorSpec::parse("ACBM");
-  EXPECT_EQ(spec.name, "ACBM");
-  EXPECT_TRUE(spec.params.empty());
-  EXPECT_EQ(spec.to_string(), "ACBM");
+TEST(SpecName, BareNameHasNoTail) {
+  const auto [name, tail] = util::split_spec_name("ACBM");
+  EXPECT_EQ(name, "ACBM");
+  EXPECT_TRUE(tail.empty());
 }
 
-TEST(EstimatorSpec, ParseToStringRoundTrip) {
-  const std::string text = "ACBM:alpha=500,beta=8,gamma=0.25";
-  EXPECT_EQ(me::EstimatorSpec::parse(text).to_string(), text);
+TEST(SpecName, TailIsKeptVerbatim) {
+  const std::string pairs = "alpha=500,beta=8,gamma=0.25";
+  EXPECT_EQ(util::split_spec_name("ACBM:" + pairs).second, pairs);
 }
 
-TEST(EstimatorSpec, RejectsEmptyNameDanglingColonAndDuplicates) {
-  EXPECT_THROW((void)me::EstimatorSpec::parse(""), util::SpecError);
-  EXPECT_THROW((void)me::EstimatorSpec::parse(":alpha=1"), util::SpecError);
-  EXPECT_THROW((void)me::EstimatorSpec::parse("ACBM:"), util::SpecError);
-  EXPECT_THROW((void)me::EstimatorSpec::parse("ACBM:alpha=1,alpha=2"),
-               util::SpecError);
+TEST(SpecName, RejectsEmptyNameDanglingColonAndDuplicates) {
+  EXPECT_THROW((void)util::split_spec_name(""), util::SpecError);
+  EXPECT_THROW((void)util::split_spec_name(":alpha=1"), util::SpecError);
+  EXPECT_THROW((void)util::split_spec_name("ACBM:"), util::SpecError);
+  EXPECT_THROW(
+      (void)core::builtin_estimators().create("ACBM:alpha=1,alpha=2"),
+      util::SpecError);
+}
+
+// Every prefixed grammar splits its name with the same trimming rule as
+// its key=value tokens: spaces and tabs on both sides.
+TEST(SpecName, EveryPrefixedGrammarTrimsTheNameAlike) {
+  EXPECT_EQ(core::builtin_estimators().canonical_spec(" \tACBM\t :alpha=1"),
+            "ACBM:alpha=1,beta=8,gamma=0.25");
+  EXPECT_EQ(sim::to_spec(sim::channel_config_from_spec(" \tiid\t :loss=0.1")),
+            "iid:loss=0.1,seed=1,hit=drop,flips=3");
+  EXPECT_EQ(
+      util::to_spec(util::fault_config_from_spec(" \tfault\t :p=0.1")),
+      "fault:site=encode_throw,p=0.1,seed=1");
+  EXPECT_EQ(codec::to_spec(
+                codec::overload_policy_from_spec(" \toverload\t :queue=1")),
+            "overload:queue=1,deadline_ms=0");
 }
 
 // --------------------------------------------------- ParamSet validation
 
 TEST(ParamSet, BindsDefaultsAndExplicitValues) {
-  const auto spec = me::EstimatorSpec::parse("ACBM:alpha=500");
-  const auto set = me::ParamSet::bind(
-      spec, core::builtin_estimators().params("ACBM"), "ACBM");
+  const auto set = util::ParamSet::bind(
+      "ACBM", "alpha=500", core::builtin_estimators().params("ACBM"),
+      "estimator ACBM");
   EXPECT_DOUBLE_EQ(set.get_double("alpha"), 500.0);
   EXPECT_DOUBLE_EQ(set.get_double("beta"), 8.0);
   EXPECT_DOUBLE_EQ(set.get_double("gamma"), 0.25);
-  EXPECT_TRUE(set.explicitly_set("alpha"));
-  EXPECT_FALSE(set.explicitly_set("beta"));
+  EXPECT_EQ(set.to_spec(), "ACBM:alpha=500,beta=8,gamma=0.25");
+}
+
+TEST(ParamSet, IntegersAreHeldExactly) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::vector<util::ParamDesc> keys = {
+      util::ParamDesc::integer("i", 0, kMin, kMax, "signed"),
+      util::ParamDesc::unsigned_integer("u", 0, "unsigned")};
+  // 2^53 + 1 is the first integer a double cannot hold.
+  const auto set = util::ParamSet::bind(
+      "", "i=9007199254740993,u=18446744073709551615", keys, "test");
+  EXPECT_EQ(set.get_int("i"), 9007199254740993);
+  EXPECT_EQ(set.get_uint("u"), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(set.to_spec(), "i=9007199254740993,u=18446744073709551615");
+  EXPECT_EQ(util::ParamSet::bind("", "i=-9223372036854775808", keys, "test")
+                .get_int("i"),
+            kMin);
+  EXPECT_THROW((void)util::ParamSet::bind("", "u=-1", keys, "test"),
+               util::SpecError);
 }
 
 TEST(ParamSet, CanonicalSpecListsEveryKeyAndRoundTrips) {
@@ -173,15 +212,15 @@ TEST(RegistrySpecs, SpecUsageMentionsEveryEstimatorAndGrammar) {
 
 TEST(RegistrySpecs, RegistrationRejectsReservedCharactersAndDupKeys) {
   me::EstimatorRegistry registry;
-  auto factory = [](const me::ParamSet&) {
+  auto factory = [](const util::ParamSet&) {
     return std::make_unique<me::FullSearch>();
   };
   EXPECT_THROW(registry.add("A:B", {}, factory), std::invalid_argument);
   EXPECT_THROW(registry.add("A=B", {}, factory), std::invalid_argument);
   EXPECT_THROW(
       registry.add("X",
-                   {me::ParamDesc::number("k", 0, 0, 1, "h"),
-                    me::ParamDesc::number("k", 0, 0, 1, "h")},
+                   {util::ParamDesc::number("k", 0, 0, 1, "h"),
+                    util::ParamDesc::number("k", 0, 0, 1, "h")},
                    factory),
       std::invalid_argument);
 }

@@ -17,10 +17,10 @@
 #include "core/acbm.hpp"
 #include "core/builtin_estimators.hpp"
 #include "me/pbm.hpp"
-#include "me/spec.hpp"
 #include "me/window.hpp"
 #include "synth/sequences.hpp"
 #include "test_support.hpp"
+#include "util/kv.hpp"
 #include "util/rng.hpp"
 
 namespace acbm {
@@ -245,15 +245,19 @@ TEST(DeterminismProperty, IdenticalRunsProduceIdenticalStreams) {
 // ----------------------------------------- spec grammar round-trip property
 
 /// Random valid value for one knob, rendered as spec text.
-std::string random_param_text(const me::ParamDesc& desc, util::Rng& rng) {
+std::string random_param_text(const util::ParamDesc& desc, util::Rng& rng) {
   switch (desc.type) {
-    case me::ParamDesc::Type::kBool:
+    case util::ParamDesc::Type::kBool:
       return rng.next_below(2) == 0 ? "0" : "1";
-    case me::ParamDesc::Type::kEnum:
+    case util::ParamDesc::Type::kChoice:
       return desc.choices[rng.next_below(desc.choices.size())];
-    case me::ParamDesc::Type::kInt: {
-      const auto lo = static_cast<std::int64_t>(desc.min_value);
-      const auto hi = static_cast<std::int64_t>(desc.max_value);
+    case util::ParamDesc::Type::kText:
+      return desc.def;
+    case util::ParamDesc::Type::kUint:
+      return std::to_string(rng.next_below(1000));
+    case util::ParamDesc::Type::kInt: {
+      const std::int64_t lo = desc.min_int;
+      const std::int64_t hi = desc.max_int;
       // Huge declared ranges: sample near the bottom plus the endpoints.
       const std::uint64_t span =
           std::min<std::uint64_t>(static_cast<std::uint64_t>(hi - lo), 1000);
@@ -263,7 +267,7 @@ std::string random_param_text(const me::ParamDesc& desc, util::Rng& rng) {
       }
       return std::to_string(v);
     }
-    case me::ParamDesc::Type::kDouble: {
+    case util::ParamDesc::Type::kDouble: {
       const double lo = desc.min_value;
       const double hi = desc.max_value;
       const double t = static_cast<double>(rng.next_below(9)) / 8.0;
@@ -283,7 +287,7 @@ TEST(SpecRoundTripProperty, CanonicalFormIsOrderInvariantAndIdempotent) {
   const me::EstimatorRegistry& registry = core::builtin_estimators();
   util::Rng rng(2026);
   for (const std::string& name : registry.names()) {
-    const std::vector<me::ParamDesc>& descs = registry.params(name);
+    const std::vector<util::ParamDesc>& descs = registry.params(name);
     if (descs.empty()) {
       // Knob-less estimators: the bare name is its own canonical form.
       EXPECT_EQ(registry.canonical_spec(name), name);
@@ -292,7 +296,7 @@ TEST(SpecRoundTripProperty, CanonicalFormIsOrderInvariantAndIdempotent) {
     for (int trial = 0; trial < 25; ++trial) {
       // Random subset of knobs with random valid values...
       std::vector<std::string> pairs;
-      for (const me::ParamDesc& desc : descs) {
+      for (const util::ParamDesc& desc : descs) {
         if (rng.next_below(2) == 0) {
           pairs.push_back(desc.key + "=" + random_param_text(desc, rng));
         }
@@ -313,9 +317,9 @@ TEST(SpecRoundTripProperty, CanonicalFormIsOrderInvariantAndIdempotent) {
       // ...is idempotent under canonicalisation,
       EXPECT_EQ(registry.canonical_spec(canonical), canonical) << spec;
       // carries every declared knob exactly once,
-      const me::EstimatorSpec parsed = me::EstimatorSpec::parse(canonical);
-      EXPECT_EQ(parsed.name, name);
-      EXPECT_EQ(parsed.params.size(), descs.size()) << canonical;
+      const auto [parsed_name, tail] = util::split_spec_name(canonical);
+      EXPECT_EQ(parsed_name, name);
+      EXPECT_EQ(util::parse_kv_list(tail).size(), descs.size()) << canonical;
       // and is key-order independent: any permutation of the same pairs
       // canonicalises identically.
       for (int shuffle = 0; shuffle < 3 && pairs.size() > 1; ++shuffle) {

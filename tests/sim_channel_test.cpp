@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -98,6 +99,29 @@ TEST(ChannelSpec, RejectsBadSpecs) {
         "gilbert:loss", "iid:loss=abc"}) {
     EXPECT_THROW((void)channel_config_from_spec(bad), util::SpecError) << bad;
   }
+}
+
+TEST(ChannelSpec, SeedsRoundTripOverTheFullUint64Range) {
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
+  for (const std::uint64_t seed :
+       {kHalf, kHalf + 5, std::numeric_limits<std::uint64_t>::max()}) {
+    ChannelConfig config;
+    config.model = ChannelModel::kGilbert;
+    config.seed = seed;
+    const std::string spec = to_spec(config);
+    EXPECT_EQ(channel_config_from_spec(spec).seed, seed) << spec;
+  }
+  ChannelConfig config;
+  config.model = ChannelModel::kGilbert;
+  config.seed = kHalf + 5;
+  EXPECT_EQ(to_spec(config),
+            "gilbert:loss=0,burst=8,seed=9223372036854775813,hit=drop,"
+            "flips=3");
+  EXPECT_THROW((void)channel_config_from_spec("iid:seed=-1"),
+               util::SpecError);
+  EXPECT_THROW(
+      (void)channel_config_from_spec("iid:seed=18446744073709551616"),
+      util::SpecError);
 }
 
 TEST(ChannelSpec, UnknownKeyErrorEmbedsUsage) {
