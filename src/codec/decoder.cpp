@@ -1,9 +1,7 @@
 #include "codec/decoder.hpp"
 
-#include "codec/block_codec.hpp"
-#include "codec/coeff_coding.hpp"
 #include "codec/deblock.hpp"
-#include "codec/mc.hpp"
+#include "codec/macroblock.hpp"
 #include "codec/mv_coding.hpp"
 #include "codec/quant.hpp"
 #include "codec/wire_format.hpp"
@@ -15,7 +13,6 @@ namespace acbm::codec {
 namespace {
 
 constexpr int kMb = me::kBlockSize;
-constexpr int kLumaBlockOffsets[4][2] = {{0, 0}, {8, 0}, {0, 8}, {8, 8}};
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
 void fnv_plane(const video::Plane& plane, int width, int height,
@@ -338,34 +335,29 @@ bool Decoder::decode_rows(util::BitReader& br, video::Frame& out, int qp,
                           bool inter_frame, int row_begin, int row_end,
                           int first_row) noexcept {
   const int mbs_x = size_.width / kMb;
+  MbLevels mb{};
+  MbBuffer pred{};
   for (int by = row_begin; by < row_end; ++by) {
     for (int bx = 0; bx < mbs_x; ++bx) {
-      if (!inter_frame) {
-        if (!decode_intra_block_set(br, out, bx, by, qp)) {
-          return false;
+      const MbSamples dst(out, bx, by);
+      me::Mv mv{0, 0};
+      if (inter_frame && br.get_bit()) {  // COD = 1: SKIP
+        copy_mb(ref_, bx, by, dst);
+      } else if (!inter_frame || br.get_bit()) {  // intra
+        if (!read_intra_payload(br, mb)) {
+          return false;  // bad intra coefficients
         }
-        continue;
-      }
-      const bool skip = br.get_bit();  // COD
-      if (skip) {
-        copy_skip_mb(out, bx, by);
-        coded_field_.set(bx, by, {0, 0});
-        continue;
-      }
-      const bool intra = br.get_bit();
-      if (intra) {
-        if (!decode_intra_block_set(br, out, bx, by, qp)) {
-          return false;
+        reconstruct_intra_mb(mb, qp, dst);
+      } else {
+        mv = decode_mvd(br, coded_field_.median_predictor(bx, by, first_row));
+        if (!mv_in_reference(mv, bx * kMb, by * kMb)) {
+          return false;  // corrupt MVD pointing outside the padded reference
         }
-        continue;
-      }
-      const me::Mv mv =
-          decode_mvd(br, coded_field_.median_predictor(bx, by, first_row));
-      if (!mv_in_reference(mv, bx * kMb, by * kMb)) {
-        return false;  // corrupt MVD pointing outside the padded reference
-      }
-      if (!decode_inter_block_set(br, out, bx, by, qp, mv)) {
-        return false;
+        if (!read_inter_body(br, mb)) {
+          return false;  // bad inter coefficients
+        }
+        predict_mb(ref_half_, ref_, bx, by, mv, pred);
+        reconstruct_inter_mb(mb, pred, qp, dst);
       }
       coded_field_.set(bx, by, mv);
       if (br.exhausted()) {
@@ -373,7 +365,7 @@ bool Decoder::decode_rows(util::BitReader& br, video::Frame& out, int qp,
       }
     }
   }
-  return !br.exhausted();
+  return true;
 }
 
 bool Decoder::mv_in_reference(me::Mv mv, int x, int y) const {
@@ -394,7 +386,7 @@ void Decoder::conceal_rows(video::Frame& out, int row_begin, int row_end) {
   const int mbs_x = size_.width / kMb;
   for (int by = row_begin; by < row_end; ++by) {
     for (int bx = 0; bx < mbs_x; ++bx) {
-      copy_skip_mb(out, bx, by);
+      copy_mb(ref_, bx, by, MbSamples(out, bx, by));
       coded_field_.set(bx, by, {0, 0});
     }
   }
@@ -430,98 +422,6 @@ DecodeReport Decoder::decode_stream(std::vector<video::Frame>* frames) {
         " but the stream has no frames to check against");
   }
   return report_;
-}
-
-bool Decoder::decode_intra_block_set(util::BitReader& br, video::Frame& out,
-                                     int bx, int by, int qp) {
-  const int x = bx * kMb;
-  const int y = by * kMb;
-
-  std::uint8_t dc[6];
-  for (auto& d : dc) {
-    d = static_cast<std::uint8_t>(br.get_bits(8));
-  }
-  const std::uint32_t cbp = static_cast<std::uint32_t>(br.get_bits(6));
-
-  std::int16_t levels[6][kDctSamples] = {};
-  for (int b = 0; b < 6; ++b) {
-    if ((cbp >> b) & 1u) {
-      if (!decode_block_coeffs(br, levels[b], /*skip_dc=*/true)) {
-        return false;  // bad intra coefficients
-      }
-    }
-  }
-
-  for (int b = 0; b < 4; ++b) {
-    const int ox = kLumaBlockOffsets[b][0];
-    const int oy = kLumaBlockOffsets[b][1];
-    reconstruct_intra_block(levels[b], dc[b], qp, out.y().row(y + oy) + x + ox,
-                            out.y().stride());
-  }
-  reconstruct_intra_block(levels[4], dc[4], qp, out.cb().row(y / 2) + x / 2,
-                          out.cb().stride());
-  reconstruct_intra_block(levels[5], dc[5], qp, out.cr().row(y / 2) + x / 2,
-                          out.cr().stride());
-  coded_field_.set(bx, by, {0, 0});
-  return true;
-}
-
-bool Decoder::decode_inter_block_set(util::BitReader& br, video::Frame& out,
-                                     int bx, int by, int qp, me::Mv mv) {
-  const int x = bx * kMb;
-  const int y = by * kMb;
-
-  const std::uint32_t cbp = static_cast<std::uint32_t>(br.get_bits(6));
-  std::int16_t levels[6][kDctSamples] = {};
-  for (int b = 0; b < 6; ++b) {
-    if ((cbp >> b) & 1u) {
-      if (!decode_block_coeffs(br, levels[b])) {
-        return false;  // bad inter coefficients
-      }
-    }
-  }
-
-  std::uint8_t pred_y[kMb * kMb];
-  predict_luma(ref_half_, x, y, mv, kMb, kMb, pred_y, kMb);
-  const me::Mv cmv = derive_chroma_mv(mv);
-  std::uint8_t pred_cb[8 * 8];
-  std::uint8_t pred_cr[8 * 8];
-  predict_chroma(ref_.cb(), x / 2, y / 2, cmv, 8, 8, pred_cb, 8);
-  predict_chroma(ref_.cr(), x / 2, y / 2, cmv, 8, 8, pred_cr, 8);
-
-  for (int b = 0; b < 4; ++b) {
-    const int ox = kLumaBlockOffsets[b][0];
-    const int oy = kLumaBlockOffsets[b][1];
-    reconstruct_inter_block(levels[b], pred_y + oy * kMb + ox, kMb, qp,
-                            out.y().row(y + oy) + x + ox, out.y().stride());
-  }
-  reconstruct_inter_block(levels[4], pred_cb, 8, qp,
-                          out.cb().row(y / 2) + x / 2, out.cb().stride());
-  reconstruct_inter_block(levels[5], pred_cr, 8, qp,
-                          out.cr().row(y / 2) + x / 2, out.cr().stride());
-  return true;
-}
-
-void Decoder::copy_skip_mb(video::Frame& out, int bx, int by) {
-  const int x = bx * kMb;
-  const int y = by * kMb;
-  for (int row = 0; row < kMb; ++row) {
-    std::uint8_t* dst = out.y().row(y + row) + x;
-    const std::uint8_t* src = ref_.y().row(y + row) + x;
-    for (int col = 0; col < kMb; ++col) {
-      dst[col] = src[col];
-    }
-  }
-  for (int row = 0; row < kMb / 2; ++row) {
-    std::uint8_t* dcb = out.cb().row(y / 2 + row) + x / 2;
-    const std::uint8_t* scb = ref_.cb().row(y / 2 + row) + x / 2;
-    std::uint8_t* dcr = out.cr().row(y / 2 + row) + x / 2;
-    const std::uint8_t* scr = ref_.cr().row(y / 2 + row) + x / 2;
-    for (int col = 0; col < kMb / 2; ++col) {
-      dcb[col] = scb[col];
-      dcr[col] = scr[col];
-    }
-  }
 }
 
 }  // namespace acbm::codec

@@ -230,13 +230,6 @@ class Decoder {
   /// the reference's padded bounds; false flags a corrupt vector.
   [[nodiscard]] bool mv_in_reference(me::Mv mv, int x, int y) const;
 
-  /// Decode one macroblock's six-block set; false on corrupt coefficients.
-  bool decode_intra_block_set(util::BitReader& br, video::Frame& out, int bx,
-                              int by, int qp);
-  bool decode_inter_block_set(util::BitReader& br, video::Frame& out, int bx,
-                              int by, int qp, me::Mv mv);
-  void copy_skip_mb(video::Frame& out, int bx, int by);
-
   std::vector<std::uint8_t> data_;
   util::BitReader reader_;
   DecoderConfig config_;
@@ -244,7 +237,7 @@ class Decoder {
   video::PictureSize size_{};
   video::FrameRate rate_{};
   video::Frame ref_;
-  /// Borrows ref_.y() for predict_luma, which reads only the integer plane.
+  /// Borrows ref_.y() for predict_mb, which reads only the integer plane.
   video::HalfpelPlanes ref_half_;
   me::MvField coded_field_;
   int version_ = 1;

@@ -43,7 +43,7 @@
 #include <optional>
 #include <vector>
 
-#include "codec/dct.hpp"
+#include "codec/macroblock.hpp"
 #include "codec/session_error.hpp"
 #include "codec/wire_format.hpp"
 #include "me/estimator.hpp"
@@ -129,11 +129,12 @@ struct FrameReport {
   std::uint64_t coeff_bits = 0;
   std::uint64_t header_bits = 0;   ///< sync + mode/COD/CBP bits
   double me_field_smoothness = 0.0;  ///< MvField::smoothness_l1 of ME field
-  /// Wall-clock spent in the pipeline's plan stage (stage 2.5: DCT/quant/RD
-  /// candidate costing) and entropy stage (stage 3: MVD coding + bit
-  /// writing + reconstruction) for this frame. Instrumentation only — the
-  /// stage benches report these so their rows keep measuring the stage they
-  /// are named after, not whatever else encode_frame does around it.
+  /// Wall-clock spent in the pipeline's plan stage (stage 2.5: mode
+  /// decision, DCT/quant, RD candidate costing) and entropy stage (stage 3:
+  /// MVD coding + bit writing + reconstruction) for this frame.
+  /// Instrumentation only — the stage benches report these so their rows
+  /// keep measuring the stage they are named after, not whatever else
+  /// encode_frame does around it.
   double plan_stage_seconds = 0.0;
   double entropy_stage_seconds = 0.0;
   /// Wall-clock spent in the motion-estimation stage (0 for intra frames),
@@ -164,7 +165,7 @@ class ServiceStatsSink;
 ///
 /// Frame encoding is delegated to an EncoderPipeline (codec/pipeline.hpp),
 /// which splits the old monolithic macroblock loop into separable stages —
-/// motion estimation, mode decision, macroblock planning (DCT/quant/RD
+/// motion estimation, macroblock planning (mode decision, DCT/quant, RD
 /// candidate costing), entropy coding + reconstruction — and runs them as
 /// tasks on one lane of a util::ThreadPool, with frame-level pipelining
 /// and admission control. Every constructor runs that same engine; the
@@ -275,8 +276,10 @@ class Encoder {
   /// be used afterwards.
   [[nodiscard]] std::vector<std::uint8_t> finish();
 
-  /// Changes the quantiser for subsequent frames (rate control). The frame
-  /// header carries Qp, so the stream stays decodable across changes.
+  /// Changes the quantiser (rate control). It applies from the next
+  /// submitted frame: each frame snapshots Qp at admission, so frames
+  /// already submitted keep theirs even when they are encoded later. The
+  /// frame header carries Qp, so the stream stays decodable across changes.
   /// Throws std::invalid_argument outside [1, 31].
   void set_qp(int qp);
 
@@ -315,13 +318,6 @@ class Encoder {
   Encoder(video::PictureSize size, const EncoderConfig& config,
           me::MotionEstimator& estimator, util::ThreadPool* shared_pool);
 
-  /// Per-frame tallies of where the bits went (FrameReport breakdown).
-  struct MbBitCounters {
-    std::uint64_t mv = 0;
-    std::uint64_t coeff = 0;
-    std::uint64_t header = 0;
-  };
-
   /// Everything one entropy-coding slice owns while its rows are coded: the
   /// destination writer, the prediction boundary, and its share of the
   /// frame tallies. Slices touch no shared mutable encoder state, which is
@@ -330,62 +326,38 @@ class Encoder {
   struct SliceState {
     util::BitWriter* writer = nullptr;
     int first_mb_row = 0;  ///< MV prediction resets here (slice boundary)
-    MbBitCounters counters;
-    int intra_mbs = 0;
-    int inter_mbs = 0;  ///< inter-coded attempts, including SKIP outcomes
-    int skip_mbs = 0;
+    /// Only the bit breakdown (mv/coeff/header_bits) and the macroblock
+    /// counts are tallied.
+    FrameReport tally;
   };
 
-  /// A fully transformed INTRA macroblock, not yet written or reconstructed.
-  struct IntraPlan {
-    std::int16_t levels[6][kDctSamples];
-    std::uint8_t dc[6];
-    std::uint32_t cbp = 0;
-
-    /// Exact payload bits (DCs + CBP + coefficients; excludes COD/mode
-    /// bits).
-    [[nodiscard]] std::uint32_t payload_bits() const;
-
-    /// Reconstructs into 16×16 luma + two 8×8 chroma scratch buffers.
-    void reconstruct(int qp, std::uint8_t* y16, std::uint8_t* cb8,
-                     std::uint8_t* cr8) const;
-  };
-
-  /// A fully predicted+transformed INTER macroblock.
+  /// A motion-compensated INTER candidate: vector, prediction and levels.
   struct InterPlan {
     me::Mv mv;
-    std::uint8_t pred_y[me::kBlockSize * me::kBlockSize];
-    std::uint8_t pred_cb[8 * 8];
-    std::uint8_t pred_cr[8 * 8];
-    std::int16_t levels[6][kDctSamples];
-    std::uint32_t cbp = 0;
+    MbBuffer pred;
+    MbLevels levels;
 
     [[nodiscard]] bool skippable() const {
-      return mv == me::Mv{0, 0} && cbp == 0;
+      return mv == me::Mv{0, 0} && levels.cbp == 0;
     }
-
-    /// Payload bits given the differential predictor (MVD + CBP + coeffs;
-    /// excludes COD/mode bits).
-    [[nodiscard]] std::uint32_t payload_bits(me::Mv predictor) const;
-
-    void reconstruct(int qp, std::uint8_t* y16, std::uint8_t* cb8,
-                     std::uint8_t* cr8) const;
   };
+
+  enum class MbMode { kIntra, kInter, kSkip };
 
   /// Everything the plan stage (EncoderPipeline stage 2.5) precomputes for
   /// one macroblock, leaving stage 3 with only predictor-dependent MVD
-  /// coding, bit writing and reconstruction. For rate–distortion mode all
-  /// three candidates are planned here; the only cost term that cannot be
+  /// coding, bit writing and reconstruction. Heuristic and I-frame plans
+  /// carry the decided mode and only its candidate. Rate–distortion plans
+  /// carry all three candidates; the only cost term that cannot be
   /// precomputed is the MVD code length, which depends on the coded-field
   /// median predictor and therefore on every earlier decision in the slice
   /// — so the plan carries the predictor-independent pieces (candidate SSDs
-  /// and non-MVD bit counts) and write_mb_from_plan finishes the J
-  /// comparison with one cheap mvd_bits() call per macroblock.
+  /// and non-MVD bit counts) and write_mb finishes the J comparison with one
+  /// cheap mvd_bits() call per macroblock.
   struct MbPlan {
-    IntraPlan intra;  ///< valid when has_intra (or rd)
-    InterPlan inter;  ///< valid when has_inter (or rd)
-    bool has_intra = false;
-    bool has_inter = false;
+    MbLevels intra;   ///< valid when mode == kIntra (or rd)
+    InterPlan inter;  ///< valid when mode != kIntra (or rd)
+    MbMode mode = MbMode::kIntra;  ///< ignored when rd
     bool rd = false;  ///< stage 3 must run the three-way J comparison
     /// RD precomputation: full J for the predictor-independent candidates…
     double j_intra = 0.0;
@@ -397,38 +369,19 @@ class Encoder {
 
   void write_sequence_header();
 
-  IntraPlan plan_intra_mb(const video::Frame& src, int bx, int by) const;
-  InterPlan plan_inter_mb(const video::Frame& src, int bx, int by,
-                          me::Mv mv) const;
-
-  /// Stage-2.5 entry point: plans macroblock (bx, by) according to the
-  /// frame type / mode decision without touching any mutable encoder state
-  /// — safe to call concurrently for distinct macroblocks.
+  /// Stage-2.5 entry point: decides and plans macroblock (bx, by) at
+  /// quantiser `qp` — the TMN INTRA/INTER test against the block's motion
+  /// estimate `est` (unused in I-frames and RD mode), or all three RD
+  /// candidates — without touching any mutable encoder state, so it is
+  /// safe to call concurrently for distinct macroblocks.
   void plan_mb(const video::Frame& src, int bx, int by, bool intra_frame,
-               me::Mv mv, bool use_intra, MbPlan& out) const;
+               int qp, const me::EstimateResult& est, MbPlan& out) const;
 
-  /// Stage-3 entry point: entropy-codes macroblock (bx, by) into `slice`
-  /// from its precomputed plan and reconstructs it. Serial per slice (the
-  /// MVD predictor chains through coded_field_).
-  void write_mb_from_plan(bool intra_frame, const MbPlan& plan, int bx,
-                          int by, SliceState& slice);
-
-  void write_rd_mb_from_plan(const MbPlan& plan, int bx, int by,
-                             SliceState& slice);
-  void write_intra_plan(const IntraPlan& plan, SliceState& slice);
-  /// MVD + CBP + coefficients of a coded INTER macroblock (after the
-  /// COD/mode bits), with the slice's mv/coeff tallies updated.
-  void write_inter_plan_payload(const InterPlan& plan, me::Mv predictor,
-                                SliceState& slice);
-  void reconstruct_intra_plan(const IntraPlan& plan, int bx, int by);
-  void reconstruct_inter_plan(const InterPlan& plan, int bx, int by);
-  void reconstruct_skip_mb(int bx, int by);
-
-  /// SSD between the source macroblock and a candidate reconstruction
-  /// produced into scratch buffers.
-  std::uint64_t mb_ssd(const video::Frame& src, int bx, int by,
-                       const std::uint8_t* y16, const std::uint8_t* cb8,
-                       const std::uint8_t* cr8) const;
+  /// Stage-3 entry point: settles the RD choice, entropy-codes macroblock
+  /// (bx, by) into `slice` from its plan and reconstructs it. Serial per
+  /// slice (the MVD predictor chains through coded_field_).
+  void write_mb(bool intra_frame, int qp, const MbPlan& plan, int bx, int by,
+                SliceState& slice);
 
   [[nodiscard]] int mbs_x() const { return size_.width / me::kBlockSize; }
   [[nodiscard]] int mbs_y() const { return size_.height / me::kBlockSize; }

@@ -8,7 +8,6 @@
 
 #include "codec/deblock.hpp"
 #include "codec/service_stats.hpp"
-#include "me/sad.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/fault_injector.hpp"
@@ -145,6 +144,9 @@ std::optional<std::future<EncodedFrame>> EncoderPipeline::enqueue(
     const std::lock_guard<std::mutex> lock(admit_mutex_);
     const std::uint64_t seq = next_seq_++;
     job->submit_seq = seq;
+    // Snapshot Qp here, on the submitting thread: set_qp applies from the
+    // next submitted frame however late this one is encoded.
+    job->qp = enc_.config_.qp;
     if (seq < 2) {
       // Size parity `seq`'s stage buffers once, here on the submitting
       // thread: sizing them inside a front task on a pool worker measurably
@@ -154,7 +156,6 @@ std::optional<std::future<EncodedFrame>> EncoderPipeline::enqueue(
       const std::size_t mbs = static_cast<std::size_t>(enc_.mbs_x()) *
                               static_cast<std::size_t>(enc_.mbs_y());
       me_results_[seq].resize(mbs);
-      use_intra_[seq].resize(mbs);
       plans_[seq].resize(mbs);
     }
     if (failed_.load(std::memory_order_relaxed)) {
@@ -256,7 +257,8 @@ void EncoderPipeline::pump_locked(Reap& reap) {
     pool_.submit(queue_, [this, job] {
       std::exception_ptr error;
       try {
-        run_back(*job->src, job->index, job->out.report, job->out.bytes);
+        run_back(*job->src, job->index, job->qp, job->out.report,
+                 job->out.bytes);
         job->out.report.frame_wall_seconds = job->wall.seconds();
         record_latency(enc_.stage_metrics_.frame_wall,
                        job->out.report.frame_wall_seconds);
@@ -308,7 +310,8 @@ void EncoderPipeline::pump_locked(Reap& reap) {
           if (enc_.fault_ != nullptr && enc_.fault_->armed()) {
             enc_.fault_->inject(enc_.fault_lane_, job->submit_seq);
           }
-          run_front(*job->src, job->index, job->out.report, job->degraded);
+          run_front(*job->src, job->index, job->qp, job->out.report,
+                    job->degraded);
         } catch (...) {
           error = std::current_exception();
         }
@@ -437,7 +440,7 @@ void EncoderPipeline::release_back_waiters() {
 // ------------------------------------------------------- front half (1–2.5)
 
 void EncoderPipeline::run_front(const video::Frame& src, std::uint64_t f,
-                                FrameReport& report, bool degraded) {
+                                int qp, FrameReport& report, bool degraded) {
   Encoder& e = enc_;
   const std::int32_t tsess = trace_arg(e.trace_session_);
   const std::int32_t tframe = trace_arg(f);
@@ -447,6 +450,7 @@ void EncoderPipeline::run_front(const video::Frame& src, std::uint64_t f,
 
   front_parity_ = static_cast<int>(f & 1);
   front_frame_ = f;
+  front_qp_ = qp;
   front_degraded_ = degraded && e.degraded_estimator_ != nullptr;
   e.front_ref_ = &e.recon_buf_[(f + 1) & 1];
   e.me_field_ = &e.me_fields_[f & 1];
@@ -474,8 +478,6 @@ void EncoderPipeline::run_front(const video::Frame& src, std::uint64_t f,
     }
     report.me_stage_seconds = me_timer.seconds();
     record_latency(e.stage_metrics_.me, report.me_stage_seconds);
-    obs::Span mode_span("enc", "stage.mode", tsess, tframe);
-    mode_stage(src);
   }
   report.me_field_smoothness = e.me_field_->smoothness_l1();
 
@@ -495,7 +497,7 @@ void EncoderPipeline::run_front(const video::Frame& src, std::uint64_t f,
 // ----------------------------------------------------------- back half (3)
 
 void EncoderPipeline::run_back(const video::Frame& src, std::uint64_t f,
-                               FrameReport& report,
+                               int qp, FrameReport& report,
                                std::vector<std::uint8_t>& bytes_out) {
   Encoder& e = enc_;
   const std::int32_t tsess = trace_arg(e.trace_session_);
@@ -507,6 +509,7 @@ void EncoderPipeline::run_back(const video::Frame& src, std::uint64_t f,
   // rows if this back fails.
   back_parity_ = static_cast<int>(f & 1);
   back_frame_ = f;
+  back_qp_ = qp;
   back_base_ = (f >> 1) * static_cast<std::uint64_t>(e.mbs_y());
   e.recon_ = &e.recon_buf_[f & 1];
   e.back_ref_ = &e.recon_buf_[(f + 1) & 1];
@@ -523,37 +526,27 @@ void EncoderPipeline::run_back(const video::Frame& src, std::uint64_t f,
   e.writer_.align();
   e.writer_.put_bits(kFrameSync, 16);
   e.writer_.put_bits(intra_frame ? 0 : 1, 1);
-  e.writer_.put_bits(static_cast<std::uint32_t>(e.config_.qp), 5);
+  e.writer_.put_bits(static_cast<std::uint32_t>(qp), 5);
   e.writer_.put_bit(e.config_.deblock);
-
-  Encoder::MbBitCounters counters;
-  counters.header = e.writer_.bit_count() - frame_start_bits;
+  report.header_bits = e.writer_.bit_count() - frame_start_bits;
 
   util::Timer entropy_timer;
   {
     obs::Span entropy_span("enc", "stage.entropy", tsess, tframe);
-    entropy_stage(intra_frame, counters, report);
+    entropy_stage(intra_frame, report);
   }
   report.entropy_stage_seconds = entropy_timer.seconds();
   record_latency(e.stage_metrics_.entropy, report.entropy_stage_seconds);
 
   e.writer_.align();
-
-  // entropy_stage counted every inter-coded attempt; re-express the ones
-  // that degraded to SKIP, matching the report's historical semantics.
-  report.inter_mbs -= report.skip_mbs;
-
   report.bits = e.writer_.bit_count() - frame_start_bits;
-  report.mv_bits = counters.mv;
-  report.coeff_bits = counters.coeff;
-  report.header_bits = counters.header;
 
   if (e.config_.deblock) {
     // In-loop deblocking rewrites rows after entropy coding, so rows are
     // only final per frame. Without it every row was border-extended strip
     // by strip as it was published; re-extending here would rewrite
     // (identical) border bytes under the next frame's gated readers.
-    deblock_frame(*e.recon_, e.config_.qp);
+    deblock_frame(*e.recon_, qp);
     e.recon_->extend_borders();
   }
   // Whole frame final (covers the deblock path, and releases a waiter of
@@ -594,7 +587,7 @@ me::EstimateResult EncoderPipeline::estimate_block(
   ctx.half_pel = e.config_.half_pel;
   ctx.cur_field = e.me_field_;
   ctx.prev_field = e.prev_me_field_;
-  ctx.qp = e.config_.qp;
+  ctx.qp = front_qp_;
   ctx.frame = static_cast<int>(front_frame_);
   return estimator.estimate(ctx);
 }
@@ -693,83 +686,33 @@ void EncoderPipeline::motion_stage(const video::Frame& src,
   }
 }
 
-void EncoderPipeline::run_row_chunks(
-    const std::function<void(int, int)>& rows) {
-  const int mbs_y = enc_.mbs_y();
+// -------------------------------------------------------------- plan stage
+
+void EncoderPipeline::plan_stage(const video::Frame& src, bool intra_frame) {
+  const Encoder& e = enc_;
+  const std::vector<me::EstimateResult>& results = me_results_[front_parity_];
+  std::vector<Encoder::MbPlan>& plans = plans_[front_parity_];
+  const int mbs_x = e.mbs_x();
+  const int mbs_y = e.mbs_y();
+  // One contiguous chunk of rows per worker.
   const int rows_per_task =
       std::max(1, (mbs_y + worker_count_ - 1) / worker_count_);
   for (int begin = 0; begin < mbs_y; begin += rows_per_task) {
     const int end = std::min(begin + rows_per_task, mbs_y);
-    pool_.submit(queue_, [&rows, begin, end] { rows(begin, end); },
-                 &front_group_);
+    pool_.submit(queue_, [&, begin, end] {
+      for (int by = begin; by < end; ++by) {
+        for (int bx = 0; bx < mbs_x; ++bx) {
+          const std::size_t idx = static_cast<std::size_t>(by) *
+                                      static_cast<std::size_t>(mbs_x) +
+                                  static_cast<std::size_t>(bx);
+          // I-frame plans ignore the (stale) estimate.
+          e.plan_mb(src, bx, by, intra_frame, front_qp_, results[idx],
+                    plans[idx]);
+        }
+      }
+    }, &front_group_);
   }
   pool_.wait(front_group_);
-}
-
-// -------------------------------------------------------------- mode stage
-
-void EncoderPipeline::mode_stage_rows(const video::Frame& src, int row_begin,
-                                      int row_end) {
-  const Encoder& e = enc_;
-  const std::vector<me::EstimateResult>& results = me_results_[front_parity_];
-  std::vector<std::uint8_t>& use_intra_flags = use_intra_[front_parity_];
-  const int mbs_x = e.mbs_x();
-  for (int by = row_begin; by < row_end; ++by) {
-    for (int bx = 0; bx < mbs_x; ++bx) {
-      const std::size_t idx =
-          static_cast<std::size_t>(by) * static_cast<std::size_t>(mbs_x) + bx;
-      // TMN5 heuristic: INTRA when the block's own activity (Intra_SAD)
-      // undercuts the motion-compensated SAD by more than the bias.
-      const std::uint32_t activity =
-          me::intra_sad(src.y(), bx * kMb, by * kMb, kMb, kMb);
-      const bool use_intra =
-          static_cast<std::int64_t>(activity) + e.config_.intra_bias <
-          static_cast<std::int64_t>(results[idx].sad);
-      use_intra_flags[idx] = use_intra ? 1 : 0;
-    }
-  }
-}
-
-void EncoderPipeline::mode_stage(const video::Frame& src) {
-  if (enc_.config_.mode_decision == ModeDecision::kRateDistortion) {
-    // RD decisions price MVD bits against the coded-field median predictor,
-    // which only exists as entropy coding progresses — the decision is made
-    // per block inside the (serial) entropy stage, and use_intra_ is never
-    // read there.
-    return;
-  }
-  run_row_chunks(
-      [this, &src](int begin, int end) { mode_stage_rows(src, begin, end); });
-}
-
-// -------------------------------------------------------------- plan stage
-
-void EncoderPipeline::plan_stage_rows(const video::Frame& src,
-                                      bool intra_frame, int row_begin,
-                                      int row_end) {
-  const Encoder& e = enc_;
-  const std::vector<me::EstimateResult>& results = me_results_[front_parity_];
-  const std::vector<std::uint8_t>& use_intra_flags = use_intra_[front_parity_];
-  std::vector<Encoder::MbPlan>& plans = plans_[front_parity_];
-  const int mbs_x = e.mbs_x();
-  const bool rd = e.config_.mode_decision == ModeDecision::kRateDistortion;
-  for (int by = row_begin; by < row_end; ++by) {
-    for (int bx = 0; bx < mbs_x; ++bx) {
-      const std::size_t idx =
-          static_cast<std::size_t>(by) * static_cast<std::size_t>(mbs_x) + bx;
-      const me::Mv mv = intra_frame ? me::Mv{} : results[idx].mv;
-      // use_intra_ is only filled by the heuristic mode stage; RD plans
-      // both candidates and lets stage 3 pick.
-      const bool use_intra = !intra_frame && !rd && use_intra_flags[idx] != 0;
-      e.plan_mb(src, bx, by, intra_frame, mv, use_intra, plans[idx]);
-    }
-  }
-}
-
-void EncoderPipeline::plan_stage(const video::Frame& src, bool intra_frame) {
-  run_row_chunks([this, &src, intra_frame](int begin, int end) {
-    plan_stage_rows(src, intra_frame, begin, end);
-  });
 }
 
 // ----------------------------------------------------------- entropy stage
@@ -813,7 +756,7 @@ void EncoderPipeline::entropy_slice(bool intra_frame,
     for (int bx = 0; bx < mbs_x; ++bx) {
       const std::size_t idx =
           static_cast<std::size_t>(by) * static_cast<std::size_t>(mbs_x) + bx;
-      e.write_mb_from_plan(intra_frame, plans[idx], bx, by, slice);
+      e.write_mb(intra_frame, back_qp_, plans[idx], bx, by, slice);
     }
     if (!e.config_.deblock) {
       publish_back_row(by);
@@ -822,19 +765,16 @@ void EncoderPipeline::entropy_slice(bool intra_frame,
 }
 
 void EncoderPipeline::fold_slice(const Encoder::SliceState& slice,
-                                 Encoder::MbBitCounters& counters,
                                  FrameReport& report) {
-  counters.mv += slice.counters.mv;
-  counters.coeff += slice.counters.coeff;
-  counters.header += slice.counters.header;
-  report.intra_mbs += slice.intra_mbs;
-  report.inter_mbs += slice.inter_mbs;
-  report.skip_mbs += slice.skip_mbs;
+  report.mv_bits += slice.tally.mv_bits;
+  report.coeff_bits += slice.tally.coeff_bits;
+  report.header_bits += slice.tally.header_bits;
+  report.intra_mbs += slice.tally.intra_mbs;
+  report.inter_mbs += slice.tally.inter_mbs;
+  report.skip_mbs += slice.tally.skip_mbs;
 }
 
-void EncoderPipeline::entropy_stage(bool intra_frame,
-                                    Encoder::MbBitCounters& counters,
-                                    FrameReport& report) {
+void EncoderPipeline::entropy_stage(bool intra_frame, FrameReport& report) {
   Encoder& e = enc_;
   const int mbs_y = e.mbs_y();
   const int slice_count = e.slices_;  // clamped to [1, mbs_y] at construction
@@ -846,14 +786,14 @@ void EncoderPipeline::entropy_stage(bool intra_frame,
     slice.writer = &e.writer_;
     slice.first_mb_row = 0;
     entropy_slice(intra_frame, slice, 0, mbs_y);
-    fold_slice(slice, counters, report);
+    fold_slice(slice, report);
     return;
   }
 
   // ACV2: each slice entropy-codes its rows into a private writer. Slice s
   // owns rows [s·mbs_y/N, (s+1)·mbs_y/N) — the same deterministic split the
-  // decoder reconstructs from the slice headers. All inputs (me_results_,
-  // use_intra_, the reference) are fixed before this stage, and slices
+  // decoder reconstructs from the slice headers. All inputs (the plans, the
+  // reference) are fixed before this stage, and slices
   // write only row-disjoint state, so the tasks are embarrassingly parallel
   // and the bytes are independent of scheduling. The writers are pipeline
   // members reset (not destroyed) per frame, so their payload buffers are
@@ -886,7 +826,7 @@ void EncoderPipeline::entropy_stage(bool intra_frame,
   const std::uint64_t dir_start = e.writer_.bit_count();
   e.writer_.align();
   e.writer_.put_bits(static_cast<std::uint32_t>(slice_count), 8);
-  counters.header += e.writer_.bit_count() - dir_start;
+  report.header_bits += e.writer_.bit_count() - dir_start;
   for (int s = 0; s < slice_count; ++s) {
     Encoder::SliceState& slice = slices[static_cast<std::size_t>(s)];
     util::BitWriter& writer = writers[static_cast<std::size_t>(s)];
@@ -897,11 +837,11 @@ void EncoderPipeline::entropy_stage(bool intra_frame,
     e.writer_.put_bits(static_cast<std::uint32_t>(s), 8);
     e.writer_.put_bits(static_cast<std::uint32_t>(slice.first_mb_row), 16);
     e.writer_.put_bits(static_cast<std::uint32_t>(payload.size()), 32);
-    counters.header += e.writer_.bit_count() - header_start;
+    report.header_bits += e.writer_.bit_count() - header_start;
     e.writer_.put_bytes(payload);
     // Keep the byte buffer's capacity for the next frame's payload.
     writer.reset();
-    fold_slice(slice, counters, report);
+    fold_slice(slice, report);
   }
 }
 

@@ -1,10 +1,7 @@
 #pragma once
 // The staged per-frame encoding pipeline behind codec::Encoder.
 //
-// Encoder::encode_frame used to be one ~90-line macroblock loop doing
-// motion estimation, mode decision, entropy coding and reconstruction per
-// block before moving to the next. This class separates those concerns into
-// explicit stages run over the whole frame:
+// The encoder runs each frame as explicit stages over the whole frame:
 //
 //   1. motion stage       — one EstimateResult per macroblock, row-parallel
 //                           in WAVEFRONT order: block (bx, by) waits until
@@ -16,24 +13,24 @@
 //                           every other worker owns a clone() of it whose
 //                           statistics are merged back into the primary via
 //                           merge_stats() after every frame.
-//   2. mode stage         — the TMN heuristic INTRA/INTER decision per
-//                           macroblock (row-parallel, no dependencies).
-//                           Rate–distortion mode decisions compare exact
-//                           bit counts against the coded-field predictor
-//                           chain, so in kRateDistortion mode the decision
-//                           itself waits for stage 3 — but its candidate
-//                           costs are precomputed by the plan stage below.
-//   2.5 plan stage        — one Encoder::MbPlan per macroblock: DCT +
-//                           quantisation of the block the chosen mode will
-//                           transmit (both candidates plus all three
-//                           candidate reconstructions/SSDs in RD mode).
-//                           Every input — me_results_, use_intra_, source,
-//                           reference — is fixed before the stage starts,
-//                           so it is row-parallel with no dependencies.
-//   3. entropy stage      — MVD coding + bit writing + reconstruction from
-//                           the precomputed plans; the only work left here
-//                           is what genuinely chains through the
-//                           coded-field MV predictor. With
+//   2.5 plan stage        — one Encoder::MbPlan per macroblock: the TMN
+//                           heuristic INTRA/INTER/SKIP decision against the
+//                           block's motion estimate, then prediction, DCT
+//                           and quantisation of the chosen candidate
+//                           (codec/macroblock.hpp). Rate–distortion mode
+//                           decisions compare exact bit counts against the
+//                           coded-field predictor chain, so in
+//                           kRateDistortion mode the plan carries all three
+//                           candidates with their reconstruction SSDs and
+//                           the choice waits for stage 3. Every input —
+//                           me_results_, source, reference — is fixed
+//                           before the stage starts, so it is row-parallel
+//                           with no dependencies.
+//   3. entropy stage      — the RD choice, MVD coding, bit writing and
+//                           reconstruction from the precomputed plans
+//                           (Encoder::write_mb); the only work left here is
+//                           what genuinely chains through the coded-field MV
+//                           predictor. With
 //                           EncoderConfig::slices == 1 this is the legacy
 //                           serial raster scan straight into the stream
 //                           writer; with slices == N the frame's macroblock
@@ -56,12 +53,12 @@
 // FRAME-LEVEL PIPELINING: stages 1–2.5 read only the *previous* frame's
 // reconstruction, stage 3 writes the *current* one — so with the reference
 // double-buffered (Encoder::recon_buf_) and every stage buffer kept in two
-// parities (f & 1), frame t+1's front half (motion/mode/plan) can run
-// while frame t's back half (entropy + reconstruction) is still coding:
+// parities (f & 1), frame t+1's front half (motion/plan) can run while
+// frame t's back half (entropy + reconstruction) is still coding:
 //
-//      frame t   : [ME t   | mode | plan] [entropy+recon t  ]
-//      frame t+1 :                  [ME t+1 | mode | plan] [entropy t+1]
-//                                      ▲ row-readiness waits
+//      frame t   : [ME t   | plan] [entropy+recon t  ]
+//      frame t+1 :           [ME t+1 | plan] [entropy t+1]
+//                              ▲ row-readiness waits
 //
 // The handoff is row-granular, not whole-frame: stage 3 publishes each
 // reconstructed macroblock row (border-extended) through a monotonic
@@ -128,7 +125,6 @@
 #include <cstdint>
 #include <deque>
 #include <exception>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -217,6 +213,7 @@ class EncoderPipeline {
     std::uint64_t trace_id = 0;
     Stage stage = Stage::kPending;
     bool degraded = false;  ///< encode with the degraded estimator
+    int qp = 0;  ///< Encoder's Qp when admitted (set_qp is per submission)
     std::optional<std::chrono::steady_clock::time_point> deadline;
     EncodedFrame out;
     std::exception_ptr error;  ///< set => resolve() rejects instead
@@ -235,17 +232,17 @@ class EncoderPipeline {
 
   [[nodiscard]] bool is_intra(std::uint64_t frame) const;
 
-  /// Stages 1–2.5: motion, mode, plan — everything that reads only the
-  /// previous frame's reconstruction. Retargets the encoder's front role
-  /// pointers for frame `f` first. `degraded` selects the overload
-  /// estimator for the motion stage.
-  void run_front(const video::Frame& src, std::uint64_t f, FrameReport& report,
-                 bool degraded);
+  /// Stages 1–2.5: motion, plan — everything that reads only the previous
+  /// frame's reconstruction. Retargets the encoder's front role pointers
+  /// for frame `f` first. `qp` is the frame's admitted quantiser;
+  /// `degraded` selects the overload estimator for the motion stage.
+  void run_front(const video::Frame& src, std::uint64_t f, int qp,
+                 FrameReport& report, bool degraded);
   /// Stage 3 + frame finalisation: header/entropy bits, reconstruction,
   /// row publication, PSNR. `bytes_out` receives the frame's byte range of
   /// the stream (the packet payload).
-  void run_back(const video::Frame& src, std::uint64_t f, FrameReport& report,
-                std::vector<std::uint8_t>& bytes_out);
+  void run_back(const video::Frame& src, std::uint64_t f, int qp,
+                FrameReport& report, std::vector<std::uint8_t>& bytes_out);
 
   // --- admission engine ---
   /// Common body of encode_frame/submit_frame/try_submit_frame: admits
@@ -270,12 +267,6 @@ class EncoderPipeline {
   void release_back_waiters();
 
   // --- stages ---
-  /// Splits the picture's macroblock rows into one contiguous chunk per
-  /// worker, runs `rows(begin, end)` for each chunk as a front_group_ task
-  /// and waits for all of them — the mode and plan stages, whose blocks
-  /// are independent.
-  void run_row_chunks(const std::function<void(int, int)>& rows);
-
   void motion_stage(const video::Frame& src, FrameReport& report);
   [[nodiscard]] me::EstimateResult estimate_block(
       me::MotionEstimator& estimator, const video::Frame& src, int bx,
@@ -288,18 +279,14 @@ class EncoderPipeline {
   /// clamp to "all rows".
   [[nodiscard]] std::uint64_t rows_needed(int by) const;
 
-  void mode_stage(const video::Frame& src);
-  void mode_stage_rows(const video::Frame& src, int row_begin, int row_end);
-
   /// Stage 2.5: fills the front parity's plans (one MbPlan per macroblock).
-  /// All inputs are fixed before the stage starts, so rows split into plain
-  /// contiguous tasks — no wavefront.
+  /// All inputs are fixed before the stage starts, so the rows split into
+  /// one contiguous front_group_ task per worker — no wavefront.
   void plan_stage(const video::Frame& src, bool intra_frame);
-  void plan_stage_rows(const video::Frame& src, bool intra_frame,
-                       int row_begin, int row_end);
 
-  void entropy_stage(bool intra_frame, Encoder::MbBitCounters& counters,
-                     FrameReport& report);
+  /// Stage 3: codes every slice and folds its tallies into `report`
+  /// (which already holds the frame header's bits).
+  void entropy_stage(bool intra_frame, FrameReport& report);
   /// Entropy-codes and reconstructs rows [row_begin, row_end) into `slice`
   /// from the precomputed plans (the stage no longer reads the source
   /// frame). Slices touch only their own writer/tallies plus row-disjoint
@@ -314,7 +301,6 @@ class EncoderPipeline {
   /// Folds one finished slice's tallies into the frame totals (slice order
   /// keeps the report deterministic).
   static void fold_slice(const Encoder::SliceState& slice,
-                         Encoder::MbBitCounters& counters,
                          FrameReport& report);
 
   /// Builds each worker's estimator once (lazily, so callers may still
@@ -336,7 +322,7 @@ class EncoderPipeline {
   std::vector<me::MotionEstimator*> degraded_workers_;
   std::vector<std::unique_ptr<me::MotionEstimator>> clones_;
   util::TaskGroup frames_group_;  ///< every front and back task
-  util::TaskGroup front_group_;   ///< ME/mode/plan row tasks, current front
+  util::TaskGroup front_group_;   ///< ME/plan row tasks, current front
   util::TaskGroup back_group_;    ///< entropy slice tasks, current back
 
   // Per-frame stage outputs, indexed by by * mbs_x + bx; two parities so a
@@ -344,12 +330,11 @@ class EncoderPipeline {
   // f+1's. Each parity is sized once, at the submission before its first
   // use (see enqueue), and reused across frames — geometry is fixed per
   // encoder and every stage overwrites all of its entries: plans_ in
-  // particular holds every InterPlan/IntraPlan prediction buffer inline, so
-  // re-allocating it per frame would be megabytes of allocator traffic at
-  // HD.
+  // particular holds every candidate's levels and prediction buffer
+  // inline, so re-allocating it per frame would be megabytes of allocator
+  // traffic at HD.
   std::vector<me::EstimateResult> me_results_[2];
-  std::vector<std::uint8_t> use_intra_[2];  ///< heuristic mode decisions
-  std::vector<Encoder::MbPlan> plans_[2];   ///< plan-stage output (stage 2.5)
+  std::vector<Encoder::MbPlan> plans_[2];  ///< plan-stage output (stage 2.5)
   /// ACV2 per-slice payload writers, reset (capacity kept) every frame.
   std::vector<util::BitWriter> slice_writers_;
 
@@ -363,6 +348,7 @@ class EncoderPipeline {
   // --- front-half state, owned by the (single) in-flight front task ---
   int front_parity_ = 0;              ///< stage-buffer parity of this front
   std::uint64_t front_frame_ = 0;     ///< frame index (BlockContext::frame)
+  int front_qp_ = 0;                  ///< this frame's admitted Qp
   bool front_degraded_ = false;       ///< this front uses degraded_workers_
   util::ReadyCounter* front_gate_ = nullptr;  ///< reference's row counter
   std::uint64_t front_wait_base_ = 0; ///< gate value where this ref starts
@@ -370,6 +356,7 @@ class EncoderPipeline {
   // --- back-half state, owned by the (single) in-flight back task ---
   int back_parity_ = 0;
   std::uint64_t back_frame_ = 0;  ///< frame index (trace span tagging)
+  int back_qp_ = 0;              ///< this frame's admitted Qp
   std::uint64_t back_base_ = 0;  ///< counter value where this frame starts
   std::mutex publish_mutex_;     ///< guards row_done_/row_prefix_
   std::vector<std::uint8_t> row_done_;

@@ -1,8 +1,14 @@
-// Entropy layer: run/level block coding and differential MV coding.
+// Entropy layer: run/level block coding, differential MV coding and the
+// macroblock payload syntax.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "codec/coeff_coding.hpp"
+#include "codec/macroblock.hpp"
 #include "codec/mv_coding.hpp"
 #include "me/cost.hpp"
 #include "util/bitstream.hpp"
@@ -175,6 +181,108 @@ TEST(MvCoding, RateMatchesSearchSideModel) {
       EXPECT_EQ(mvd_bits({dx, dy}, {1, -1}),
                 me::mv_rate_bits({dx, dy}, {1, -1}));
     }
+  }
+}
+
+// A macroblock whose coded blocks (cbp bits) hold up to `density` random
+// nonzero levels each and whose uncoded blocks are zero, as a reader
+// reproduces them. Intra blocks keep index 0 clear (DC travels in dc[]).
+MbLevels random_mb(util::Rng& rng, std::uint32_t cbp, int density,
+                   bool intra) {
+  MbLevels mb{};
+  mb.cbp = cbp;
+  for (int b = 0; b < kMbBlocks; ++b) {
+    mb.dc[b] = static_cast<std::uint8_t>(rng.next_below(256));
+    if (((cbp >> b) & 1u) == 0) {
+      continue;
+    }
+    for (int i = 0; i < density; ++i) {
+      const int pos =
+          intra ? 1 + static_cast<int>(rng.next_below(kDctSamples - 1))
+                : static_cast<int>(rng.next_below(kDctSamples));
+      const auto v = static_cast<std::int16_t>(rng.next_in_range(-127, 127));
+      mb.levels[b][pos] = v == 0 ? 1 : v;
+    }
+  }
+  return mb;
+}
+
+void expect_mbs_equal(const MbLevels& a, const MbLevels& b, bool intra) {
+  ASSERT_EQ(a.cbp, b.cbp);
+  for (int blk = 0; blk < kMbBlocks; ++blk) {
+    if (intra) {
+      ASSERT_EQ(a.dc[blk], b.dc[blk]) << "block " << blk;
+    }
+    for (int i = intra ? 1 : 0; i < kDctSamples; ++i) {
+      ASSERT_EQ(a.levels[blk][i], b.levels[blk][i])
+          << "block " << blk << " coefficient " << i;
+    }
+  }
+}
+
+std::vector<std::uint8_t> write_payload(const MbLevels& mb, bool intra) {
+  util::BitWriter bw;
+  if (intra) {
+    write_intra_payload(bw, mb);
+  } else {
+    write_inter_body(bw, mb);
+  }
+  return bw.take();
+}
+
+TEST(MacroblockSyntax, BitCountsMatchWrittenBits) {
+  util::Rng rng(11);
+  for (const bool intra : {true, false}) {
+    // All-zero, a sparse pattern and dense blocks in every position.
+    for (const auto& [cbp, density] :
+         {std::pair{0u, 0}, std::pair{0b100101u, 3}, std::pair{0x3fu, 64}}) {
+      const MbLevels mb = random_mb(rng, cbp, density, intra);
+      util::BitWriter bw;
+      if (intra) {
+        write_intra_payload(bw, mb);
+        EXPECT_EQ(bw.bit_count(), intra_payload_bits(mb)) << cbp;
+      } else {
+        write_inter_body(bw, mb);
+        EXPECT_EQ(bw.bit_count(), inter_body_bits(mb)) << cbp;
+      }
+    }
+  }
+  const MbLevels empty{};
+  EXPECT_EQ(intra_payload_bits(empty), 6u * 8u + 6u);
+  EXPECT_EQ(inter_body_bits(empty), 6u);
+}
+
+TEST(MacroblockSyntax, ReadBackReproducesLevels) {
+  util::Rng rng(12);
+  for (const bool intra : {true, false}) {
+    for (int trial = 0; trial < 50; ++trial) {
+      const auto cbp = static_cast<std::uint32_t>(rng.next_below(64));
+      const MbLevels mb =
+          random_mb(rng, cbp, 1 + static_cast<int>(rng.next_below(40)), intra);
+      const std::vector<std::uint8_t> bytes = write_payload(mb, intra);
+      util::BitReader br(bytes);
+      MbLevels out;
+      // Stale contents must not leak into the blocks the CBP leaves out.
+      std::fill_n(&out.levels[0][0], kMbBlocks * kDctSamples,
+                  std::int16_t{9});
+      ASSERT_TRUE(intra ? read_intra_payload(br, out)
+                        : read_inter_body(br, out));
+      EXPECT_FALSE(br.exhausted());
+      expect_mbs_equal(mb, out, intra);
+    }
+  }
+}
+
+TEST(MacroblockSyntax, TruncatedPayloadReadsBackFalse) {
+  util::Rng rng(13);
+  for (const bool intra : {true, false}) {
+    const MbLevels mb = random_mb(rng, 0x3f, 64, intra);
+    std::vector<std::uint8_t> bytes = write_payload(mb, intra);
+    bytes.resize(bytes.size() / 2);
+    util::BitReader br(bytes);
+    MbLevels out;
+    EXPECT_FALSE(intra ? read_intra_payload(br, out)
+                       : read_inter_body(br, out));
   }
 }
 

@@ -1,5 +1,6 @@
 // Motion compensation: luma half-pel prediction, chroma vector derivation
-// (H.263 rounding table), chroma interpolation, and the block-codec pipeline.
+// (H.263 rounding table), chroma interpolation, the block-codec pipeline and
+// the macroblock sample paths.
 
 #include "codec/mc.hpp"
 
@@ -8,6 +9,7 @@
 #include <algorithm>
 
 #include "codec/block_codec.hpp"
+#include "codec/macroblock.hpp"
 #include "codec/quant.hpp"
 #include "simd/dispatch.hpp"
 #include "test_support.hpp"
@@ -196,6 +198,93 @@ TEST(BlockCodec, InterSkipEquivalence) {
     }
   }
   simd::select_kernels(simd::KernelIsa::kAuto);
+}
+
+video::Frame random_frame(int w, int h, std::uint64_t seed) {
+  video::Frame frame(w, h);
+  frame.y() = acbm::test::random_plane(w, h, seed);
+  frame.cb() = acbm::test::random_plane(w / 2, h / 2, seed + 1);
+  frame.cr() = acbm::test::random_plane(w / 2, h / 2, seed + 2);
+  return frame;
+}
+
+// Every sample 7, so a check can tell which samples a write touched.
+video::Frame sentinel_frame(int w, int h) {
+  video::Frame frame(w, h);
+  frame.y().fill(7);
+  frame.cb().fill(7);
+  frame.cr().fill(7);
+  return frame;
+}
+
+// Macroblock (bx, by) of `frame` equals `buffer` sample for sample, and
+// every sample outside it still holds `outside`.
+void expect_frame_mb_equals(const video::Frame& frame, int bx, int by,
+                            const MbBuffer& buffer, std::uint8_t outside) {
+  const auto check = [&](const video::Plane& plane, const std::uint8_t* mb,
+                         int size) {
+    for (int y = 0; y < plane.height(); ++y) {
+      for (int x = 0; x < plane.width(); ++x) {
+        const bool inside = x / size == bx && y / size == by;
+        ASSERT_EQ(plane.at(x, y),
+                  inside ? mb[(y % size) * size + x % size] : outside)
+            << "(" << x << ", " << y << ")";
+      }
+    }
+  };
+  check(frame.y(), buffer.y, kMbSize);
+  check(frame.cb(), buffer.cb, kMbSize / 2);
+  check(frame.cr(), buffer.cr, kMbSize / 2);
+}
+
+TEST(Macroblock, IntraReconstructionIsTheSameInBufferAndFrame) {
+  const video::Frame src = random_frame(64, 48, 21);
+  for (const int qp : {2, 16, 31}) {
+    MbLevels mb;
+    encode_intra_mb(src, 2, 1, qp, mb);
+    MbBuffer buffer;
+    reconstruct_intra_mb(mb, qp, MbSamples(buffer));
+    video::Frame frame = sentinel_frame(64, 48);
+    reconstruct_intra_mb(mb, qp, MbSamples(frame, 2, 1));
+    expect_frame_mb_equals(frame, 2, 1, buffer, 7);
+  }
+}
+
+TEST(Macroblock, InterReconstructionIsTheSameInBufferAndFrame) {
+  const video::Frame src = random_frame(64, 48, 31);
+  const video::Frame ref = random_frame(64, 48, 41);
+  const video::HalfpelPlanes luma(ref.y());
+  for (const me::Mv mv : {me::Mv{0, 0}, me::Mv{5, -3}, me::Mv{-8, 7}}) {
+    MbBuffer pred;
+    predict_mb(luma, ref, 1, 1, mv, pred);
+    MbLevels mb;
+    encode_inter_mb(src, 1, 1, pred, 6, mb);
+    MbBuffer buffer;
+    reconstruct_inter_mb(mb, pred, 6, MbSamples(buffer));
+    video::Frame frame = sentinel_frame(64, 48);
+    reconstruct_inter_mb(mb, pred, 6, MbSamples(frame, 1, 1));
+    expect_frame_mb_equals(frame, 1, 1, buffer, 7);
+  }
+}
+
+TEST(Macroblock, CopyMbCopiesTheReferenceMacroblock) {
+  const video::Frame ref = random_frame(64, 48, 51);
+  MbBuffer buffer;
+  copy_mb(ref, 3, 2, MbSamples(buffer));
+  for (int y = 0; y < kMbSize; ++y) {
+    for (int x = 0; x < kMbSize; ++x) {
+      ASSERT_EQ(buffer.y[y * kMbSize + x], ref.y().at(48 + x, 32 + y));
+    }
+  }
+  for (int y = 0; y < kMbSize / 2; ++y) {
+    for (int x = 0; x < kMbSize / 2; ++x) {
+      ASSERT_EQ(buffer.cb[y * 8 + x], ref.cb().at(24 + x, 16 + y));
+      ASSERT_EQ(buffer.cr[y * 8 + x], ref.cr().at(24 + x, 16 + y));
+    }
+  }
+  video::Frame frame = sentinel_frame(64, 48);
+  copy_mb(ref, 3, 2, MbSamples(frame, 3, 2));
+  expect_frame_mb_equals(frame, 3, 2, buffer, 7);
 }
 
 }  // namespace

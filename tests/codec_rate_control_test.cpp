@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
+#include <vector>
+
 #include "codec/decoder.hpp"
 #include "codec/encoder.hpp"
 #include "core/acbm.hpp"
 #include "synth/sequences.hpp"
+#include "util/fault_injector.hpp"
 
 namespace acbm::codec {
 namespace {
@@ -192,6 +196,44 @@ TEST(Encoder, VaryingQpStreamStaysDecodable) {
   for (std::size_t i = 0; i < decoded.size(); ++i) {
     EXPECT_TRUE(decoded[i].y().visible_equals(recons[i].y())) << i;
   }
+}
+
+// set_qp applies from the next submitted frame: frames still queued when it
+// is called keep the Qp they were submitted with, so an asynchronous
+// submission loop emits exactly the stream of the blocking loop.
+TEST(Encoder, AsyncSetQpAppliesToSubsequentSubmissions) {
+  synth::SequenceRequest req;
+  req.name = "foreman";
+  req.size = video::kQcif;
+  req.frame_count = 6;
+  const auto frames = synth::make_sequence(req);
+  const int qps[] = {8, 31, 2, 20, 11, 27};
+
+  const auto encode = [&](bool async) {
+    // Every frame's front sleeps first, so later set_qp calls land while
+    // earlier frames are still waiting to be encoded.
+    const util::FaultInjector delay(
+        "fault:site=task_delay_ms,p=1,delay_ms=20");
+    core::Acbm acbm;
+    EncoderConfig cfg;
+    cfg.parallel.threads = 4;
+    Encoder encoder(video::kQcif, cfg, acbm);
+    encoder.set_fault_injector(&delay, 0);
+    std::vector<std::future<EncodedFrame>> packets;
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      encoder.set_qp(qps[i]);
+      if (async) {
+        packets.push_back(encoder.submit_frame(frames[i]));
+      } else {
+        (void)encoder.encode_frame(frames[i]);
+      }
+    }
+    for (std::future<EncodedFrame>& packet : packets) {
+      (void)packet.get();
+    }
+    return encoder.finish();
+  };
+  EXPECT_EQ(encode(/*async=*/true), encode(/*async=*/false));
 }
 
 }  // namespace
