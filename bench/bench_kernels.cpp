@@ -70,6 +70,31 @@ void sad_kernel_variant(benchmark::State& state, const simd::SadKernels* k) {
   state.SetBytesProcessed(state.iterations() * 256);
 }
 
+/// Four adjacent 16×16 candidates per call through one variant's sad_x4
+/// slot. Items are candidates (4 per call), so items/s and the per-item
+/// time compare directly with BM_SadKernel16x16/<variant>'s one-per-call.
+void sad_kernel_x4_variant(benchmark::State& state,
+                           const simd::SadKernels* k) {
+  const video::Plane a = bench_plane(176, 144, 1);
+  const video::Plane b = bench_plane(176, 144, 2);
+  std::uint32_t sads[4];
+  int offset = 0;
+  for (auto _ : state) {
+    k->sad_x4(a.row(32) + 32, a.stride(), b.row(32) + 32 + (offset & 7),
+              b.stride(), 16, 16, sads);
+    benchmark::DoNotOptimize(sads);
+    ++offset;
+  }
+  state.SetItemsProcessed(4 * state.iterations());
+  state.SetBytesProcessed(4 * state.iterations() * 256);
+}
+
+/// A best case, not a search's cost: on independent random planes every
+/// row differs by about 85 per sample, so the bound of 500 trips at the
+/// first kEarlyExitRowQuantum-row checkpoint and the call reads 4 of 16
+/// rows. A full search's candidates near the running best run much deeper
+/// into the block, so this row's ratio to BM_SadKernel16x16 overstates what
+/// an early-exit bound saves in FSBM.
 void sad_kernel_early_exit_variant(benchmark::State& state,
                                    const simd::SadKernels* k) {
   const video::Plane a = bench_plane(176, 144, 3);
@@ -204,6 +229,8 @@ void register_kernel_variant_benchmarks() {
     const std::string suffix = k->name;
     benchmark::RegisterBenchmark(("BM_SadKernel16x16/" + suffix).c_str(),
                                  sad_kernel_variant, k);
+    benchmark::RegisterBenchmark(("BM_SadKernelX4/" + suffix).c_str(),
+                                 sad_kernel_x4_variant, k);
     benchmark::RegisterBenchmark(
         ("BM_SadKernelEarlyExit/" + suffix).c_str(),
         sad_kernel_early_exit_variant, k);

@@ -2,10 +2,11 @@
 // Shared best-candidate tracking for all search algorithms.
 //
 // SearchState centralises three concerns every search loop has:
-//   * evaluating a candidate through the single SAD entry point — which
-//     routes through the runtime-dispatched SIMD kernel table via
-//     me::sad_block_halfpel — so the position counters behind Table 1
-//     cannot drift between algorithms or kernel variants,
+//   * accounting every evaluated candidate through one path (offer) — fed
+//     by try_candidate's single SAD entry point, me::sad_block_halfpel, or
+//     by a batched kernel such as the full search's sad_x4 — so the
+//     position counters behind Table 1 cannot drift between algorithms or
+//     kernel variants,
 //   * window membership,
 //   * deterministic tie-breaking (cost, then |mv|∞, then raster order),
 // plus an optional visited-set so pattern searches that revisit points
@@ -34,9 +35,18 @@ class SearchState {
     if (track_visited_ && !mark_visited(cand)) {
       return false;
     }
-    const std::uint32_t sad = sad_block_halfpel(
-        *ctx_->cur, ctx_->x, ctx_->y, *ctx_->ref, ctx_->x * 2 + cand.x,
-        ctx_->y * 2 + cand.y, ctx_->bw, ctx_->bh);
+    return offer(cand, sad_block_halfpel(*ctx_->cur, ctx_->x, ctx_->y,
+                                         *ctx_->ref, ctx_->x * 2 + cand.x,
+                                         ctx_->y * 2 + cand.y, ctx_->bw,
+                                         ctx_->bh));
+  }
+
+  /// Accounts `cand` with its exact SAD, computed by the caller: the one
+  /// path for positions, sad_sum and best-candidate selection. Unlike
+  /// try_candidate it does not check the window or the visited set; the
+  /// caller guarantees `cand` is inside the window and offered only once.
+  /// Returns true when the candidate became the new best.
+  bool offer(Mv cand, std::uint32_t sad) {
     ++positions_;
     sad_sum_ += sad;
     const std::uint64_t cost = ctx_->cost.cost_fixed(sad, cand);

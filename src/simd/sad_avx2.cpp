@@ -129,6 +129,60 @@ std::uint32_t sad_avx2(const std::uint8_t* cur, int cur_stride,
   return total;
 }
 
+// ------------------------------------------------ four adjacent candidates
+//
+// The bw == 16 fast path loads each current row pair once (load_two_rows)
+// and runs one VPSADBW per candidate against ref + 0..3, keeping four
+// accumulators over the whole block (no early exit). Other widths score the
+// four candidates one at a time through sad_avx2's row helpers.
+
+/// Packs the totals of four VPSADBW accumulators into out[0..3]: shifting
+/// one accumulator's 64-bit lanes (each < 2^32) into the high halves of
+/// another's and OR-ing interleaves them losslessly, one unpack pair lines
+/// up the partials within each 128-bit half, and the halves are folded.
+inline void store_sums_x4(const __m256i acc[4], std::uint32_t out[4]) {
+  const __m256i s01 = _mm256_or_si256(acc[0], _mm256_slli_epi64(acc[1], 32));
+  const __m256i s23 = _mm256_or_si256(acc[2], _mm256_slli_epi64(acc[3], 32));
+  const __m256i sums = _mm256_add_epi32(_mm256_unpacklo_epi64(s01, s23),
+                                        _mm256_unpackhi_epi64(s01, s23));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
+                   _mm_add_epi32(_mm256_castsi256_si128(sums),
+                                 _mm256_extracti128_si256(sums, 1)));
+}
+
+void sad_x4_avx2(const std::uint8_t* cur, int cur_stride,
+                 const std::uint8_t* ref, int ref_stride, int bw, int bh,
+                 std::uint32_t out[4]) {
+  if (bw != 16) {
+    for (int k = 0; k < 4; ++k) {
+      out[k] = sad_avx2(cur, cur_stride, ref + k, ref_stride, bw, bh,
+                        0xFFFFFFFFu);
+    }
+    return;
+  }
+  __m256i acc[4] = {_mm256_setzero_si256(), _mm256_setzero_si256(),
+                    _mm256_setzero_si256(), _mm256_setzero_si256()};
+  int y = 0;
+  for (; y + 2 <= bh; y += 2) {
+    const std::uint8_t* a0 = cur + static_cast<std::ptrdiff_t>(y) * cur_stride;
+    const std::uint8_t* b0 = ref + static_cast<std::ptrdiff_t>(y) * ref_stride;
+    const __m256i va = load_two_rows(a0, a0 + cur_stride);
+    for (int k = 0; k < 4; ++k) {
+      acc[k] = _mm256_add_epi64(
+          acc[k],
+          _mm256_sad_epu8(va, load_two_rows(b0 + k, b0 + ref_stride + k)));
+    }
+  }
+  store_sums_x4(acc, out);
+  if (y < bh) {  // odd final row of the block
+    const std::uint8_t* a = cur + static_cast<std::ptrdiff_t>(y) * cur_stride;
+    const std::uint8_t* b = ref + static_cast<std::ptrdiff_t>(y) * ref_stride;
+    for (int k = 0; k < 4; ++k) {
+      out[k] += row_sad_vec(a, b + k, bw);
+    }
+  }
+}
+
 // --------------------------------------------------- fused half-pel + SAD
 //
 // Same phase arithmetic as the SSE2 variant (VPAVGB for H/V — its rounding
@@ -310,7 +364,7 @@ std::uint32_t sad_rowskip_avx2(const std::uint8_t* cur, int cur_stride,
   return total;
 }
 
-constexpr SadKernels kAvx2Table = {sad_avx2, sad_halfpel_avx2,
+constexpr SadKernels kAvx2Table = {sad_avx2, sad_halfpel_avx2, sad_x4_avx2,
                                    sad_quincunx_avx2, sad_rowskip_avx2,
                                    "avx2"};
 

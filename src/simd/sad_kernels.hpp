@@ -77,6 +77,19 @@ using SadHalfpelFn = std::uint32_t (*)(const std::uint8_t* cur, int cur_stride,
                                        int phase_h, int phase_v, int bw, int bh,
                                        std::uint32_t early_exit);
 
+/// @brief Four-candidate full-block SAD (no early exit).
+///
+/// Writes to `out[k]` the exact SAD of the `bw`×`bh` block at `cur` against
+/// the reference block at `ref + k`, for k = 0..3 — four horizontally
+/// adjacent integer candidates scored in one call, each current row loaded
+/// once for all four. Every out[k] equals SadFn(cur, ..., ref + k, ...,
+/// 0xFFFFFFFF) in every variant. The kernel reads exactly `bw + 3` samples
+/// from each of `bh` reference rows (and `bw` from each current row); the
+/// caller guarantees those bounds. Same pointer/stride conventions as SadFn.
+using SadX4Fn = void (*)(const std::uint8_t* cur, int cur_stride,
+                         const std::uint8_t* ref, int ref_stride, int bw,
+                         int bh, std::uint32_t out[4]);
+
 /// @brief One ISA's complete set of SAD kernels.
 ///
 /// Populated once per compiled variant (scalar always; SSE2/AVX2 when the
@@ -92,6 +105,11 @@ struct SadKernels {
   /// pre-interpolated phase planes are involved, which is what lets
   /// video::HalfpelPlanes stay lazy for encodes that only ever match.
   SadHalfpelFn sad_halfpel;
+
+  /// Four adjacent integer candidates per call (see SadX4Fn). The full
+  /// search's integer raster scan scores each candidate row in groups of
+  /// four through this slot.
+  SadX4Fn sad_x4;
 
   /// Quincunx 4:1 decimation (Liu–Zaccarin pattern A): every other row is
   /// sampled, and within a sampled row every other column, with the column

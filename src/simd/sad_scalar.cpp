@@ -42,6 +42,25 @@ std::uint32_t sad_scalar(const std::uint8_t* cur, int cur_stride,
   return total;
 }
 
+void sad_x4_scalar(const std::uint8_t* cur, int cur_stride,
+                   const std::uint8_t* ref, int ref_stride, int bw, int bh,
+                   std::uint32_t out[4]) {
+  std::uint32_t sums[4] = {0, 0, 0, 0};
+  for (int y = 0; y < bh; ++y) {
+    const std::uint8_t* a = cur + static_cast<std::ptrdiff_t>(y) * cur_stride;
+    const std::uint8_t* b = ref + static_cast<std::ptrdiff_t>(y) * ref_stride;
+    for (int x = 0; x < bw; ++x) {
+      const int c = a[x];
+      for (int k = 0; k < 4; ++k) {
+        sums[k] += static_cast<std::uint32_t>(std::abs(c - b[x + k]));
+      }
+    }
+  }
+  for (int k = 0; k < 4; ++k) {
+    out[k] = sums[k];
+  }
+}
+
 /// One row of |cur − interp(ref)| for a non-integer phase. r0/r1 are the
 /// integer rows bracketing the half-pel position vertically (r1 == r0 for
 /// the pure-H phase).
@@ -120,8 +139,8 @@ std::uint32_t sad_rowskip_scalar(const std::uint8_t* cur, int cur_stride,
 }
 
 constexpr SadKernels kScalarTable = {sad_scalar, sad_halfpel_scalar,
-                                     sad_quincunx_scalar, sad_rowskip_scalar,
-                                     "scalar"};
+                                     sad_x4_scalar, sad_quincunx_scalar,
+                                     sad_rowskip_scalar, "scalar"};
 
 }  // namespace
 

@@ -79,6 +79,57 @@ std::uint32_t sad_sse2(const std::uint8_t* cur, int cur_stride,
   return total;
 }
 
+// ------------------------------------------------ four adjacent candidates
+//
+// Each 16-sample chunk of a current row is loaded once and PSADBW'd against
+// ref + 0..3; the accumulators run over the whole block (no early exit) and
+// are reduced together at the end. Columns past the last full chunk go
+// through row_sad_sse2 per candidate.
+
+/// Packs the totals of four PSADBW accumulators into out[0..3]. Each 64-bit
+/// lane holds a value < 2^32, so shifting one accumulator's lanes into the
+/// high halves of another's and OR-ing interleaves them losslessly; one
+/// unpack pair then lines the four low and four high partials up to add.
+inline void store_sums_x4(const __m128i acc[4], std::uint32_t out[4]) {
+  const __m128i s01 = _mm_or_si128(acc[0], _mm_slli_epi64(acc[1], 32));
+  const __m128i s23 = _mm_or_si128(acc[2], _mm_slli_epi64(acc[3], 32));
+  const __m128i sums = _mm_add_epi32(_mm_unpacklo_epi64(s01, s23),
+                                     _mm_unpackhi_epi64(s01, s23));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), sums);
+}
+
+void sad_x4_sse2(const std::uint8_t* cur, int cur_stride,
+                 const std::uint8_t* ref, int ref_stride, int bw, int bh,
+                 std::uint32_t out[4]) {
+  const int vec_w = bw & ~15;
+  __m128i acc[4] = {_mm_setzero_si128(), _mm_setzero_si128(),
+                    _mm_setzero_si128(), _mm_setzero_si128()};
+  std::uint32_t tail[4] = {0, 0, 0, 0};
+  for (int y = 0; y < bh; ++y) {
+    const std::uint8_t* a = cur + static_cast<std::ptrdiff_t>(y) * cur_stride;
+    const std::uint8_t* b = ref + static_cast<std::ptrdiff_t>(y) * ref_stride;
+    for (int x = 0; x < vec_w; x += 16) {
+      const __m128i va =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + x));
+      for (int k = 0; k < 4; ++k) {
+        acc[k] = _mm_add_epi64(
+            acc[k],
+            _mm_sad_epu8(va, _mm_loadu_si128(
+                                 reinterpret_cast<const __m128i*>(b + x + k))));
+      }
+    }
+    if (vec_w < bw) {
+      for (int k = 0; k < 4; ++k) {
+        tail[k] += row_sad_sse2(a + vec_w, b + vec_w + k, bw - vec_w);
+      }
+    }
+  }
+  store_sums_x4(acc, out);
+  for (int k = 0; k < 4; ++k) {
+    out[k] += tail[k];
+  }
+}
+
 // --------------------------------------------------- fused half-pel + SAD
 //
 // Row arithmetic lives in sad_halfpel_rows.hpp (shared with the AVX2 TU):
@@ -164,7 +215,7 @@ std::uint32_t sad_rowskip_sse2(const std::uint8_t* cur, int cur_stride,
   return total;
 }
 
-constexpr SadKernels kSse2Table = {sad_sse2, sad_halfpel_sse2,
+constexpr SadKernels kSse2Table = {sad_sse2, sad_halfpel_sse2, sad_x4_sse2,
                                    sad_quincunx_sse2, sad_rowskip_sse2,
                                    "sse2"};
 

@@ -1,11 +1,17 @@
 // FSBM: optimality, position counts (the paper's 969), half-pel refinement,
-// SAD_deviation bookkeeping, and half-pel recovery of true sub-pel motion.
+// SAD_deviation bookkeeping, half-pel recovery of true sub-pel motion, and
+// exact agreement with a brute-force oracle.
 
 #include "me/full_search.hpp"
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "me/sad.hpp"
+#include "simd/dispatch.hpp"
 #include "test_support.hpp"
 
 namespace acbm::me {
@@ -13,6 +19,96 @@ namespace {
 
 using acbm::test::SearchFixture;
 using acbm::test::shifted_pair;
+
+/// What FullSearch must report, computed by brute force.
+struct OracleResult {
+  Mv best_integer_mv;
+  std::uint32_t best_integer_sad = 0;
+  std::uint32_t integer_positions = 0;
+  std::uint64_t integer_sad_sum = 0;
+  Mv mv;
+  std::uint32_t sad = 0;
+  std::uint32_t positions = 0;
+};
+
+/// Scores every integer candidate of the window with sad_block, one at a
+/// time, then the eight half-pel neighbours of the integer winner that lie
+/// inside the window. The winner is the minimum of (cost_fixed, L∞, y, x).
+OracleResult oracle_full_search(const SearchFixture& fx,
+                                const BlockContext& ctx) {
+  OracleResult o;
+  auto key = [&](std::uint32_t sad, Mv mv) {
+    return std::tuple(ctx.cost.cost_fixed(sad, mv), mv.linf(), mv.y, mv.x);
+  };
+  bool first = true;
+  for (int my = ctx.window.min_y; my <= ctx.window.max_y; ++my) {
+    for (int mx = ctx.window.min_x; mx <= ctx.window.max_x; ++mx) {
+      if ((mx & 1) != 0 || (my & 1) != 0) {
+        continue;
+      }
+      const std::uint32_t sad =
+          sad_block(fx.cur, ctx.x, ctx.y, fx.ref, ctx.x + mx / 2,
+                    ctx.y + my / 2, ctx.bw, ctx.bh);
+      ++o.integer_positions;
+      o.integer_sad_sum += sad;
+      if (first || key(sad, {mx, my}) <
+                       key(o.best_integer_sad, o.best_integer_mv)) {
+        o.best_integer_mv = {mx, my};
+        o.best_integer_sad = sad;
+        first = false;
+      }
+    }
+  }
+  o.mv = o.best_integer_mv;
+  o.sad = o.best_integer_sad;
+  o.positions = o.integer_positions;
+  if (!ctx.half_pel) {
+    return o;
+  }
+  for (int dy = -1; dy <= 1; ++dy) {
+    for (int dx = -1; dx <= 1; ++dx) {
+      const Mv cand{o.best_integer_mv.x + dx, o.best_integer_mv.y + dy};
+      if ((dx == 0 && dy == 0) || !ctx.window.contains(cand)) {
+        continue;
+      }
+      const std::uint32_t sad = sad_block_halfpel(
+          fx.cur, ctx.x, ctx.y, fx.ref_half, ctx.x * 2 + cand.x,
+          ctx.y * 2 + cand.y, ctx.bw, ctx.bh);
+      ++o.positions;
+      if (key(sad, cand) < key(o.sad, o.mv)) {
+        o.mv = cand;
+        o.sad = sad;
+      }
+    }
+  }
+  return o;
+}
+
+/// A plane tiled with a 3×4 pattern of random samples: every candidate
+/// whose offset differs by a multiple of the period ties with it, both
+/// inside one group of four horizontal candidates and across groups.
+video::Plane periodic_plane(int w, int h, int phase_x, int phase_y,
+                            std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::uint8_t tile[4][3];
+  for (auto& row : tile) {
+    for (std::uint8_t& v : row) {
+      v = static_cast<std::uint8_t>(rng.next_below(256));
+    }
+  }
+  video::Plane p(w, h);
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      p.set(x, y, tile[(y + phase_y) % 4][(x + phase_x) % 3]);
+    }
+  }
+  p.extend_border();
+  return p;
+}
+
+struct KernelSelectionGuard {
+  ~KernelSelectionGuard() { simd::select_kernels(simd::KernelIsa::kAuto); }
+};
 
 TEST(FullSearch, FindsExactIntegerShift) {
   for (const auto& [dx, dy] : {std::pair{0, 0}, std::pair{3, -2},
@@ -142,6 +238,72 @@ TEST(FullSearch, TieBreakPrefersShorterVector) {
 TEST(FullSearch, NameIsFsbm) {
   FullSearch fsbm;
   EXPECT_EQ(fsbm.name(), "FSBM");
+}
+
+TEST(FullSearch, MatchesBruteForceOracle) {
+  // The integer scan scores candidates four at a time; every reported
+  // figure must still equal a one-candidate-at-a-time brute force, under
+  // every kernel variant, on unique and heavily tied SAD landscapes, at
+  // λ = 0 and with a rate term, for windows whose rows end in a partial
+  // group of four and for windows clipped at the picture corners.
+  KernelSelectionGuard guard;
+  constexpr int kSize = 96;
+  std::vector<std::pair<std::string, SearchFixture>> fixtures;
+  fixtures.emplace_back("random",
+                        SearchFixture(test::random_plane(kSize, kSize, 71),
+                                      test::random_plane(kSize, kSize, 72)));
+  fixtures.emplace_back("periodic",
+                        SearchFixture(periodic_plane(kSize, kSize, 0, 0, 73),
+                                      periodic_plane(kSize, kSize, 1, 2, 73)));
+  const MotionCost costs[] = {MotionCost(0.0),
+                              MotionCost::for_qp(16, Mv{6, -4})};
+  struct Case {
+    std::string name;
+    int x, y, bw, bh;
+    SearchWindow window;
+  };
+  std::vector<Case> cases;
+  for (int p : {1, 2, 7, 15, 16}) {
+    cases.push_back({"p=" + std::to_string(p), 32, 32, 16, 16,
+                     unrestricted_window(p)});
+  }
+  cases.push_back({"8x8 p=7", 40, 40, 8, 8, unrestricted_window(7)});
+  cases.push_back({"top-left corner", 0, 0, 16, 16,
+                   restricted_window(15, 0, 0, 16, 16, kSize, kSize)});
+  cases.push_back({"bottom-right corner", kSize - 16, kSize - 16, 16, 16,
+                   restricted_window(15, kSize - 16, kSize - 16, 16, 16,
+                                     kSize, kSize)});
+  for (const std::string& kernel : simd::available_kernel_names()) {
+    ASSERT_TRUE(simd::select_kernels_by_name(kernel));
+    for (const auto& [plane_name, fx] : fixtures) {
+      for (const MotionCost& cost : costs) {
+        for (const Case& c : cases) {
+          BlockContext ctx = fx.context(c.x, c.y);
+          ctx.bw = c.bw;
+          ctx.bh = c.bh;
+          ctx.window = c.window;
+          ctx.cost = cost;
+          const std::string label = kernel + " " + plane_name + " " + c.name +
+                                    " lambda=" +
+                                    std::to_string(cost.lambda());
+          const OracleResult want = oracle_full_search(fx, ctx);
+          FullSearch fsbm;
+          const EstimateResult est = fsbm.estimate(ctx);
+          EXPECT_EQ(est.mv, want.mv) << label;
+          EXPECT_EQ(est.sad, want.sad) << label;
+          EXPECT_EQ(est.positions, want.positions) << label;
+          const FullSearchResult full = fsbm.search_full(ctx);
+          EXPECT_EQ(full.best.mv, want.mv) << label;
+          EXPECT_EQ(full.best.sad, want.sad) << label;
+          EXPECT_EQ(full.best.positions, want.positions) << label;
+          EXPECT_EQ(full.best_integer_mv, want.best_integer_mv) << label;
+          EXPECT_EQ(full.best_integer_sad, want.best_integer_sad) << label;
+          EXPECT_EQ(full.integer_positions, want.integer_positions) << label;
+          EXPECT_EQ(full.integer_sad_sum, want.integer_sad_sum) << label;
+        }
+      }
+    }
+  }
 }
 
 class FullSearchRangeTest : public ::testing::TestWithParam<int> {};

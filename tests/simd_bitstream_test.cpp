@@ -1,6 +1,6 @@
 // End-to-end kernel-dispatch invariant: selecting any SAD kernel variant is
 // a pure throughput knob — encoding the same input under --kernel=scalar and
-// --kernel=auto (the best SIMD variant this CPU offers) must produce
+// every other variant this build/CPU offers (sse2, avx2, auto) must produce
 // byte-identical ACV1 bitstreams, for estimators exercising the full-block
 // kernel (ACBM, FSBM), the decimated kernels (FSBM-adec, FSBM-sub) and the
 // fast searches, serial and threaded alike.
@@ -53,18 +53,24 @@ TEST(SimdBitstream, ScalarAndAutoKernelsEncodeIdentically) {
   const auto frames = test_sequence("foreman", 6);
   EncoderConfig config;
   config.qp = 16;
-  // ACBM/FSBM drive the full-block kernel, FSBM-adec/FSBM-sub the quincunx
-  // and row-skip decimation kernels, DS a fast-search candidate pattern.
+  // ACBM/FSBM drive the full-block and four-candidate kernels, FSBM-adec/
+  // FSBM-sub the quincunx and row-skip decimation kernels, DS a fast-search
+  // candidate pattern. Every compiled variant — not only the one auto picks
+  // — is held to the scalar stream.
   for (const std::string& algorithm :
        {std::string("ACBM"), std::string("FSBM"), std::string("FSBM-adec"),
         std::string("FSBM-sub"), std::string("DS")}) {
     ASSERT_TRUE(simd::select_kernels(simd::KernelIsa::kScalar));
     const auto scalar_stream = encode_with(frames, algorithm, config);
-    ASSERT_TRUE(simd::select_kernels(simd::KernelIsa::kAuto));
-    const auto simd_stream = encode_with(frames, algorithm, config);
-    EXPECT_EQ(scalar_stream, simd_stream)
-        << algorithm << " bitstream differs between scalar and "
-        << simd::active_kernel_name();
+    for (const std::string& kernel : simd::available_kernel_names()) {
+      if (kernel == "scalar") {
+        continue;
+      }
+      ASSERT_TRUE(simd::select_kernels_by_name(kernel));
+      const auto simd_stream = encode_with(frames, algorithm, config);
+      EXPECT_EQ(scalar_stream, simd_stream)
+          << algorithm << " bitstream differs between scalar and " << kernel;
+    }
   }
 }
 

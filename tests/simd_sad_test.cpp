@@ -1,8 +1,9 @@
 // Kernel parity: every compiled-and-supported SIMD SAD variant must return
 // EXACTLY the scalar reference's value — full-block SAD (including the
-// partial totals produced by the row-group early-exit contract), quincunx
-// and row-skip decimation — over randomized block sizes, offsets (border
-// included) and thresholds. Plus the dispatch API's invariants.
+// partial totals produced by the row-group early-exit contract), the
+// four-candidate kernel, quincunx and row-skip decimation — over randomized
+// block sizes, offsets (border included) and thresholds. Plus the dispatch
+// API's invariants.
 
 #include <gtest/gtest.h>
 
@@ -47,12 +48,14 @@ TEST(SimdDispatch, TablesAreFullyPopulated) {
     ASSERT_NE(t, nullptr);
     EXPECT_NE(t->sad, nullptr);
     EXPECT_NE(t->sad_halfpel, nullptr);
+    EXPECT_NE(t->sad_x4, nullptr);
     EXPECT_NE(t->sad_quincunx, nullptr);
     EXPECT_NE(t->sad_rowskip, nullptr);
   }
   for (const SadKernels* t : vector_variants()) {
     EXPECT_NE(t->sad, nullptr);
     EXPECT_NE(t->sad_halfpel, nullptr);
+    EXPECT_NE(t->sad_x4, nullptr);
     EXPECT_NE(t->sad_quincunx, nullptr);
     EXPECT_NE(t->sad_rowskip, nullptr);
   }
@@ -126,6 +129,93 @@ TEST(SimdSadParity, RandomizedBlocksOffsetsThresholds) {
             ref_table.sad_rowskip(a, cur.stride(), b, ref.stride(), d.bw,
                                   d.bh))
             << t->name << " rowskip " << d.bw << "x" << d.bh;
+      }
+    }
+  }
+}
+
+TEST(SimdSadParity, X4MatchesFourSingleSads) {
+  // out[k] of every variant's four-candidate kernel must equal the scalar
+  // reference's full SAD against ref + k — over the 16-wide fast paths,
+  // generic and odd widths, odd heights, and reference origins reaching
+  // into the plane border.
+  const SadKernels& scalar = *detail::scalar_kernels();
+  std::vector<const SadKernels*> tables = {&scalar};
+  for (const SadKernels* t : vector_variants()) {
+    tables.push_back(t);
+  }
+  const video::Plane cur = test::random_plane(96, 96, 505);
+  const video::Plane ref = test::random_plane(96, 96, 606);
+  struct Dim {
+    int bw, bh;
+  };
+  const Dim dims[] = {{16, 16}, {8, 8},  {16, 8}, {17, 5},  {16, 15},
+                      {16, 1},  {32, 7}, {33, 9}, {12, 10}, {1, 1}};
+  util::Rng rng(999);
+  for (const Dim& d : dims) {
+    for (int trial = 0; trial < 24; ++trial) {
+      const int cx = static_cast<int>(rng.next_below(40));
+      const int cy = static_cast<int>(rng.next_below(40));
+      const int rx = static_cast<int>(rng.next_below(60)) - 20;
+      const int ry = static_cast<int>(rng.next_below(60)) - 20;
+      const std::uint8_t* a = cur.row(cy) + cx;
+      const std::uint8_t* b = ref.row(ry) + rx;
+      std::uint32_t want[4];
+      for (int k = 0; k < 4; ++k) {
+        want[k] = scalar.sad(a, cur.stride(), b + k, ref.stride(), d.bw,
+                             d.bh, me::kNoEarlyExit);
+      }
+      for (const SadKernels* t : tables) {
+        std::uint32_t got[4] = {~0u, ~0u, ~0u, ~0u};
+        t->sad_x4(a, cur.stride(), b, ref.stride(), d.bw, d.bh, got);
+        for (int k = 0; k < 4; ++k) {
+          EXPECT_EQ(got[k], want[k])
+              << t->name << " " << d.bw << "x" << d.bh << " k=" << k
+              << " cur=(" << cx << "," << cy << ") ref=(" << rx << "," << ry
+              << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdSadParity, X4ReadsOnlyBwPlusThreeColumns) {
+  // Tight heap buffers whose last row ends exactly at the contract's bound:
+  // `bw + 3` reference samples and `bw` current samples. Under
+  // AddressSanitizer any read past them lands in the redzone.
+  struct Dim {
+    int bw, bh;
+  };
+  const Dim dims[] = {{16, 16}, {16, 15}, {8, 8}, {17, 5}, {33, 3}, {1, 1}};
+  util::Rng rng(4242);
+  for (const Dim& d : dims) {
+    const int cur_stride = d.bw;
+    const int ref_stride = d.bw + 3;
+    std::vector<std::uint8_t> cur(static_cast<std::size_t>(cur_stride * d.bh));
+    std::vector<std::uint8_t> ref(static_cast<std::size_t>(ref_stride * d.bh));
+    for (std::uint8_t& v : cur) {
+      v = static_cast<std::uint8_t>(rng.next_below(256));
+    }
+    for (std::uint8_t& v : ref) {
+      v = static_cast<std::uint8_t>(rng.next_below(256));
+    }
+    std::uint32_t want[4];
+    for (int k = 0; k < 4; ++k) {
+      want[k] = detail::scalar_kernels()->sad(cur.data(), cur_stride,
+                                              ref.data() + k, ref_stride,
+                                              d.bw, d.bh, me::kNoEarlyExit);
+    }
+    std::vector<const SadKernels*> tables = {detail::scalar_kernels()};
+    for (const SadKernels* t : vector_variants()) {
+      tables.push_back(t);
+    }
+    for (const SadKernels* t : tables) {
+      std::uint32_t got[4];
+      t->sad_x4(cur.data(), cur_stride, ref.data(), ref_stride, d.bw, d.bh,
+                got);
+      for (int k = 0; k < 4; ++k) {
+        EXPECT_EQ(got[k], want[k])
+            << t->name << " " << d.bw << "x" << d.bh << " k=" << k;
       }
     }
   }
