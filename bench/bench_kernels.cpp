@@ -120,17 +120,23 @@ void sad_kernel_quincunx_variant(benchmark::State& state,
   state.SetBytesProcessed(state.iterations() * 64);  // 4:1 of 256
 }
 
-/// Half-pel SAD the way the PR-3 encoder did it: against a phase plane
+/// Half-pel SAD the way the encoder once did it: against a phase plane
 /// pre-interpolated once per frame, through one variant's plain `sad`
 /// entry. The plane build itself is outside the loop — this row is the
-/// per-candidate cost the fused kernel competes with, and the whole-frame
-/// interpolation it additionally saves shows up in BM_HalfpelPlanesQcif.
+/// per-candidate cost the fused kernel competes with; the fused path also
+/// skips that whole-frame interpolation pass.
 void sad_halfpel_preinterp_variant(benchmark::State& state,
                                    const simd::SadKernels* k) {
   const video::Plane cur = bench_plane(176, 144, 21);
   const video::Plane ref = bench_plane(176, 144, 22);
-  const video::HalfpelPlanes hp(ref);
-  const video::Plane& phase = hp.plane(1, 1);  // HV: the expensive phase
+  // HV, the expensive phase, over the visible area the loop reads; one
+  // less border sample than `ref`, the layout the baseline rows timed.
+  video::Plane phase(ref.width(), ref.height(), ref.border() - 1);
+  for (int y = 0; y < ref.height(); ++y) {
+    for (int x = 0; x < ref.width(); ++x) {
+      phase.set(x, y, video::sample_halfpel(ref, 2 * x + 1, 2 * y + 1));
+    }
+  }
   int offset = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -296,20 +302,6 @@ void BM_IntraSad16x16(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_IntraSad16x16);
-
-void BM_HalfpelPlanesQcif(benchmark::State& state) {
-  // Construction is lazy since the fused kernels landed; force the
-  // interpolated phases so the row keeps measuring the whole-frame
-  // interpolation pass — the cost every encode that stays on the fused
-  // path now skips.
-  const video::Plane src = bench_plane(176, 144, 8);
-  for (auto _ : state) {
-    video::HalfpelPlanes hp(src);
-    benchmark::DoNotOptimize(hp.plane(1, 1).at(0, 0));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HalfpelPlanesQcif);
 
 template <typename Estimator>
 void run_search_benchmark(benchmark::State& state, int range) {

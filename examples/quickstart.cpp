@@ -29,7 +29,8 @@ int main() {
   const video::Frame& reference = frames[0];
   const video::Frame& current = frames[1];
 
-  // 2. Half-pel interpolation of the reference luma (shared by all blocks).
+  // 2. A half-pel view of the reference luma (borrowed, shared by all
+  // blocks; the estimators interpolate on the fly).
   const video::HalfpelPlanes ref_half(reference.y());
 
   // 3. ACBM with the paper's parameters, constructed from a spec exactly as

@@ -67,7 +67,6 @@ Decoder::Decoder(std::span<const std::uint8_t> data,
     fail(DecodeErrorClass::kHeader, "decoder: invalid sequence header");
   }
   ref_ = video::Frame(size_);
-  ref_half_.bind(&ref_.y());
   coded_field_ = me::MvField::for_picture(size_.width, size_.height);
 
   // Header-level expectations are decidable right here; mismatches are
@@ -356,7 +355,7 @@ bool Decoder::decode_rows(util::BitReader& br, video::Frame& out, int qp,
         if (!read_inter_body(br, mb)) {
           return false;  // bad inter coefficients
         }
-        predict_mb(ref_half_, ref_, bx, by, mv, pred);
+        predict_mb(ref_, bx, by, mv, pred);
         reconstruct_inter_mb(mb, pred, qp, dst);
       }
       coded_field_.set(bx, by, mv);

@@ -49,7 +49,6 @@
 #include "util/bitstream.hpp"
 #include "util/thread_pool.hpp"
 #include "video/frame.hpp"
-#include "video/interp.hpp"
 #include "video/y4m_io.hpp"
 
 namespace acbm::codec {
@@ -237,8 +236,6 @@ class Decoder {
   video::PictureSize size_{};
   video::FrameRate rate_{};
   video::Frame ref_;
-  /// Borrows ref_.y() for predict_mb, which reads only the integer plane.
-  video::HalfpelPlanes ref_half_;
   me::MvField coded_field_;
   int version_ = 1;
   bool first_frame_ = true;

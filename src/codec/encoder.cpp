@@ -170,7 +170,7 @@ void Encoder::plan_mb(const video::Frame& src, int bx, int by,
   }
 
   out.inter.mv = est.mv;
-  predict_mb(ref_half_, *front_ref_, bx, by, est.mv, out.inter.pred);
+  predict_mb(*front_ref_, bx, by, est.mv, out.inter.pred);
   encode_inter_mb(src, bx, by, out.inter.pred, qp, out.inter.levels);
   if (!out.rd) {
     // INTER, degrading to SKIP when the zero-vector residual quantised away.

@@ -110,11 +110,12 @@ void encode_inter_mb(const video::Frame& src, int bx, int by,
   }
 }
 
-void predict_mb(const video::HalfpelPlanes& luma, const video::Frame& ref,
-                int bx, int by, me::Mv mv, MbBuffer& pred) {
+void predict_mb(const video::Frame& ref, int bx, int by, me::Mv mv,
+                MbBuffer& pred) {
   const int x = bx * kMbSize;
   const int y = by * kMbSize;
-  predict_luma(luma, x, y, mv, kMbSize, kMbSize, pred.y, kMbSize);
+  predict_luma(video::HalfpelPlanes(ref.y()), x, y, mv, kMbSize, kMbSize,
+               pred.y, kMbSize);
   const me::Mv cmv = derive_chroma_mv(mv);
   predict_chroma(ref.cb(), x / 2, y / 2, cmv, kChroma, kChroma, pred.cb,
                  kChroma);

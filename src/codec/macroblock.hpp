@@ -23,7 +23,6 @@
 #include "me/types.hpp"
 #include "util/bitstream.hpp"
 #include "video/frame.hpp"
-#include "video/interp.hpp"
 
 namespace acbm::codec {
 
@@ -81,10 +80,10 @@ void encode_inter_mb(const video::Frame& src, int bx, int by,
                      const MbBuffer& pred, int qp, MbLevels& out);
 
 /// Motion-compensated prediction of macroblock (bx, by) displaced by the
-/// half-pel luma vector `mv`: luma from `luma` (bound to ref.y()), chroma
-/// from `ref` with the derived chroma vector.
-void predict_mb(const video::HalfpelPlanes& luma, const video::Frame& ref,
-                int bx, int by, me::Mv mv, MbBuffer& pred);
+/// half-pel luma vector `mv` from `ref`: luma interpolated from ref.y(),
+/// chroma with the derived chroma vector.
+void predict_mb(const video::Frame& ref, int bx, int by, me::Mv mv,
+                MbBuffer& pred);
 
 /// Reconstructs an intra macroblock into `dst`.
 void reconstruct_intra_mb(const MbLevels& mb, int qp, const MbSamples& dst);

@@ -4,11 +4,8 @@ namespace acbm::codec {
 
 void predict_luma(const video::HalfpelPlanes& ref, int x, int y, me::Mv mv,
                   int bw, int bh, std::uint8_t* dst, int stride) {
-  // Interpolates on the fly from the integer plane (H.263 rounding —
-  // bit-identical to sampling a pre-built phase plane), so prediction never
-  // forces the lazy HalfpelPlanes to materialise. One block's worth of
-  // bilinear taps per coded macroblock replaces the whole-frame 4-plane
-  // interpolation pass the eager construction used to charge every frame.
+  // Interpolates on the fly from the integer plane (H.263 rounding): one
+  // block's worth of bilinear taps per coded macroblock, no phase plane.
   const int phase_h = mv.x & 1;
   const int phase_v = mv.y & 1;
   const video::Plane& plane = ref.integer_plane();

@@ -3,10 +3,9 @@
 // reference picture.
 //
 // Luma interpolates on the fly from the reference's integer plane (through
-// the lazy video::HalfpelPlanes handle, which it never forces to
-// materialise); chroma derives its vector by halving the luma vector with
-// the H.263 rounding rule (fractions 1/4, 1/2, 3/4 of a chroma sample all
-// round to 1/2) and interpolates the same way.
+// the borrowed video::HalfpelPlanes view); chroma derives its vector by
+// halving the luma vector with the H.263 rounding rule (fractions 1/4, 1/2,
+// 3/4 of a chroma sample all round to 1/2) and interpolates the same way.
 
 #include <cstdint>
 

@@ -65,7 +65,7 @@ EstimateResult AdaptiveDecimationSearch::estimate(const BlockContext& ctx) {
 }
 
 EstimateResult SubsampledFullSearch::estimate(const BlockContext& ctx) {
-  const video::Plane& ref_int = ctx.ref->plane(0, 0);
+  const video::Plane& ref_int = ctx.ref->integer_plane();
   Mv best{};
   std::uint32_t best_dec = ~std::uint32_t{0};
   std::uint32_t positions = 0;
@@ -108,7 +108,7 @@ EstimateResult SubsampledFullSearch::estimate(const BlockContext& ctx) {
 
 EstimateResult estimate_decimated_full_search(const BlockContext& ctx,
                                               DecimationPattern pattern) {
-  const video::Plane& ref_int = ctx.ref->plane(0, 0);
+  const video::Plane& ref_int = ctx.ref->integer_plane();
   Mv best{};
   std::uint32_t best_dec = ~std::uint32_t{0};
   std::uint32_t positions = 0;

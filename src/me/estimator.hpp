@@ -26,7 +26,7 @@ namespace acbm::me {
 /// own or mutate frame state.
 struct BlockContext {
   const video::Plane* cur = nullptr;          ///< current luma plane
-  const video::HalfpelPlanes* ref = nullptr;  ///< interpolated reference
+  const video::HalfpelPlanes* ref = nullptr;  ///< half-pel reference view
   int x = 0;                ///< block top-left, samples
   int y = 0;
   int bx = 0;               ///< macroblock index

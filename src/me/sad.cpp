@@ -23,8 +23,7 @@ std::uint32_t sad_block_halfpel(const video::Plane& cur, int cx, int cy,
   const int rx = (hx - phase_h) >> 1;
   const int ry = (hy - phase_v) >> 1;
   // Fused interpolate+SAD straight off the integer plane: no phase plane is
-  // ever touched, so the lazy HalfpelPlanes stays a plain snapshot for
-  // encodes that only match.
+  // read or built.
   const video::Plane& p = ref.integer_plane();
   const simd::SadKernels& k = simd::active_kernels();
   return k.sad_halfpel(cur.row(cy) + cx, cur.stride(), p.row(ry) + rx,
@@ -52,21 +51,6 @@ std::uint32_t intra_sad(const video::Plane& cur, int cx, int cy, int bw,
     const std::uint8_t* a = cur.row(cy + y) + cx;
     for (int x = 0; x < bw; ++x) {
       total += static_cast<std::uint32_t>(std::abs(static_cast<int>(a[x]) - mu));
-    }
-  }
-  return total;
-}
-
-std::uint64_t ssd_block(const video::Plane& cur, int cx, int cy,
-                        const video::Plane& ref, int rx, int ry, int bw,
-                        int bh) {
-  std::uint64_t total = 0;
-  for (int y = 0; y < bh; ++y) {
-    const std::uint8_t* a = cur.row(cy + y) + cx;
-    const std::uint8_t* b = ref.row(ry + y) + rx;
-    for (int x = 0; x < bw; ++x) {
-      const int d = static_cast<int>(a[x]) - static_cast<int>(b[x]);
-      total += static_cast<std::uint64_t>(d * d);
     }
   }
   return total;

@@ -6,8 +6,8 @@
 // source of truth. Since the SIMD subsystem landed, the SAD entry points are
 // thin wrappers over the runtime-dispatched kernel table in simd/dispatch.hpp
 // (scalar reference, SSE2, AVX2 — all bit-identical); the block statistics
-// (Intra_SAD, mean, SSD) stay scalar here because they run once per block,
-// not once per candidate.
+// (Intra_SAD, mean) stay scalar here because they run once per block, not
+// once per candidate.
 //
 // EARLY-EXIT CONTRACT (shared by every kernel variant): sad_block compares
 // its running total against `early_exit` after each group of
@@ -64,11 +64,5 @@ inline constexpr std::uint32_t kNoEarlyExit = 0xFFFFFFFFu;
 /// the codec's INTRA/INTER decision.
 [[nodiscard]] std::uint32_t block_mean(const video::Plane& cur, int cx, int cy,
                                        int bw, int bh);
-
-/// Sum of squared differences (used by tests as an independent check and by
-/// the codec's mode decision experiments).
-[[nodiscard]] std::uint64_t ssd_block(const video::Plane& cur, int cx, int cy,
-                                      const video::Plane& ref, int rx, int ry,
-                                      int bw, int bh);
 
 }  // namespace acbm::me

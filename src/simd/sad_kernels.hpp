@@ -66,9 +66,8 @@ using SadPatternFn = std::uint32_t (*)(const std::uint8_t* cur, int cur_stride,
 /// returns bit-identical values (including partial totals) to matching a
 /// pre-interpolated phase plane with the plain SAD kernel. A kernel reads
 /// `bw + phase_h` samples from each of `bh + phase_v` reference rows; the
-/// caller guarantees those bounds (the integer plane keeps one more border
-/// sample than the legacy phase planes carried, exactly covering the +1
-/// overread).
+/// caller guarantees those bounds (half-pel origins stay one sample inside
+/// the integer plane's border, which covers the +1 overread).
 ///
 /// Phase (0, 0) degrades to the plain SAD — callers need not special-case
 /// integer candidates.
@@ -102,8 +101,8 @@ struct SadKernels {
   /// Fused interpolate+SAD against the integer-pel reference (see
   /// SadHalfpelFn). me::sad_block_halfpel resolves half-pel coordinates to
   /// an integer origin + phase pair and calls this slot directly; no
-  /// pre-interpolated phase planes are involved, which is what lets
-  /// video::HalfpelPlanes stay lazy for encodes that only ever match.
+  /// pre-interpolated phase planes are involved, so the reference is only
+  /// ever the integer-pel plane.
   SadHalfpelFn sad_halfpel;
 
   /// Four adjacent integer candidates per call (see SadX4Fn). The full

@@ -21,46 +21,4 @@ std::uint8_t sample_halfpel(const Plane& p, int hx, int hy) {
       2);
 }
 
-void HalfpelPlanes::ensure_interpolated() const {
-  if (interp_built_.load(std::memory_order_acquire)) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(interp_mutex_);
-  if (interp_built_.load(std::memory_order_relaxed)) {
-    return;
-  }
-  const Plane& src = integer_plane();
-  const int w = src.width();
-  const int h = src.height();
-  // One sample is consumed on the +x/+y side for interpolation, so the
-  // phase planes carry one less border sample than the source.
-  const int b = src.border() > 0 ? src.border() - 1 : 0;
-  for (int phase = 0; phase < 3; ++phase) {
-    // After a reset() with unchanged geometry the previous build's planes
-    // are still here; the loop below overwrites every sample it reads, so
-    // they are reused as-is instead of being reallocated each frame.
-    if (interp_[phase].width() != w || interp_[phase].height() != h ||
-        interp_[phase].border() != b) {
-      interp_[phase] = Plane(w, h, b);
-    }
-  }
-  for (int y = -b; y < h + b; ++y) {
-    std::uint8_t* r10 = interp_[0].row(y);
-    std::uint8_t* r01 = interp_[1].row(y);
-    std::uint8_t* r11 = interp_[2].row(y);
-    const std::uint8_t* s0 = src.row(y);
-    const std::uint8_t* s1 = src.row(y + 1);
-    for (int x = -b; x < w + b; ++x) {
-      const int a = s0[x];
-      const int bb = s0[x + 1];
-      const int c = s1[x];
-      const int d = s1[x + 1];
-      r10[x] = static_cast<std::uint8_t>((a + bb + 1) >> 1);
-      r01[x] = static_cast<std::uint8_t>((a + c + 1) >> 1);
-      r11[x] = static_cast<std::uint8_t>((a + bb + c + d + 2) >> 2);
-    }
-  }
-  interp_built_.store(true, std::memory_order_release);
-}
-
 }  // namespace acbm::video

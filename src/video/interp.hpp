@@ -2,29 +2,16 @@
 // Half-pel bilinear interpolation (H.263 convention).
 //
 // Both the motion estimators (half-pel refinement) and the codec's motion
-// compensation sample reference pictures on a half-pel grid. Two access
-// styles are provided:
-//
-//  * `sample_halfpel()` — direct computation of one sample at half-pel
-//    coordinates; used where each access touches a single sub-pel phase.
-//  * `HalfpelPlanes` — a handle on a reference picture that can serve both
-//    the integer-pel plane and the classic pre-interpolated {H, V, HV}
-//    phase planes. Since the fused interpolate+SAD kernels landed
-//    (simd/sad_kernels.hpp), the hot paths — candidate matching through
-//    me::sad_block_halfpel and motion compensation through
-//    codec::predict_luma — read only the integer plane and interpolate on
-//    the fly, so construction is LAZY: building a HalfpelPlanes copies the
-//    integer plane and nothing else, and the three interpolated phase
-//    planes are materialised only on the first plane() call that asks for
-//    one (thread-safe). An encode or decode that never requests a phase
-//    plane never pays the 4-plane interpolation pass the paper's
-//    complexity accounting charges per coded frame.
+// compensation sample reference pictures on a half-pel grid, and both
+// interpolate on the fly from the integer-pel plane: candidate matching
+// through the fused interpolate+SAD kernels (me::sad_block_halfpel) and
+// prediction through codec::predict_luma. No pre-interpolated phase plane
+// is ever built. `sample_halfpel()` computes one sample directly;
+// `HalfpelPlanes` is the borrowed reference handle those paths take.
 //
 // Rounding follows H.263: (a+b+1)>>1 and (a+b+c+d+2)>>2.
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 
 #include "video/plane.hpp"
 
@@ -35,120 +22,26 @@ namespace acbm::video {
 /// may extend into the plane border (minus one sample for interpolation).
 [[nodiscard]] std::uint8_t sample_halfpel(const Plane& p, int hx, int hy);
 
-/// Half-pel view of a reference picture. plane(h, v) selects a phase, e.g.
-/// plane(1, 0) is the horizontally-half-shifted picture. The integer phase
-/// (0, 0) keeps the source's full border; the interpolated phases consume
-/// one sample on the +x/+y side and carry one less border sample — and are
-/// built lazily on first request (see the header comment).
+/// Non-owning half-pel view of a reference picture: one pointer to its
+/// integer-pel plane, whose border must be extended at least one sample
+/// deep. The viewed plane must outlive the view, and every sample a reader
+/// touches (border included) must be final before it is read — the frame
+/// pipeline binds ME onto the previous frame's reconstruction while its
+/// lower rows are still being filled, with a row-readiness counter gating
+/// the reads.
 class HalfpelPlanes {
  public:
   HalfpelPlanes() = default;
+  explicit HalfpelPlanes(const Plane& src) : plane_(&src) {}
 
-  /// Snapshots `src` (whose border must already be extended, at least one
-  /// sample deep). Cheap: only the integer plane is copied; interpolation
-  /// is deferred until a phase plane is requested.
-  explicit HalfpelPlanes(const Plane& src) : integer_(src) {}
+  /// Points the view at *src (not owned).
+  void bind(const Plane* src) { plane_ = src; }
 
-  /// Re-snapshots `src` IN PLACE: equivalent to assigning
-  /// HalfpelPlanes(src) but reusing this object's existing buffers — the
-  /// integer snapshot is copy-assigned (no reallocation when the geometry
-  /// is unchanged) and any previously materialised phase planes are kept as
-  /// storage for the next lazy build instead of being freed. The encoder
-  /// pipeline calls this once per P-frame; at HD sizes the old
-  /// construct-and-assign path freed and reallocated a full padded plane
-  /// per frame. Not safe concurrently with readers (the encoder's stage
-  /// barrier provides that exclusion).
-  void reset(const Plane& src) {
-    integer_ = src;
-    borrowed_ = nullptr;
-    interp_built_.store(false, std::memory_order_release);
-  }
-
-  /// BORROWS `src` instead of snapshotting it: integer_plane() serves *src
-  /// directly (zero copies) until the next bind()/reset(). The caller owns
-  /// the aliasing discipline — `src` must outlive the binding and every
-  /// sample a reader touches (including the replicated border) must be
-  /// final before it is read. The frame pipeline uses this to point ME at
-  /// the previous frame's reconstruction buffer while stage 3 is still
-  /// filling its lower rows, with a row-readiness counter gating the reads.
-  void bind(const Plane* src) {
-    borrowed_ = src;
-    interp_built_.store(false, std::memory_order_release);
-  }
-
-  HalfpelPlanes(const HalfpelPlanes& other) { copy_from(other); }
-  HalfpelPlanes& operator=(const HalfpelPlanes& other) {
-    if (this != &other) {
-      copy_from(other);
-    }
-    return *this;
-  }
-  HalfpelPlanes(HalfpelPlanes&& other) noexcept { move_from(other); }
-  HalfpelPlanes& operator=(HalfpelPlanes&& other) noexcept {
-    if (this != &other) {
-      move_from(other);
-    }
-    return *this;
-  }
-
-  /// The integer-pel reference (the constructor's snapshot, or the bound
-  /// plane after bind()). This is what the fused interpolate+SAD kernels
-  /// and on-the-fly motion compensation read; it never triggers
-  /// interpolation.
-  [[nodiscard]] const Plane& integer_plane() const {
-    return borrowed_ != nullptr ? *borrowed_ : integer_;
-  }
-
-  /// phase_h, phase_v in {0,1}. Requesting any interpolated phase
-  /// materialises all three on first use (safe from concurrent callers).
-  [[nodiscard]] const Plane& plane(int phase_h, int phase_v) const {
-    if (phase_h == 0 && phase_v == 0) {
-      return integer_plane();
-    }
-    ensure_interpolated();
-    return interp_[phase_v * 2 + phase_h - 1];
-  }
-
-  /// Convenience: one sample at half-pel coordinates, computed directly
-  /// from the integer plane (never triggers the lazy build).
-  [[nodiscard]] std::uint8_t at(int hx, int hy) const {
-    return sample_halfpel(integer_plane(), hx, hy);
-  }
-
-  [[nodiscard]] bool empty() const { return integer_plane().empty(); }
+  /// The viewed integer-pel plane; the view must be bound.
+  [[nodiscard]] const Plane& integer_plane() const { return *plane_; }
 
  private:
-  /// Builds the H, V and HV phase planes from integer_ on first demand.
-  /// Double-checked: the atomic flag is the fast path, the mutex
-  /// serialises the one build.
-  void ensure_interpolated() const;
-
-  void copy_from(const HalfpelPlanes& other) {
-    integer_ = other.integer_;
-    borrowed_ = other.borrowed_;
-    const bool built = other.interp_built_.load(std::memory_order_acquire);
-    for (int i = 0; i < 3; ++i) {
-      interp_[i] = built ? other.interp_[i] : Plane();
-    }
-    interp_built_.store(built, std::memory_order_release);
-  }
-  void move_from(HalfpelPlanes& other) noexcept {
-    integer_ = std::move(other.integer_);
-    borrowed_ = other.borrowed_;
-    other.borrowed_ = nullptr;
-    const bool built = other.interp_built_.load(std::memory_order_acquire);
-    for (int i = 0; i < 3; ++i) {
-      interp_[i] = built ? std::move(other.interp_[i]) : Plane();
-    }
-    interp_built_.store(built, std::memory_order_release);
-    other.interp_built_.store(false, std::memory_order_release);
-  }
-
-  Plane integer_;  ///< owned snapshot; unused while borrowed_ is set
-  const Plane* borrowed_ = nullptr;  ///< bind() target, not owned
-  mutable Plane interp_[3];  ///< H, V, HV — empty until first plane() ask
-  mutable std::atomic<bool> interp_built_{false};
-  mutable std::mutex interp_mutex_;
+  const Plane* plane_ = nullptr;
 };
 
 }  // namespace acbm::video

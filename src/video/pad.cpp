@@ -5,13 +5,6 @@
 
 namespace acbm::video {
 
-Plane with_border(const Plane& src, int border) {
-  Plane out(src.width(), src.height(), border);
-  out.copy_visible_from(src);
-  out.extend_border();
-  return out;
-}
-
 Plane crop(const Plane& src, int x0, int y0, int w, int h, int border) {
   assert(w > 0 && h > 0);
   assert(x0 >= -src.border() && x0 + w <= src.width() + src.border());

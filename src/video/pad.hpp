@@ -6,10 +6,6 @@
 
 namespace acbm::video {
 
-/// Returns a copy of `src` with a (possibly different) border size; visible
-/// samples are preserved and the new border is edge-replicated.
-Plane with_border(const Plane& src, int border);
-
 /// Crops the visible area [x0, x0+w) × [y0, y0+h) of `src` into a new plane
 /// with the requested border. The source rectangle may extend into `src`'s
 /// border region. The result's border is edge-replicated.

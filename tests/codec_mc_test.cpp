@@ -253,10 +253,9 @@ TEST(Macroblock, IntraReconstructionIsTheSameInBufferAndFrame) {
 TEST(Macroblock, InterReconstructionIsTheSameInBufferAndFrame) {
   const video::Frame src = random_frame(64, 48, 31);
   const video::Frame ref = random_frame(64, 48, 41);
-  const video::HalfpelPlanes luma(ref.y());
   for (const me::Mv mv : {me::Mv{0, 0}, me::Mv{5, -3}, me::Mv{-8, 7}}) {
     MbBuffer pred;
-    predict_mb(luma, ref, 1, 1, mv, pred);
+    predict_mb(ref, 1, 1, mv, pred);
     MbLevels mb;
     encode_inter_mb(src, 1, 1, pred, 6, mb);
     MbBuffer buffer;

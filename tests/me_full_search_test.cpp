@@ -248,13 +248,18 @@ TEST(FullSearch, MatchesBruteForceOracle) {
   // group of four and for windows clipped at the picture corners.
   KernelSelectionGuard guard;
   constexpr int kSize = 96;
-  std::vector<std::pair<std::string, SearchFixture>> fixtures;
-  fixtures.emplace_back("random",
-                        SearchFixture(test::random_plane(kSize, kSize, 71),
-                                      test::random_plane(kSize, kSize, 72)));
-  fixtures.emplace_back("periodic",
-                        SearchFixture(periodic_plane(kSize, kSize, 0, 0, 73),
-                                      periodic_plane(kSize, kSize, 1, 2, 73)));
+  struct NamedFixture {
+    std::string name;
+    SearchFixture fx;
+  };
+  const NamedFixture fixtures[] = {
+      {"random",
+       {test::random_plane(kSize, kSize, 71),
+        test::random_plane(kSize, kSize, 72)}},
+      {"periodic",
+       {periodic_plane(kSize, kSize, 0, 0, 73),
+        periodic_plane(kSize, kSize, 1, 2, 73)}},
+  };
   const MotionCost costs[] = {MotionCost(0.0),
                               MotionCost::for_qp(16, Mv{6, -4})};
   struct Case {

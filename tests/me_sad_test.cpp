@@ -1,4 +1,4 @@
-// SAD kernels, Intra_SAD, block mean, SSD — against naive references.
+// SAD kernels, Intra_SAD and block mean — against naive references.
 
 #include "me/sad.hpp"
 
@@ -144,19 +144,6 @@ TEST(IntraSad, TranslationInvariant) {
   const video::Plane big = acbm::test::random_plane(64, 64, 15);
   const video::Plane moved = video::crop(big, 8, 8, 32, 32);
   EXPECT_EQ(intra_sad(big, 8, 8, 16, 16), intra_sad(moved, 0, 0, 16, 16));
-}
-
-TEST(Ssd, MatchesNaive) {
-  const video::Plane a = acbm::test::random_plane(32, 32, 16);
-  const video::Plane b = acbm::test::random_plane(32, 32, 17);
-  std::uint64_t naive = 0;
-  for (int y = 0; y < 8; ++y) {
-    for (int x = 0; x < 8; ++x) {
-      const int d = int(a.at(4 + x, 4 + y)) - int(b.at(6 + x, 3 + y));
-      naive += static_cast<std::uint64_t>(d * d);
-    }
-  }
-  EXPECT_EQ(ssd_block(a, 4, 4, b, 6, 3, 8, 8), naive);
 }
 
 }  // namespace

@@ -296,7 +296,9 @@ TEST(SimdSadParity, FusedHalfpelMatchesPreinterpolatedPlanes) {
   }
   const video::Plane cur = test::random_plane(96, 96, 303);
   const video::Plane ref = test::random_plane(96, 96, 404);
-  const video::HalfpelPlanes hp(ref);
+  const video::Plane phases[4] = {
+      test::phase_plane(ref, 0, 0), test::phase_plane(ref, 1, 0),
+      test::phase_plane(ref, 0, 1), test::phase_plane(ref, 1, 1)};
 
   struct Dim {
     int bw, bh;
@@ -313,7 +315,7 @@ TEST(SimdSadParity, FusedHalfpelMatchesPreinterpolatedPlanes) {
       for (int phase_v = 0; phase_v <= 1; ++phase_v) {
         for (int phase_h = 0; phase_h <= 1; ++phase_h) {
           // Ground truth: plain SAD against the materialised phase plane.
-          const video::Plane& phase = hp.plane(phase_h, phase_v);
+          const video::Plane& phase = phases[phase_v * 2 + phase_h];
           const std::uint32_t exact = scalar.sad(
               cur.row(cy) + cx, cur.stride(), phase.row(ry) + rx,
               phase.stride(), d.bw, d.bh, me::kNoEarlyExit);
@@ -325,9 +327,8 @@ TEST(SimdSadParity, FusedHalfpelMatchesPreinterpolatedPlanes) {
                   cur.row(cy) + cx, cur.stride(), phase.row(ry) + rx,
                   phase.stride(), d.bw, d.bh, bound);
               EXPECT_EQ(t->sad_halfpel(cur.row(cy) + cx, cur.stride(),
-                                       hp.integer_plane().row(ry) + rx,
-                                       hp.integer_plane().stride(), phase_h,
-                                       phase_v, d.bw, d.bh, bound),
+                                       ref.row(ry) + rx, ref.stride(),
+                                       phase_h, phase_v, d.bw, d.bh, bound),
                         want)
                   << t->name << " " << d.bw << "x" << d.bh << " phase=("
                   << phase_h << "," << phase_v << ") bound=" << bound

@@ -71,7 +71,28 @@ inline std::pair<video::Plane, video::Plane> smooth_shifted_pair(
   return {std::move(ref), std::move(cur)};
 }
 
+/// The (phase_h, phase_v) phase plane of `src`, sampled one position at a
+/// time with video::sample_halfpel: an independent oracle for the fused
+/// interpolate+SAD kernels and on-the-fly motion compensation. Interpolation
+/// consumes one sample on the +x/+y side, so the result carries one less
+/// border sample than `src`.
+inline video::Plane phase_plane(const video::Plane& src, int phase_h,
+                                int phase_v) {
+  const int b = src.border() - 1;
+  video::Plane out(src.width(), src.height(), b);
+  for (int y = -b; y < src.height() + b; ++y) {
+    for (int x = -b; x < src.width() + b; ++x) {
+      out.set(x, y, video::sample_halfpel(src, 2 * x + phase_h,
+                                          2 * y + phase_v));
+    }
+  }
+  return out;
+}
+
 /// Standard BlockContext for a block at (x, y) with a ±p window.
+///
+/// `ref_half` views this fixture's own `ref`, so the fixture can be neither
+/// copied nor moved: a copy would leave its view on the original's plane.
 struct SearchFixture {
   video::Plane ref;
   video::Plane cur;
@@ -79,6 +100,8 @@ struct SearchFixture {
 
   SearchFixture(video::Plane r, video::Plane c)
       : ref(std::move(r)), cur(std::move(c)), ref_half(ref) {}
+  SearchFixture(const SearchFixture&) = delete;
+  SearchFixture& operator=(const SearchFixture&) = delete;
 
   [[nodiscard]] me::BlockContext context(int x, int y, int range = 15) const {
     me::BlockContext ctx;

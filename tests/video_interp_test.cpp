@@ -1,4 +1,5 @@
-// Half-pel interpolation: H.263 rounding, phase-plane consistency, borders.
+// Half-pel interpolation: H.263 rounding, phase consistency, borders, and
+// the borrowed HalfpelPlanes view.
 
 #include "video/interp.hpp"
 
@@ -55,14 +56,13 @@ TEST(SampleHalfpel, NegativeHalfpelCoordinates) {
   EXPECT_EQ(sample_halfpel(p, -2, 0), 100);  // pure border sample
 }
 
-TEST(HalfpelPlanes, Phase00MatchesSource) {
+TEST(HalfpelPlanes, ViewsTheBoundPlaneWithoutCopying) {
   const Plane src = acbm::test::random_plane(32, 24, 2);
-  const HalfpelPlanes hp(src);
-  for (int y = 0; y < 24; ++y) {
-    for (int x = 0; x < 32; ++x) {
-      ASSERT_EQ(hp.plane(0, 0).at(x, y), src.at(x, y));
-    }
-  }
+  const Plane other = acbm::test::random_plane(16, 16, 6);
+  HalfpelPlanes hp(src);
+  EXPECT_EQ(&hp.integer_plane(), &src);
+  hp.bind(&other);
+  EXPECT_EQ(&hp.integer_plane(), &other);
 }
 
 TEST(HalfpelPlanes, AllPhasesMatchDirectComputation) {
@@ -70,49 +70,25 @@ TEST(HalfpelPlanes, AllPhasesMatchDirectComputation) {
   const HalfpelPlanes hp(src);
   for (int hy = -10; hy < 58; ++hy) {
     for (int hx = -10; hx < 74; ++hx) {
-      ASSERT_EQ(hp.at(hx, hy), sample_halfpel(src, hx, hy))
+      const int x = hx >> 1;
+      const int y = hy >> 1;
+      const int x1 = x + (hx & 1);
+      const int y1 = y + (hy & 1);
+      const int want =
+          (src.at(x, y) + src.at(x1, y) + src.at(x, y1) + src.at(x1, y1) + 2) >>
+          2;
+      ASSERT_EQ(sample_halfpel(hp.integer_plane(), hx, hy), want)
           << "at (" << hx << "," << hy << ")";
     }
   }
-}
-
-TEST(HalfpelPlanes, InterpolatedBorderShrinksByOne) {
-  const Plane src = acbm::test::random_plane(16, 16, 4);
-  const HalfpelPlanes hp(src);
-  // The integer phase is the source snapshot (full border); interpolation
-  // consumes one sample on the +x/+y side.
-  EXPECT_EQ(hp.plane(0, 0).border(), src.border());
-  EXPECT_EQ(hp.plane(1, 0).border(), src.border() - 1);
-  EXPECT_EQ(hp.plane(0, 1).border(), src.border() - 1);
-  EXPECT_EQ(hp.plane(1, 1).border(), src.border() - 1);
-}
-
-TEST(HalfpelPlanes, LazyConstructionDefersInterpolation) {
-  const Plane src = acbm::test::random_plane(16, 16, 5);
-  const HalfpelPlanes hp(src);
-  // integer_plane() and at() never trigger the build; copies made before
-  // the first phase request stay lazy and still interpolate correctly.
-  EXPECT_TRUE(hp.integer_plane().visible_equals(src));
-  EXPECT_EQ(hp.at(9, 7), sample_halfpel(src, 9, 7));
-  const HalfpelPlanes copy = hp;
-  EXPECT_EQ(copy.plane(1, 1).at(3, 3), sample_halfpel(src, 7, 7));
-  // A copy taken AFTER materialisation carries the built planes.
-  const HalfpelPlanes built_copy = copy;
-  EXPECT_EQ(built_copy.plane(1, 0).at(3, 3), sample_halfpel(src, 7, 6));
-}
-
-TEST(HalfpelPlanes, DefaultConstructedIsEmpty) {
-  const HalfpelPlanes hp;
-  EXPECT_TRUE(hp.empty());
 }
 
 TEST(HalfpelPlanes, ConstantPlaneStaysConstant) {
   Plane src(16, 16);
   src.fill(77);
   src.extend_border();
-  const HalfpelPlanes hp(src);
   for (int phase = 0; phase < 4; ++phase) {
-    const Plane& p = hp.plane(phase & 1, phase >> 1);
+    const Plane p = acbm::test::phase_plane(src, phase & 1, phase >> 1);
     for (int y = -4; y < 20; ++y) {
       for (int x = -4; x < 20; ++x) {
         ASSERT_EQ(p.at(x, y), 77);
@@ -130,9 +106,9 @@ TEST(HalfpelPlanes, HalfShiftedContentInterpolatesExactly) {
     }
   }
   src.extend_border();
-  const HalfpelPlanes hp(src);
+  const Plane h = acbm::test::phase_plane(src, 1, 0);
   for (int x = 0; x < 15; ++x) {
-    EXPECT_EQ(hp.plane(1, 0).at(x, 5), 10 * x + 5);
+    EXPECT_EQ(h.at(x, 5), 10 * x + 5);
   }
 }
 

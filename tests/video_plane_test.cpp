@@ -74,14 +74,6 @@ TEST(Plane, FillTouchesOnlyVisibleArea) {
   EXPECT_EQ(p.at(-1, 0), 0);  // border untouched by fill
 }
 
-TEST(Plane, CopyVisibleFrom) {
-  Plane a(6, 6);
-  a.fill(7);
-  Plane b(6, 6);
-  b.copy_visible_from(a);
-  EXPECT_TRUE(b.visible_equals(a));
-}
-
 TEST(Plane, VisibleEqualsDetectsDifference) {
   Plane a(6, 6);
   Plane b(6, 6);
@@ -100,16 +92,6 @@ TEST(Plane, AbsoluteDifference) {
   EXPECT_EQ(a.absolute_difference(b), 16u * 3u);
   b.set(0, 0, 0);  // |10−0| − |10−13| = +7 relative to the uniform case
   EXPECT_EQ(a.absolute_difference(b), 16u * 3u - 3u + 10u);
-}
-
-TEST(Pad, WithBorderPreservesVisible) {
-  const Plane src = acbm::test::random_plane(16, 16, 1);
-  const Plane out = with_border(src, 4);
-  EXPECT_EQ(out.border(), 4);
-  EXPECT_TRUE(out.visible_equals(src));
-  // New border replicated from edges.
-  EXPECT_EQ(out.at(-4, 0), src.at(0, 0));
-  EXPECT_EQ(out.at(19, 15), src.at(15, 15));
 }
 
 TEST(Pad, CropExtractsRectangle) {
