@@ -35,6 +35,9 @@
 #include "util/rng.hpp"
 #include "video/interp.hpp"
 
+// test::phase_plane, the one pre-interpolated phase-plane builder.
+#include "../tests/test_support.hpp"
+
 namespace {
 
 using namespace acbm;
@@ -129,14 +132,9 @@ void sad_halfpel_preinterp_variant(benchmark::State& state,
                                    const simd::SadKernels* k) {
   const video::Plane cur = bench_plane(176, 144, 21);
   const video::Plane ref = bench_plane(176, 144, 22);
-  // HV, the expensive phase, over the visible area the loop reads; one
-  // less border sample than `ref`, the layout the baseline rows timed.
-  video::Plane phase(ref.width(), ref.height(), ref.border() - 1);
-  for (int y = 0; y < ref.height(); ++y) {
-    for (int x = 0; x < ref.width(); ++x) {
-      phase.set(x, y, video::sample_halfpel(ref, 2 * x + 1, 2 * y + 1));
-    }
-  }
+  // HV, the expensive phase; one less border sample than `ref`, the
+  // layout the baseline rows timed.
+  const video::Plane phase = test::phase_plane(ref, 1, 1);
   int offset = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(

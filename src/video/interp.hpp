@@ -11,6 +11,7 @@
 //
 // Rounding follows H.263: (a+b+1)>>1 and (a+b+c+d+2)>>2.
 
+#include <cassert>
 #include <cstdint>
 
 #include "video/plane.hpp"
@@ -33,12 +34,16 @@ class HalfpelPlanes {
  public:
   HalfpelPlanes() = default;
   explicit HalfpelPlanes(const Plane& src) : plane_(&src) {}
+  HalfpelPlanes(const Plane&&) = delete;  // would view a dead temporary
 
   /// Points the view at *src (not owned).
   void bind(const Plane* src) { plane_ = src; }
 
   /// The viewed integer-pel plane; the view must be bound.
-  [[nodiscard]] const Plane& integer_plane() const { return *plane_; }
+  [[nodiscard]] const Plane& integer_plane() const {
+    assert(plane_ != nullptr);
+    return *plane_;
+  }
 
  private:
   const Plane* plane_ = nullptr;

@@ -74,6 +74,14 @@ TEST(Plane, FillTouchesOnlyVisibleArea) {
   EXPECT_EQ(p.at(-1, 0), 0);  // border untouched by fill
 }
 
+TEST(Plane, CopyVisibleFrom) {
+  Plane a(6, 6);
+  a.fill(7);
+  Plane b(6, 6);
+  b.copy_visible_from(a);
+  EXPECT_TRUE(b.visible_equals(a));
+}
+
 TEST(Plane, VisibleEqualsDetectsDifference) {
   Plane a(6, 6);
   Plane b(6, 6);
