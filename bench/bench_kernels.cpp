@@ -66,7 +66,7 @@ void sad_kernel_variant(benchmark::State& state, const simd::SadKernels* k) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         k->sad(a.row(32) + 32, a.stride(), b.row(32) + 32 + (offset & 7),
-               b.stride(), 16, 16, me::kNoEarlyExit));
+               b.stride(), 16, 16));
     ++offset;
   }
   state.SetItemsProcessed(state.iterations());
@@ -90,24 +90,6 @@ void sad_kernel_x4_variant(benchmark::State& state,
   }
   state.SetItemsProcessed(4 * state.iterations());
   state.SetBytesProcessed(4 * state.iterations() * 256);
-}
-
-/// A best case, not a search's cost: on independent random planes every
-/// row differs by about 85 per sample, so the bound of 500 trips at the
-/// first kEarlyExitRowQuantum-row checkpoint and the call reads 4 of 16
-/// rows. A full search's candidates near the running best run much deeper
-/// into the block, so this row's ratio to BM_SadKernel16x16 overstates what
-/// an early-exit bound saves in FSBM.
-void sad_kernel_early_exit_variant(benchmark::State& state,
-                                   const simd::SadKernels* k) {
-  const video::Plane a = bench_plane(176, 144, 3);
-  const video::Plane b = bench_plane(176, 144, 4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(k->sad(a.row(32) + 32, a.stride(),
-                                    b.row(34) + 36, b.stride(), 16, 16,
-                                    /*early_exit=*/500));
-  }
-  state.SetItemsProcessed(state.iterations());
 }
 
 void sad_kernel_quincunx_variant(benchmark::State& state,
@@ -139,8 +121,7 @@ void sad_halfpel_preinterp_variant(benchmark::State& state,
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         k->sad(cur.row(32) + 32, cur.stride(),
-               phase.row(30) + 30 + (offset & 7), phase.stride(), 16, 16,
-               me::kNoEarlyExit));
+               phase.row(30) + 30 + (offset & 7), phase.stride(), 16, 16));
     ++offset;
   }
   state.SetItemsProcessed(state.iterations());
@@ -236,9 +217,6 @@ void register_kernel_variant_benchmarks() {
     benchmark::RegisterBenchmark(("BM_SadKernelX4/" + suffix).c_str(),
                                  sad_kernel_x4_variant, k);
     benchmark::RegisterBenchmark(
-        ("BM_SadKernelEarlyExit/" + suffix).c_str(),
-        sad_kernel_early_exit_variant, k);
-    benchmark::RegisterBenchmark(
         ("BM_SadKernelQuincunx/" + suffix).c_str(),
         sad_kernel_quincunx_variant, k);
     benchmark::RegisterBenchmark(("BM_SadHalfpel/" + suffix).c_str(),
@@ -269,17 +247,6 @@ void BM_Sad16x16(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_Sad16x16);
-
-void BM_Sad16x16EarlyExit(benchmark::State& state) {
-  const video::Plane a = bench_plane(176, 144, 3);
-  const video::Plane b = bench_plane(176, 144, 4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(me::sad_block(a, 32, 32, b, 36, 34, 16, 16,
-                                           /*early_exit=*/500));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_Sad16x16EarlyExit);
 
 void BM_SadDecimatedQuincunx(benchmark::State& state) {
   const video::Plane a = bench_plane(176, 144, 5);

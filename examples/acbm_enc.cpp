@@ -5,10 +5,10 @@
 // ACV1/ACV2 bitstream with the selected motion-estimation spec, either at a
 // fixed quantiser or rate-controlled to a target bitrate.
 //
-// Examples:
+// Examples (a further-indented line continues the command above it):
 //   ./acbm_enc --synthetic foreman --frames 60 --qp 14 --out foreman.acv
 //   ./acbm_enc --input clip.y4m --estimator FSBM --kbps 64 --out clip.acv
-//   ./acbm_enc --synthetic foreman --estimator "ACBM:alpha=500,beta=8" \
+//   ./acbm_enc --synthetic foreman --estimator "ACBM:alpha=500,beta=8"
 //              --config "slices=4,threads=0" --out clip.acv
 //   ./acbm_enc --input clip.yuv --width 176 --height 144 --fps 30
 //              --out clip.acv

@@ -8,16 +8,15 @@ namespace acbm::me {
 
 std::uint32_t sad_block(const video::Plane& cur, int cx, int cy,
                         const video::Plane& ref, int rx, int ry, int bw,
-                        int bh, std::uint32_t early_exit) {
+                        int bh) {
   const simd::SadKernels& k = simd::active_kernels();
   return k.sad(cur.row(cy) + cx, cur.stride(), ref.row(ry) + rx, ref.stride(),
-               bw, bh, early_exit);
+               bw, bh);
 }
 
 std::uint32_t sad_block_halfpel(const video::Plane& cur, int cx, int cy,
                                 const video::HalfpelPlanes& ref, int hx,
-                                int hy, int bw, int bh,
-                                std::uint32_t early_exit) {
+                                int hy, int bw, int bh) {
   const int phase_h = hx & 1;
   const int phase_v = hy & 1;
   const int rx = (hx - phase_h) >> 1;
@@ -27,7 +26,7 @@ std::uint32_t sad_block_halfpel(const video::Plane& cur, int cx, int cy,
   const video::Plane& p = ref.integer_plane();
   const simd::SadKernels& k = simd::active_kernels();
   return k.sad_halfpel(cur.row(cy) + cx, cur.stride(), p.row(ry) + rx,
-                       p.stride(), phase_h, phase_v, bw, bh, early_exit);
+                       p.stride(), phase_h, phase_v, bw, bh);
 }
 
 std::uint32_t block_mean(const video::Plane& cur, int cx, int cy, int bw,

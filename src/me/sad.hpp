@@ -9,15 +9,9 @@
 // (Intra_SAD, mean) stay scalar here because they run once per block, not
 // once per candidate.
 //
-// EARLY-EXIT CONTRACT (shared by every kernel variant): sad_block compares
-// its running total against `early_exit` after each group of
-// simd::kEarlyExitRowQuantum (= 4) rows — not after every row — and after
-// the final, possibly shorter, group. On exceeding the bound it returns the
-// exact partial SAD accumulated so far, which is > early_exit (safe for
-// min-tracking loops) and ≤ the true block SAD. Hoisting the check to
-// row-group granularity is what allows vector kernels to batch multiple
-// rows per instruction while returning bit-identical values to the scalar
-// reference, checkpoint for checkpoint.
+// Every entry point returns the exact SAD of the whole block: Table 1
+// counts each evaluated position as one full SAD, and ACBM's SAD_deviation
+// (Σ SAD − N·SAD_min) needs the true value of every candidate.
 
 #include <cstdint>
 
@@ -26,20 +20,13 @@
 
 namespace acbm::me {
 
-/// Sentinel meaning "no early-exit bound".
-inline constexpr std::uint32_t kNoEarlyExit = 0xFFFFFFFFu;
-
 /// @brief SAD between the `bw`×`bh` block of `cur` at (cx, cy) and the block
 /// of `ref` at (rx, ry). Reference coordinates may reach into the border.
 ///
-/// Routes through the active simd::SadKernels table. If the running sum
-/// exceeds `early_exit` at a row-group checkpoint (see the contract above)
-/// the function returns a partial value > early_exit without finishing the
-/// block.
+/// Routes through the active simd::SadKernels table.
 [[nodiscard]] std::uint32_t sad_block(const video::Plane& cur, int cx, int cy,
                                       const video::Plane& ref, int rx, int ry,
-                                      int bw, int bh,
-                                      std::uint32_t early_exit = kNoEarlyExit);
+                                      int bw, int bh);
 
 /// @brief SAD against a half-pel reference position. (hx, hy) is the
 /// half-pel coordinate of the reference block origin: hx = 2·rx + phase.
@@ -47,13 +34,11 @@ inline constexpr std::uint32_t kNoEarlyExit = 0xFFFFFFFFu;
 /// Resolves the coordinate to an integer-plane origin plus phase pair and
 /// routes through the active kernel table's FUSED interpolate+SAD slot —
 /// reference samples are synthesised on the fly (H.263 rounding), no
-/// pre-interpolated phase plane is read or built. Same early-exit contract
-/// (and bit-identical values) as matching a pre-interpolated plane with
-/// sad_block.
+/// pre-interpolated phase plane is read or built. Bit-identical to matching
+/// a pre-interpolated plane with sad_block.
 [[nodiscard]] std::uint32_t sad_block_halfpel(
     const video::Plane& cur, int cx, int cy, const video::HalfpelPlanes& ref,
-    int hx, int hy, int bw, int bh,
-    std::uint32_t early_exit = kNoEarlyExit);
+    int hx, int hy, int bw, int bh);
 
 /// The paper's Intra_SAD: Σ |p(i,j) − µ| over the block, with µ the block
 /// mean (rounded to nearest). High values identify textured blocks.

@@ -8,7 +8,9 @@
 // (see dispatch.hpp), and every variant of the table computes *bit-identical
 // results* — the scalar implementation is the ground truth, and
 // tests/simd_sad_test.cpp holds the SSE2/AVX2 variants to exact equality
-// over randomized blocks, offsets and thresholds.
+// over randomized and saturated blocks and offsets. Every kernel returns the
+// exact sum over its block: the paper's complexity count and ACBM's
+// SAD_deviation statistic both need the full SAD of each candidate.
 //
 // Kernels operate on raw row pointers + strides rather than video::Plane so
 // the ISA translation units depend on nothing but this header. Callers are
@@ -21,39 +23,19 @@
 
 namespace acbm::simd {
 
-/// @brief Early-exit check granularity, in rows, shared by every variant.
-///
-/// The full-block SAD kernel compares its running total against the caller's
-/// bound after each group of `kEarlyExitRowQuantum` rows (and after the
-/// final, possibly shorter, group) — not after every row. Hoisting the check
-/// to row-group granularity is what lets a 256-bit kernel process two
-/// 16-sample rows per instruction while still returning *exactly* the same
-/// value as the scalar reference: all variants accumulate the same groups in
-/// the same order, so the partial total at every checkpoint is identical.
-inline constexpr int kEarlyExitRowQuantum = 4;
-
-/// @brief Full-block SAD with an early-exit bound.
+/// @brief Full-block SAD; also the signature of the decimated slots, which
+/// sum only their pattern's sampled positions.
 ///
 /// @param cur        first sample of the current block's top row
 /// @param cur_stride distance in samples between vertically adjacent rows
 /// @param ref        first sample of the reference block's top row
 /// @param ref_stride reference row stride in samples
 /// @param bw,bh      block width/height in samples (any positive values)
-/// @param early_exit if the running total exceeds this after any
-///                   kEarlyExitRowQuantum-row group, the kernel returns that
-///                   partial total (> early_exit) without finishing the
-///                   block. Pass 0xFFFFFFFF for "no bound".
-/// @return the exact SAD over all rows processed; every ISA variant returns
-///         the same value for the same inputs (including partial totals).
+/// @return the exact SAD over the whole block; every ISA variant returns
+///         the same value for the same inputs.
 using SadFn = std::uint32_t (*)(const std::uint8_t* cur, int cur_stride,
                                 const std::uint8_t* ref, int ref_stride,
-                                int bw, int bh, std::uint32_t early_exit);
-
-/// @brief Decimated SAD (no early exit — decimation already bounds the work).
-/// Same pointer/stride conventions as SadFn.
-using SadPatternFn = std::uint32_t (*)(const std::uint8_t* cur, int cur_stride,
-                                       const std::uint8_t* ref, int ref_stride,
-                                       int bw, int bh);
+                                int bw, int bh);
 
 /// @brief Fused half-pel interpolate + SAD.
 ///
@@ -61,30 +43,29 @@ using SadPatternFn = std::uint32_t (*)(const std::uint8_t* cur, int cur_stride,
 /// the half-pel block origin; (phase_h, phase_v) ∈ {0,1}² select the H.263
 /// bilinear phase. The kernel synthesises each interpolated reference
 /// sample on the fly — (a+b+1)>>1 for the H/V phases, (a+b+c+d+2)>>2 for
-/// HV — and accumulates |cur − interp| under the same
-/// kEarlyExitRowQuantum-row early-exit contract as SadFn, so every variant
-/// returns bit-identical values (including partial totals) to matching a
-/// pre-interpolated phase plane with the plain SAD kernel. A kernel reads
-/// `bw + phase_h` samples from each of `bh + phase_v` reference rows; the
-/// caller guarantees those bounds (half-pel origins stay one sample inside
-/// the integer plane's border, which covers the +1 overread).
+/// HV — and returns the exact sum of |cur − interp| over the block, so every
+/// variant returns bit-identical values to matching a pre-interpolated phase
+/// plane with the plain SAD kernel. A kernel reads `bw + phase_h` samples
+/// from each of `bh + phase_v` reference rows; the caller guarantees those
+/// bounds (half-pel origins stay one sample inside the integer plane's
+/// border, which covers the +1 overread).
 ///
 /// Phase (0, 0) degrades to the plain SAD — callers need not special-case
 /// integer candidates.
 using SadHalfpelFn = std::uint32_t (*)(const std::uint8_t* cur, int cur_stride,
                                        const std::uint8_t* ref, int ref_stride,
-                                       int phase_h, int phase_v, int bw, int bh,
-                                       std::uint32_t early_exit);
+                                       int phase_h, int phase_v, int bw,
+                                       int bh);
 
-/// @brief Four-candidate full-block SAD (no early exit).
+/// @brief Four-candidate full-block SAD.
 ///
 /// Writes to `out[k]` the exact SAD of the `bw`×`bh` block at `cur` against
 /// the reference block at `ref + k`, for k = 0..3 — four horizontally
 /// adjacent integer candidates scored in one call, each current row loaded
-/// once for all four. Every out[k] equals SadFn(cur, ..., ref + k, ...,
-/// 0xFFFFFFFF) in every variant. The kernel reads exactly `bw + 3` samples
-/// from each of `bh` reference rows (and `bw` from each current row); the
-/// caller guarantees those bounds. Same pointer/stride conventions as SadFn.
+/// once for all four. Every out[k] equals SadFn(cur, ..., ref + k, ...) in
+/// every variant. The kernel reads exactly `bw + 3` samples from each of
+/// `bh` reference rows (and `bw` from each current row); the caller
+/// guarantees those bounds. Same pointer/stride conventions as SadFn.
 using SadX4Fn = void (*)(const std::uint8_t* cur, int cur_stride,
                          const std::uint8_t* ref, int ref_stride, int bw,
                          int bh, std::uint32_t out[4]);
@@ -95,7 +76,7 @@ using SadX4Fn = void (*)(const std::uint8_t* cur, int cur_stride,
 /// CMake feature probe enables them) and selected at runtime by
 /// simd::dispatch. All function pointers are always non-null.
 struct SadKernels {
-  /// Full-block SAD with the row-group early-exit contract above.
+  /// Full-block SAD (see SadFn).
   SadFn sad;
 
   /// Fused interpolate+SAD against the integer-pel reference (see
@@ -114,11 +95,11 @@ struct SadKernels {
   /// sampled, and within a sampled row every other column, with the column
   /// phase alternating between sampled rows: row y contributes columns
   /// x ≡ (y>>1)&1 (mod 2), y even. Matches me::DecimationPattern::kQuincunx4to1.
-  SadPatternFn sad_quincunx;
+  SadFn sad_quincunx;
 
   /// Row-skip 2:1 decimation (Chan & Siu): full rows, every other row
   /// (y = 0, 2, 4, ...). Matches me::DecimationPattern::kRowSkip2to1.
-  SadPatternFn sad_rowskip;
+  SadFn sad_rowskip;
 
   /// Stable lowercase identifier: "scalar", "sse2", "avx2". Used by the
   /// --kernel CLI flag and bench output.

@@ -9,7 +9,7 @@
 
 #include "simd/sad_kernels.hpp"
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdlib>
 
 namespace acbm::simd {
@@ -26,18 +26,11 @@ std::uint32_t row_sad(const std::uint8_t* a, const std::uint8_t* b, int bw) {
 
 std::uint32_t sad_scalar(const std::uint8_t* cur, int cur_stride,
                          const std::uint8_t* ref, int ref_stride, int bw,
-                         int bh, std::uint32_t early_exit) {
+                         int bh) {
   std::uint32_t total = 0;
-  int y = 0;
-  while (y < bh) {
-    const int group_end = std::min(y + kEarlyExitRowQuantum, bh);
-    for (; y < group_end; ++y) {
-      total += row_sad(cur + static_cast<std::ptrdiff_t>(y) * cur_stride,
-                       ref + static_cast<std::ptrdiff_t>(y) * ref_stride, bw);
-    }
-    if (total > early_exit) {
-      return total;
-    }
+  for (int y = 0; y < bh; ++y) {
+    total += row_sad(cur + static_cast<std::ptrdiff_t>(y) * cur_stride,
+                     ref + static_cast<std::ptrdiff_t>(y) * ref_stride, bw);
   }
   return total;
 }
@@ -88,25 +81,16 @@ std::uint32_t row_sad_interp(const std::uint8_t* c, const std::uint8_t* r0,
 
 std::uint32_t sad_halfpel_scalar(const std::uint8_t* cur, int cur_stride,
                                  const std::uint8_t* ref, int ref_stride,
-                                 int phase_h, int phase_v, int bw, int bh,
-                                 std::uint32_t early_exit) {
+                                 int phase_h, int phase_v, int bw, int bh) {
   if (phase_h == 0 && phase_v == 0) {
-    return sad_scalar(cur, cur_stride, ref, ref_stride, bw, bh, early_exit);
+    return sad_scalar(cur, cur_stride, ref, ref_stride, bw, bh);
   }
   std::uint32_t total = 0;
-  int y = 0;
-  while (y < bh) {
-    const int group_end = std::min(y + kEarlyExitRowQuantum, bh);
-    for (; y < group_end; ++y) {
-      const std::uint8_t* c = cur + static_cast<std::ptrdiff_t>(y) * cur_stride;
-      const std::uint8_t* r0 =
-          ref + static_cast<std::ptrdiff_t>(y) * ref_stride;
-      total += row_sad_interp(c, r0, phase_v != 0 ? r0 + ref_stride : r0,
-                              phase_h, bw);
-    }
-    if (total > early_exit) {
-      return total;
-    }
+  for (int y = 0; y < bh; ++y) {
+    const std::uint8_t* c = cur + static_cast<std::ptrdiff_t>(y) * cur_stride;
+    const std::uint8_t* r0 = ref + static_cast<std::ptrdiff_t>(y) * ref_stride;
+    total += row_sad_interp(c, r0, phase_v != 0 ? r0 + ref_stride : r0,
+                            phase_h, bw);
   }
   return total;
 }

@@ -1,11 +1,12 @@
 // SSE2 variant of the SAD kernel table.
 //
 // One 128-bit PSADBW per 16 samples; rows shorter than a full vector fall
-// back to an 8-byte PSADBW and a scalar tail, so any (bw, bh) is handled and
-// the result is bit-identical to the scalar reference. Compiled with -msse2
-// when the CMake feature probe accepts the flag; compiles to a nullptr
-// accessor otherwise (or under -DACBM_DISABLE_SIMD=ON), so dispatch.cpp can
-// link against this TU unconditionally.
+// back to an 8-byte PSADBW and a scalar tail (the shared row helpers in
+// sad_rows.hpp), so any (bw, bh) is handled and the result is bit-identical
+// to the scalar reference. Compiled with -msse2 when the CMake feature probe
+// accepts the flag; compiles to a nullptr accessor otherwise (or under
+// -DACBM_DISABLE_SIMD=ON), so dispatch.cpp can link against this TU
+// unconditionally.
 
 #include "simd/sad_kernels.hpp"
 
@@ -14,67 +15,20 @@
 
 #include <emmintrin.h>
 
-#include <algorithm>
-#include <cstdlib>
+#include <cstddef>
 
-#include "simd/sad_halfpel_rows.hpp"
+#include "simd/sad_rows.hpp"
 
 namespace acbm::simd {
 namespace {
 
-/// Sums the two 64-bit PSADBW accumulator lanes (each < 2^32 for any
-/// realistic block, so 32-bit extraction is safe).
-inline std::uint32_t hsum_sad128(__m128i v) {
-  const __m128i hi = _mm_srli_si128(v, 8);
-  const __m128i s = _mm_add_epi32(v, hi);
-  return static_cast<std::uint32_t>(_mm_cvtsi128_si32(s));
-}
-
-inline std::uint32_t row_sad_sse2(const std::uint8_t* a, const std::uint8_t* b,
-                                  int bw) {
-  std::uint32_t sum = 0;
-  int x = 0;
-  if (bw >= 16) {
-    __m128i acc = _mm_setzero_si128();
-    for (; x + 16 <= bw; x += 16) {
-      const __m128i va =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + x));
-      const __m128i vb =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + x));
-      acc = _mm_add_epi64(acc, _mm_sad_epu8(va, vb));
-    }
-    sum = hsum_sad128(acc);
-  }
-  if (x + 8 <= bw) {
-    const __m128i va =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a + x));
-    const __m128i vb =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b + x));
-    sum += static_cast<std::uint32_t>(_mm_cvtsi128_si32(_mm_sad_epu8(va, vb)));
-    x += 8;
-  }
-  for (; x < bw; ++x) {
-    sum += static_cast<std::uint32_t>(
-        std::abs(static_cast<int>(a[x]) - static_cast<int>(b[x])));
-  }
-  return sum;
-}
-
 std::uint32_t sad_sse2(const std::uint8_t* cur, int cur_stride,
-                       const std::uint8_t* ref, int ref_stride, int bw, int bh,
-                       std::uint32_t early_exit) {
+                       const std::uint8_t* ref, int ref_stride, int bw,
+                       int bh) {
   std::uint32_t total = 0;
-  int y = 0;
-  while (y < bh) {
-    const int group_end = std::min(y + kEarlyExitRowQuantum, bh);
-    for (; y < group_end; ++y) {
-      total += row_sad_sse2(cur + static_cast<std::ptrdiff_t>(y) * cur_stride,
-                            ref + static_cast<std::ptrdiff_t>(y) * ref_stride,
-                            bw);
-    }
-    if (total > early_exit) {
-      return total;
-    }
+  for (int y = 0; y < bh; ++y) {
+    total += row_sad(cur + static_cast<std::ptrdiff_t>(y) * cur_stride,
+                     ref + static_cast<std::ptrdiff_t>(y) * ref_stride, bw);
   }
   return total;
 }
@@ -82,9 +36,9 @@ std::uint32_t sad_sse2(const std::uint8_t* cur, int cur_stride,
 // ------------------------------------------------ four adjacent candidates
 //
 // Each 16-sample chunk of a current row is loaded once and PSADBW'd against
-// ref + 0..3; the accumulators run over the whole block (no early exit) and
-// are reduced together at the end. Columns past the last full chunk go
-// through row_sad_sse2 per candidate.
+// ref + 0..3; the accumulators run over the whole block and are reduced
+// together at the end. Columns past the last full chunk go through row_sad
+// per candidate.
 
 /// Packs the totals of four PSADBW accumulators into out[0..3]. Each 64-bit
 /// lane holds a value < 2^32, so shifting one accumulator's lanes into the
@@ -120,7 +74,7 @@ void sad_x4_sse2(const std::uint8_t* cur, int cur_stride,
     }
     if (vec_w < bw) {
       for (int k = 0; k < 4; ++k) {
-        tail[k] += row_sad_sse2(a + vec_w, b + vec_w + k, bw - vec_w);
+        tail[k] += row_sad(a + vec_w, b + vec_w + k, bw - vec_w);
       }
     }
   }
@@ -132,63 +86,23 @@ void sad_x4_sse2(const std::uint8_t* cur, int cur_stride,
 
 // --------------------------------------------------- fused half-pel + SAD
 //
-// Row arithmetic lives in sad_halfpel_rows.hpp (shared with the AVX2 TU):
-// PAVGB for the H/V phases — its rounding IS the H.263 bilinear rule — and
-// widened 16-bit math for HV, which has no single-op equivalent.
+// Row arithmetic lives in sad_rows.hpp (shared with the AVX2 TU): PAVGB for
+// the H/V phases — its rounding IS the H.263 bilinear rule — and widened
+// 16-bit math for HV, which has no single-op equivalent.
 
 std::uint32_t sad_halfpel_sse2(const std::uint8_t* cur, int cur_stride,
                                const std::uint8_t* ref, int ref_stride,
-                               int phase_h, int phase_v, int bw, int bh,
-                               std::uint32_t early_exit) {
+                               int phase_h, int phase_v, int bw, int bh) {
   if (phase_h == 0 && phase_v == 0) {
-    return sad_sse2(cur, cur_stride, ref, ref_stride, bw, bh, early_exit);
+    return sad_sse2(cur, cur_stride, ref, ref_stride, bw, bh);
   }
   std::uint32_t total = 0;
-  int y = 0;
-  while (y < bh) {
-    const int group_end = std::min(y + kEarlyExitRowQuantum, bh);
-    for (; y < group_end; ++y) {
-      total += detail::row_sad_fused(
-          cur + static_cast<std::ptrdiff_t>(y) * cur_stride,
-          ref + static_cast<std::ptrdiff_t>(y) * ref_stride, ref_stride,
-          phase_h, phase_v, bw);
-    }
-    if (total > early_exit) {
-      return total;
-    }
+  for (int y = 0; y < bh; ++y) {
+    total += row_sad_fused(cur + static_cast<std::ptrdiff_t>(y) * cur_stride,
+                           ref + static_cast<std::ptrdiff_t>(y) * ref_stride,
+                           ref_stride, phase_h, phase_v, bw);
   }
   return total;
-}
-
-/// Masked PSADBW over one quincunx-sampled row. Zeroing the discarded lanes
-/// in *both* operands makes their |difference| zero, so a full-width PSADBW
-/// sums exactly the kept columns. Chunk origins are multiples of 16 (even),
-/// so lane parity within a chunk equals column parity and one constant mask
-/// per phase covers every chunk.
-inline std::uint32_t row_quincunx_sse2(const std::uint8_t* a,
-                                       const std::uint8_t* b, int bw,
-                                       int phase) {
-  const __m128i mask = phase != 0
-                           ? _mm_set1_epi16(static_cast<short>(0xFF00))
-                           : _mm_set1_epi16(0x00FF);
-  std::uint32_t sum = 0;
-  int x = 0;
-  if (bw >= 16) {
-    __m128i acc = _mm_setzero_si128();
-    for (; x + 16 <= bw; x += 16) {
-      const __m128i va = _mm_and_si128(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + x)), mask);
-      const __m128i vb = _mm_and_si128(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + x)), mask);
-      acc = _mm_add_epi64(acc, _mm_sad_epu8(va, vb));
-    }
-    sum = hsum_sad128(acc);
-  }
-  for (x += phase; x < bw; x += 2) {
-    sum += static_cast<std::uint32_t>(
-        std::abs(static_cast<int>(a[x]) - static_cast<int>(b[x])));
-  }
-  return sum;
 }
 
 std::uint32_t sad_quincunx_sse2(const std::uint8_t* cur, int cur_stride,
@@ -196,7 +110,7 @@ std::uint32_t sad_quincunx_sse2(const std::uint8_t* cur, int cur_stride,
                                 int bw, int bh) {
   std::uint32_t total = 0;
   for (int y = 0; y < bh; y += 2) {
-    total += row_quincunx_sse2(
+    total += row_quincunx(
         cur + static_cast<std::ptrdiff_t>(y) * cur_stride,
         ref + static_cast<std::ptrdiff_t>(y) * ref_stride, bw, (y >> 1) & 1);
   }
@@ -208,9 +122,8 @@ std::uint32_t sad_rowskip_sse2(const std::uint8_t* cur, int cur_stride,
                                int bw, int bh) {
   std::uint32_t total = 0;
   for (int y = 0; y < bh; y += 2) {
-    total += row_sad_sse2(cur + static_cast<std::ptrdiff_t>(y) * cur_stride,
-                          ref + static_cast<std::ptrdiff_t>(y) * ref_stride,
-                          bw);
+    total += row_sad(cur + static_cast<std::ptrdiff_t>(y) * cur_stride,
+                     ref + static_cast<std::ptrdiff_t>(y) * ref_stride, bw);
   }
   return total;
 }

@@ -1,9 +1,9 @@
 // Kernel parity: every compiled-and-supported SIMD SAD variant must return
-// EXACTLY the scalar reference's value — full-block SAD (including the
-// partial totals produced by the row-group early-exit contract), the
-// four-candidate kernel, quincunx and row-skip decimation — over randomized
-// block sizes, offsets (border included) and thresholds. Plus the dispatch
-// API's invariants.
+// EXACTLY the scalar reference's value — full-block SAD, fused half-pel
+// SAD, the four-candidate kernel, quincunx and row-skip decimation — over
+// randomized block sizes and offsets (border included), on random content
+// and on a saturated pair that drives every sum to its maximum. Plus the
+// dispatch API's invariants.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +28,35 @@ std::vector<const SadKernels*> vector_variants() {
     }
   }
   return tables;
+}
+
+/// A current/reference plane pair the parity tests run every kernel over.
+struct PlanePair {
+  video::Plane cur;
+  video::Plane ref;
+  bool saturated;  // every |cur − ref| is 255
+};
+
+video::Plane constant_plane(int w, int h, std::uint8_t value) {
+  video::Plane p(w, h);
+  p.fill(value);
+  p.extend_border();
+  return p;
+}
+
+/// Random 96×96 content from two seeds, then a saturated pair (all 0
+/// against all 255): its sums are the largest a block can reach (255·48·48
+/// for 48×48), so each kernel's single end-of-block reduction is checked at
+/// its maximum. Only the saturated pair takes a 16-wide block past 16 bits
+/// (255·16·48 for 16×48), where the AVX2 fast paths reduce.
+std::vector<PlanePair> parity_inputs(std::uint64_t cur_seed,
+                                     std::uint64_t ref_seed) {
+  std::vector<PlanePair> inputs;
+  inputs.push_back({test::random_plane(96, 96, cur_seed),
+                    test::random_plane(96, 96, ref_seed), false});
+  inputs.push_back(
+      {constant_plane(96, 96, 0), constant_plane(96, 96, 255), true});
+  return inputs;
 }
 
 /// Restores the default (auto) selection when a test that pins the global
@@ -74,14 +103,12 @@ TEST(SimdDispatch, SelectByNameRoundTrips) {
   EXPECT_TRUE(select_kernels_by_name("auto"));
 }
 
-TEST(SimdSadParity, RandomizedBlocksOffsetsThresholds) {
+TEST(SimdSadParity, RandomizedBlocksAndOffsets) {
   const auto variants = vector_variants();
   if (variants.empty()) {
     GTEST_SKIP() << "no SIMD variants on this build/CPU";
   }
   const SadKernels& ref_table = *detail::scalar_kernels();
-  const video::Plane cur = test::random_plane(96, 96, 101);
-  const video::Plane ref = test::random_plane(96, 96, 202);
 
   // Sizes cover the vector widths and every tail path: 16-wide fast paths,
   // 8-wide PSADBW tail, scalar column tails, odd heights (row-pair tails),
@@ -91,44 +118,44 @@ TEST(SimdSadParity, RandomizedBlocksOffsetsThresholds) {
   };
   const Dim dims[] = {{16, 16}, {16, 8},  {8, 16},  {8, 8},   {16, 17},
                       {16, 15}, {12, 10}, {7, 5},   {24, 16}, {32, 32},
-                      {33, 9},  {5, 16},  {16, 2},  {1, 1},   {48, 3}};
-  util::Rng rng(777);
-  for (const Dim& d : dims) {
-    for (int trial = 0; trial < 24; ++trial) {
-      // Offsets range into the border (Plane guarantees 24 samples).
-      const int cx = static_cast<int>(rng.next_below(40));
-      const int cy = static_cast<int>(rng.next_below(40));
-      const int rx =
-          static_cast<int>(rng.next_below(60)) - 12;  // may be negative
-      const int ry = static_cast<int>(rng.next_below(60)) - 12;
-      const std::uint8_t* a = cur.row(cy) + cx;
-      const std::uint8_t* b = ref.row(ry) + rx;
+                      {33, 9},  {5, 16},  {16, 2},  {1, 1},   {48, 3},
+                      {16, 48}, {48, 48}};
+  for (const PlanePair& in : parity_inputs(101, 202)) {
+    const video::Plane& cur = in.cur;
+    const video::Plane& ref = in.ref;
+    util::Rng rng(777);
+    for (const Dim& d : dims) {
+      for (int trial = 0; trial < 24; ++trial) {
+        // Offsets range into the border (Plane guarantees 24 samples).
+        const int cx = static_cast<int>(rng.next_below(40));
+        const int cy = static_cast<int>(rng.next_below(40));
+        const int rx =
+            static_cast<int>(rng.next_below(60)) - 12;  // may be negative
+        const int ry = static_cast<int>(rng.next_below(60)) - 12;
+        const std::uint8_t* a = cur.row(cy) + cx;
+        const std::uint8_t* b = ref.row(ry) + rx;
 
-      const std::uint32_t exact = ref_table.sad(
-          a, cur.stride(), b, ref.stride(), d.bw, d.bh, me::kNoEarlyExit);
-      const std::uint32_t thresholds[] = {
-          0u, exact / 4, exact / 2, exact > 0 ? exact - 1 : 0, exact,
-          me::kNoEarlyExit};
-      for (const SadKernels* t : variants) {
-        for (std::uint32_t bound : thresholds) {
-          EXPECT_EQ(t->sad(a, cur.stride(), b, ref.stride(), d.bw, d.bh,
-                           bound),
-                    ref_table.sad(a, cur.stride(), b, ref.stride(), d.bw,
-                                  d.bh, bound))
-              << t->name << " " << d.bw << "x" << d.bh << " bound=" << bound
-              << " cur=(" << cx << "," << cy << ") ref=(" << rx << "," << ry
-              << ")";
+        const std::uint32_t exact =
+            ref_table.sad(a, cur.stride(), b, ref.stride(), d.bw, d.bh);
+        if (in.saturated) {
+          ASSERT_EQ(exact, 255u * static_cast<std::uint32_t>(d.bw * d.bh));
         }
-        EXPECT_EQ(
-            t->sad_quincunx(a, cur.stride(), b, ref.stride(), d.bw, d.bh),
-            ref_table.sad_quincunx(a, cur.stride(), b, ref.stride(), d.bw,
-                                   d.bh))
-            << t->name << " quincunx " << d.bw << "x" << d.bh;
-        EXPECT_EQ(
-            t->sad_rowskip(a, cur.stride(), b, ref.stride(), d.bw, d.bh),
-            ref_table.sad_rowskip(a, cur.stride(), b, ref.stride(), d.bw,
-                                  d.bh))
-            << t->name << " rowskip " << d.bw << "x" << d.bh;
+        for (const SadKernels* t : variants) {
+          EXPECT_EQ(t->sad(a, cur.stride(), b, ref.stride(), d.bw, d.bh),
+                    exact)
+              << t->name << " " << d.bw << "x" << d.bh << " cur=(" << cx
+              << "," << cy << ") ref=(" << rx << "," << ry << ")";
+          EXPECT_EQ(
+              t->sad_quincunx(a, cur.stride(), b, ref.stride(), d.bw, d.bh),
+              ref_table.sad_quincunx(a, cur.stride(), b, ref.stride(), d.bw,
+                                     d.bh))
+              << t->name << " quincunx " << d.bw << "x" << d.bh;
+          EXPECT_EQ(
+              t->sad_rowskip(a, cur.stride(), b, ref.stride(), d.bw, d.bh),
+              ref_table.sad_rowskip(a, cur.stride(), b, ref.stride(), d.bw,
+                                    d.bh))
+              << t->name << " rowskip " << d.bw << "x" << d.bh;
+        }
       }
     }
   }
@@ -144,35 +171,38 @@ TEST(SimdSadParity, X4MatchesFourSingleSads) {
   for (const SadKernels* t : vector_variants()) {
     tables.push_back(t);
   }
-  const video::Plane cur = test::random_plane(96, 96, 505);
-  const video::Plane ref = test::random_plane(96, 96, 606);
   struct Dim {
     int bw, bh;
   };
   const Dim dims[] = {{16, 16}, {8, 8},  {16, 8}, {17, 5},  {16, 15},
-                      {16, 1},  {32, 7}, {33, 9}, {12, 10}, {1, 1}};
-  util::Rng rng(999);
-  for (const Dim& d : dims) {
-    for (int trial = 0; trial < 24; ++trial) {
-      const int cx = static_cast<int>(rng.next_below(40));
-      const int cy = static_cast<int>(rng.next_below(40));
-      const int rx = static_cast<int>(rng.next_below(60)) - 20;
-      const int ry = static_cast<int>(rng.next_below(60)) - 20;
-      const std::uint8_t* a = cur.row(cy) + cx;
-      const std::uint8_t* b = ref.row(ry) + rx;
-      std::uint32_t want[4];
-      for (int k = 0; k < 4; ++k) {
-        want[k] = scalar.sad(a, cur.stride(), b + k, ref.stride(), d.bw,
-                             d.bh, me::kNoEarlyExit);
-      }
-      for (const SadKernels* t : tables) {
-        std::uint32_t got[4] = {~0u, ~0u, ~0u, ~0u};
-        t->sad_x4(a, cur.stride(), b, ref.stride(), d.bw, d.bh, got);
+                      {16, 1},  {32, 7}, {33, 9}, {12, 10}, {1, 1},
+                      {16, 48}, {48, 48}};
+  for (const PlanePair& in : parity_inputs(505, 606)) {
+    const video::Plane& cur = in.cur;
+    const video::Plane& ref = in.ref;
+    util::Rng rng(999);
+    for (const Dim& d : dims) {
+      for (int trial = 0; trial < 24; ++trial) {
+        const int cx = static_cast<int>(rng.next_below(40));
+        const int cy = static_cast<int>(rng.next_below(40));
+        const int rx = static_cast<int>(rng.next_below(60)) - 20;
+        const int ry = static_cast<int>(rng.next_below(60)) - 20;
+        const std::uint8_t* a = cur.row(cy) + cx;
+        const std::uint8_t* b = ref.row(ry) + rx;
+        std::uint32_t want[4];
         for (int k = 0; k < 4; ++k) {
-          EXPECT_EQ(got[k], want[k])
-              << t->name << " " << d.bw << "x" << d.bh << " k=" << k
-              << " cur=(" << cx << "," << cy << ") ref=(" << rx << "," << ry
-              << ")";
+          want[k] = scalar.sad(a, cur.stride(), b + k, ref.stride(), d.bw,
+                               d.bh);
+        }
+        for (const SadKernels* t : tables) {
+          std::uint32_t got[4] = {~0u, ~0u, ~0u, ~0u};
+          t->sad_x4(a, cur.stride(), b, ref.stride(), d.bw, d.bh, got);
+          for (int k = 0; k < 4; ++k) {
+            EXPECT_EQ(got[k], want[k])
+                << t->name << " " << d.bw << "x" << d.bh << " k=" << k
+                << " cur=(" << cx << "," << cy << ") ref=(" << rx << ","
+                << ry << ")";
+          }
         }
       }
     }
@@ -203,7 +233,7 @@ TEST(SimdSadParity, X4ReadsOnlyBwPlusThreeColumns) {
     for (int k = 0; k < 4; ++k) {
       want[k] = detail::scalar_kernels()->sad(cur.data(), cur_stride,
                                               ref.data() + k, ref_stride,
-                                              d.bw, d.bh, me::kNoEarlyExit);
+                                              d.bw, d.bh);
     }
     std::vector<const SadKernels*> tables = {detail::scalar_kernels()};
     for (const SadKernels* t : vector_variants()) {
@@ -218,42 +248,6 @@ TEST(SimdSadParity, X4ReadsOnlyBwPlusThreeColumns) {
             << t->name << " " << d.bw << "x" << d.bh << " k=" << k;
       }
     }
-  }
-}
-
-TEST(SimdSadParity, EarlyExitStopsAtSharedCheckpoints) {
-  // With a bound that trips mid-block, every variant must return the SAME
-  // partial total: the sum over whole kEarlyExitRowQuantum-row groups up to
-  // and including the first group that exceeds the bound.
-  const auto variants = vector_variants();
-  if (variants.empty()) {
-    GTEST_SKIP() << "no SIMD variants on this build/CPU";
-  }
-  const SadKernels& ref_table = *detail::scalar_kernels();
-  const video::Plane cur = test::random_plane(64, 64, 11);
-  const video::Plane ref = test::random_plane(64, 64, 12);
-  const std::uint8_t* a = cur.row(8) + 8;
-  const std::uint8_t* b = ref.row(10) + 6;
-
-  // Manually accumulate the first group's exact SAD to pick a bound that
-  // trips at the first checkpoint of a 16×16 block.
-  std::uint32_t first_group = 0;
-  for (int y = 0; y < kEarlyExitRowQuantum; ++y) {
-    for (int x = 0; x < 16; ++x) {
-      const int d = static_cast<int>(a[y * cur.stride() + x]) -
-                    static_cast<int>(b[y * ref.stride() + x]);
-      first_group += static_cast<std::uint32_t>(d < 0 ? -d : d);
-    }
-  }
-  ASSERT_GT(first_group, 0u);
-  const std::uint32_t bound = first_group - 1;  // trips at checkpoint 1
-  const std::uint32_t scalar_partial =
-      ref_table.sad(a, cur.stride(), b, ref.stride(), 16, 16, bound);
-  EXPECT_EQ(scalar_partial, first_group);  // returns the partial, not more
-  for (const SadKernels* t : variants) {
-    EXPECT_EQ(t->sad(a, cur.stride(), b, ref.stride(), 16, 16, bound),
-              scalar_partial)
-        << t->name;
   }
 }
 
@@ -287,53 +281,46 @@ TEST(SimdSadParity, DispatchedEntryPointsFollowSelection) {
 TEST(SimdSadParity, FusedHalfpelMatchesPreinterpolatedPlanes) {
   // The fused interpolate+SAD kernels must return exactly what matching a
   // pre-interpolated phase plane with the plain SAD kernel returns — for
-  // every variant, every phase, randomized geometry, and every early-exit
-  // bound (the checkpoints are shared, so partial totals must agree too).
+  // every variant, every phase and randomized geometry.
   const SadKernels& scalar = *detail::scalar_kernels();
   std::vector<const SadKernels*> tables = {&scalar};
   for (const SadKernels* t : vector_variants()) {
     tables.push_back(t);
   }
-  const video::Plane cur = test::random_plane(96, 96, 303);
-  const video::Plane ref = test::random_plane(96, 96, 404);
-  const video::Plane phases[4] = {
-      test::phase_plane(ref, 0, 0), test::phase_plane(ref, 1, 0),
-      test::phase_plane(ref, 0, 1), test::phase_plane(ref, 1, 1)};
-
   struct Dim {
     int bw, bh;
   };
   const Dim dims[] = {{16, 16}, {16, 8}, {8, 8},   {16, 17}, {16, 15},
-                      {12, 10}, {7, 5},  {24, 16}, {32, 32}, {1, 1}};
-  util::Rng rng(888);
-  for (const Dim& d : dims) {
-    for (int trial = 0; trial < 12; ++trial) {
-      const int cx = static_cast<int>(rng.next_below(40));
-      const int cy = static_cast<int>(rng.next_below(40));
-      const int rx = static_cast<int>(rng.next_below(50)) - 10;
-      const int ry = static_cast<int>(rng.next_below(50)) - 10;
-      for (int phase_v = 0; phase_v <= 1; ++phase_v) {
-        for (int phase_h = 0; phase_h <= 1; ++phase_h) {
-          // Ground truth: plain SAD against the materialised phase plane.
-          const video::Plane& phase = phases[phase_v * 2 + phase_h];
-          const std::uint32_t exact = scalar.sad(
-              cur.row(cy) + cx, cur.stride(), phase.row(ry) + rx,
-              phase.stride(), d.bw, d.bh, me::kNoEarlyExit);
-          const std::uint32_t thresholds[] = {
-              0u, exact / 3, exact > 0 ? exact - 1 : 0, me::kNoEarlyExit};
-          for (const SadKernels* t : tables) {
-            for (const std::uint32_t bound : thresholds) {
-              const std::uint32_t want = scalar.sad(
-                  cur.row(cy) + cx, cur.stride(), phase.row(ry) + rx,
-                  phase.stride(), d.bw, d.bh, bound);
+                      {12, 10}, {7, 5},  {24, 16}, {32, 32}, {1, 1},
+                      {16, 48}, {48, 48}};
+  for (const PlanePair& in : parity_inputs(303, 404)) {
+    const video::Plane& cur = in.cur;
+    const video::Plane& ref = in.ref;
+    const video::Plane phases[4] = {
+        test::phase_plane(ref, 0, 0), test::phase_plane(ref, 1, 0),
+        test::phase_plane(ref, 0, 1), test::phase_plane(ref, 1, 1)};
+    util::Rng rng(888);
+    for (const Dim& d : dims) {
+      for (int trial = 0; trial < 12; ++trial) {
+        const int cx = static_cast<int>(rng.next_below(40));
+        const int cy = static_cast<int>(rng.next_below(40));
+        const int rx = static_cast<int>(rng.next_below(50)) - 10;
+        const int ry = static_cast<int>(rng.next_below(50)) - 10;
+        for (int phase_v = 0; phase_v <= 1; ++phase_v) {
+          for (int phase_h = 0; phase_h <= 1; ++phase_h) {
+            // Ground truth: plain SAD against the materialised phase plane.
+            const video::Plane& phase = phases[phase_v * 2 + phase_h];
+            const std::uint32_t want =
+                scalar.sad(cur.row(cy) + cx, cur.stride(),
+                           phase.row(ry) + rx, phase.stride(), d.bw, d.bh);
+            for (const SadKernels* t : tables) {
               EXPECT_EQ(t->sad_halfpel(cur.row(cy) + cx, cur.stride(),
                                        ref.row(ry) + rx, ref.stride(),
-                                       phase_h, phase_v, d.bw, d.bh, bound),
+                                       phase_h, phase_v, d.bw, d.bh),
                         want)
                   << t->name << " " << d.bw << "x" << d.bh << " phase=("
-                  << phase_h << "," << phase_v << ") bound=" << bound
-                  << " cur=(" << cx << "," << cy << ") ref=(" << rx << ","
-                  << ry << ")";
+                  << phase_h << "," << phase_v << ") cur=(" << cx << ","
+                  << cy << ") ref=(" << rx << "," << ry << ")";
             }
           }
         }
