@@ -31,8 +31,8 @@ int main(int argc, char** argv) {
       bench::qcif_sequence("foreman", options.frames, /*fps=*/30);
 
   // FSBM and PBM anchors.
-  const auto fsbm = analysis::make_estimator("FSBM");
-  const auto pbm = analysis::make_estimator("PBM");
+  const auto fsbm = core::builtin_estimators().create("FSBM");
+  const auto pbm = core::builtin_estimators().create("PBM");
   const analysis::RdPoint anchor_full =
       analysis::run_rd_point(frames, 30, *fsbm, qp, sweep);
   const analysis::RdPoint anchor_pred =
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   util::TablePrinter table({"knob", "alpha", "beta", "gamma", "PSNR-Y dB",
                             "kbit/s", "pos/MB", "critical %"});
   for (const Config& config : configs) {
-    const auto estimator = analysis::make_estimator(config.spec);
+    const auto estimator = core::builtin_estimators().create(config.spec);
     const auto* acbm = dynamic_cast<const core::Acbm*>(estimator.get());
     const core::AcbmParams params = acbm->params();
     const analysis::RdPoint p =
@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
   for (const CodecVariant& variant : variants) {
     const analysis::SweepConfig vc =
         analysis::SweepConfig::from_spec(variant.spec, sweep);
-    const auto acbm = analysis::make_estimator("ACBM");
+    const auto acbm = core::builtin_estimators().create("ACBM");
     const analysis::RdPoint p =
         analysis::run_rd_point(frames, 30, *acbm, qp, vc);
     codec_table.add_row({variant.label, util::CsvWriter::num(p.psnr_y, 2),

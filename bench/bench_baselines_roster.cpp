@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     util::TablePrinter table(
         {"algorithm", "qp", "kbit/s", "PSNR-Y dB", "pos/MB"});
     for (const std::string& spec : roster) {
-      const auto estimator = analysis::make_estimator(spec);
+      const auto estimator = core::builtin_estimators().create(spec);
       analysis::RdCurve curve;
       curve.sequence = name;
       curve.algorithm = spec;

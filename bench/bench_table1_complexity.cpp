@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
     for (const auto& name : names) {
       for (int fps : {30, 10}) {
         const auto frames = bench::qcif_sequence(name, options.frames, fps);
-        const auto estimator = analysis::make_estimator(spec);
+        const auto estimator = core::builtin_estimators().create(spec);
         for (int qp : options.qps) {
           util::Timer point_timer;
           const analysis::RdPoint p =

@@ -13,6 +13,7 @@
 
 #include "analysis/rd_sweep.hpp"
 #include "core/acbm.hpp"
+#include "core/builtin_estimators.hpp"
 #include "synth/sequences.hpp"
 #include "util/args.hpp"
 #include "util/csv.hpp"
@@ -45,7 +46,7 @@ int main(int argc, char** argv) {
 
   util::TablePrinter table(
       {"config", "PSNR-Y dB", "kbit/s", "pos/MB", "vs FSBM pos"});
-  const auto fsbm = analysis::make_estimator("FSBM");
+  const auto fsbm = core::builtin_estimators().create("FSBM");
   const analysis::RdPoint anchor =
       analysis::run_rd_point(frames, 30, *fsbm, qp, sweep);
 
@@ -64,14 +65,14 @@ int main(int argc, char** argv) {
   // stay at the paper defaults the spec does not mention.
   for (const char* gamma : {"0.05", "0.125", "0.25", "0.5", "1", "4"}) {
     const std::string spec = std::string("ACBM:gamma=") + gamma;
-    const auto acbm = analysis::make_estimator(spec);
+    const auto acbm = core::builtin_estimators().create(spec);
     add_row(spec, analysis::run_rd_point(frames, 30, *acbm, qp, sweep));
   }
 
   for (const char* spec :
        {"PBM", "TSS", "NTSS", "4SS", "DS", "HEXBS", "CDS", "FSBM-adec",
         "FSBM-sub"}) {
-    const auto est = analysis::make_estimator(spec);
+    const auto est = core::builtin_estimators().create(spec);
     add_row(spec, analysis::run_rd_point(frames, 30, *est, qp, sweep));
   }
 

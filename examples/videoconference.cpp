@@ -16,6 +16,7 @@
 #include "codec/decoder.hpp"
 #include "codec/encoder.hpp"
 #include "core/acbm.hpp"
+#include "core/builtin_estimators.hpp"
 #include "synth/sequences.hpp"
 #include "util/args.hpp"
 #include "util/csv.hpp"
@@ -57,7 +58,7 @@ int main(int argc, char** argv) {
   std::vector<std::uint8_t> acbm_stream;
 
   for (const std::string spec : {"ACBM", "FSBM", "PBM"}) {
-    const auto estimator = analysis::make_estimator(spec);
+    const auto estimator = core::builtin_estimators().create(spec);
     // Config via the key=value grammar on top of the CLI values.
     const codec::EncoderConfig cfg = codec::encoder_config_from_spec(
         "qp=" + std::to_string(qp) + ",fps=" + std::to_string(fps));

@@ -4,67 +4,10 @@
 #include <stdexcept>
 
 #include "codec/config_map.hpp"
-#include "core/acbm.hpp"
 #include "core/builtin_estimators.hpp"
 #include "util/kv.hpp"
 
 namespace acbm::analysis {
-
-std::string algorithm_name(Algorithm algorithm) {
-  switch (algorithm) {
-    case Algorithm::kFsbm:
-      return "FSBM";
-    case Algorithm::kPbm:
-      return "PBM";
-    case Algorithm::kAcbm:
-      return "ACBM";
-    case Algorithm::kTss:
-      return "TSS";
-    case Algorithm::kNtss:
-      return "NTSS";
-    case Algorithm::kFss:
-      return "4SS";
-    case Algorithm::kDs:
-      return "DS";
-    case Algorithm::kHexbs:
-      return "HEXBS";
-    case Algorithm::kCds:
-      return "CDS";
-    case Algorithm::kFsbmAdaptiveDecimation:
-      return "FSBM-adec";
-    case Algorithm::kFsbmSubsampled:
-      return "FSBM-sub";
-  }
-  return "?";
-}
-
-const std::vector<Algorithm>& all_algorithms() {
-  static const std::vector<Algorithm> algorithms = {
-      Algorithm::kAcbm, Algorithm::kFsbm, Algorithm::kPbm,
-      Algorithm::kTss,  Algorithm::kNtss, Algorithm::kFss,
-      Algorithm::kDs,   Algorithm::kHexbs, Algorithm::kCds,
-      Algorithm::kFsbmAdaptiveDecimation, Algorithm::kFsbmSubsampled};
-  return algorithms;
-}
-
-std::unique_ptr<me::MotionEstimator> make_estimator(Algorithm algorithm,
-                                                    core::AcbmParams params) {
-  // Algorithm display names double as registry keys, so the enum-based API
-  // is a veneer over the parameterized spec path: the AcbmParams struct is
-  // rendered into spec pairs (format_double round-trips exactly) and bound
-  // by the registry like any CLI-authored spec.
-  std::string spec = algorithm_name(algorithm);
-  if (algorithm == Algorithm::kAcbm) {
-    spec += ":alpha=" + util::format_double(params.alpha) +
-            ",beta=" + util::format_double(params.beta) +
-            ",gamma=" + util::format_double(params.gamma);
-  }
-  return core::builtin_estimators().create(spec);
-}
-
-std::unique_ptr<me::MotionEstimator> make_estimator(std::string_view spec) {
-  return core::builtin_estimators().create(spec);
-}
 
 namespace {
 
@@ -153,21 +96,6 @@ RdPoint run_rd_point(const std::vector<video::Frame>& frames, int fps,
 }
 
 RdCurve run_rd_sweep(const std::vector<video::Frame>& frames, int fps,
-                     Algorithm algorithm, const SweepConfig& config,
-                     const std::string& sequence_name) {
-  RdCurve curve;
-  curve.sequence = sequence_name;
-  curve.algorithm = algorithm_name(algorithm);
-  curve.fps = fps;
-  const auto estimator = make_estimator(algorithm, config.acbm);
-  for (int qp : config.qps) {
-    curve.points.push_back(
-        run_rd_point(frames, fps, *estimator, qp, config));
-  }
-  return curve;
-}
-
-RdCurve run_rd_sweep(const std::vector<video::Frame>& frames, int fps,
                      std::string_view estimator_spec,
                      const SweepConfig& config,
                      const std::string& sequence_name) {
@@ -175,7 +103,7 @@ RdCurve run_rd_sweep(const std::vector<video::Frame>& frames, int fps,
   curve.sequence = sequence_name;
   curve.algorithm = std::string(estimator_spec);
   curve.fps = fps;
-  const auto estimator = make_estimator(estimator_spec);
+  const auto estimator = core::builtin_estimators().create(estimator_spec);
   for (int qp : config.qps) {
     curve.points.push_back(
         run_rd_point(frames, fps, *estimator, qp, config));

@@ -6,55 +6,15 @@
 // bitrate in kbit/s, and the average number of candidate positions searched
 // per macroblock — exactly the three quantities the paper plots/tabulates.
 
-#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "codec/encoder.hpp"
-#include "core/params.hpp"
 #include "me/estimator.hpp"
 #include "video/frame.hpp"
 
 namespace acbm::analysis {
-
-/// The algorithms compared in the paper's §4 plus the classical baselines
-/// this library adds: candidate-reduction searches (TSS/NTSS/4SS/DS/CDS,
-/// the paper's refs [3–5] family) and pixel-decimation searches
-/// (kFsbmAdaptiveDecimation / kFsbmSubsampled, the refs [6–8] family).
-enum class Algorithm {
-  kFsbm,
-  kPbm,
-  kAcbm,
-  kTss,
-  kNtss,
-  kFss,
-  kDs,
-  kHexbs,
-  kCds,
-  kFsbmAdaptiveDecimation,
-  kFsbmSubsampled,
-};
-
-/// Display name matching the paper's legends ("FSBM", "PBM", "ACBM", ...).
-/// Doubles as the registry key, so every name is also a valid spec.
-[[nodiscard]] std::string algorithm_name(Algorithm algorithm);
-
-/// All algorithms, paper's three first.
-[[nodiscard]] const std::vector<Algorithm>& all_algorithms();
-
-/// Instantiates an estimator. ACBM takes its parameters; others ignore
-/// them. Routed through the spec path below, so it is exactly
-/// make_estimator("ACBM:alpha=...,beta=...,gamma=...").
-[[nodiscard]] std::unique_ptr<me::MotionEstimator> make_estimator(
-    Algorithm algorithm,
-    core::AcbmParams params = core::AcbmParams::paper_defaults());
-
-/// Instantiates an estimator from a spec ("ACBM", "ACBM:alpha=500",
-/// "FSBM:dec=quincunx", ...) via core::builtin_estimators() — the string
-/// API benches and the CLI sweep configurations through without code
-/// changes. @throws util::SpecError as EstimatorRegistry::create does.
-[[nodiscard]] std::unique_ptr<me::MotionEstimator> make_estimator(
-    std::string_view spec);
 
 /// One Qp's aggregated results.
 struct RdPoint {
@@ -82,7 +42,6 @@ struct SweepConfig {
   int search_range = 15;
   bool half_pel = true;
   double me_lambda = 0.0;  ///< paper: pure-SAD search
-  core::AcbmParams acbm = core::AcbmParams::paper_defaults();
   codec::ModeDecision mode_decision = codec::ModeDecision::kHeuristic;
   bool deblock = false;    ///< in-loop Annex-J filter
   codec::ParallelConfig parallel;  ///< encoder threading (results identical)
@@ -105,14 +64,11 @@ struct SweepConfig {
   [[nodiscard]] std::string to_spec() const;
 };
 
-/// Encodes `frames` (already at the target fps) once per Qp.
-RdCurve run_rd_sweep(const std::vector<video::Frame>& frames, int fps,
-                     Algorithm algorithm, const SweepConfig& config,
-                     const std::string& sequence_name);
-
-/// Spec-keyed overload: the estimator comes from `estimator_spec`
-/// ("ACBM:alpha=500", "FSBM", ...) and the curve is labelled with the
-/// spec text, so swept variants stay distinguishable in tables and CSVs.
+/// Encodes `frames` (already at the target fps) once per Qp with the
+/// estimator core::builtin_estimators() builds from `estimator_spec`
+/// ("ACBM:alpha=500", "FSBM", ...). The curve is labelled with the spec
+/// text, so swept variants stay distinguishable in tables and CSVs.
+/// @throws util::SpecError as EstimatorRegistry::create does.
 RdCurve run_rd_sweep(const std::vector<video::Frame>& frames, int fps,
                      std::string_view estimator_spec,
                      const SweepConfig& config,

@@ -1,15 +1,10 @@
 #include "core/builtin_estimators.hpp"
 
 #include "core/acbm.hpp"
-#include "me/cds.hpp"
 #include "me/decimation.hpp"
-#include "me/ds.hpp"
-#include "me/fss.hpp"
 #include "me/full_search.hpp"
-#include "me/hexbs.hpp"
-#include "me/ntss.hpp"
+#include "me/pattern_search.hpp"
 #include "me/pbm.hpp"
-#include "me/tss.hpp"
 
 namespace acbm::core {
 
@@ -17,15 +12,6 @@ namespace {
 
 using util::ParamDesc;
 using util::ParamSet;
-
-/// Registers a knob-less estimator: no keys, a factory that ignores its
-/// (empty) ParamSet.
-template <class Estimator>
-void add_plain(me::EstimatorRegistry& registry, std::string name) {
-  registry.add(std::move(name), {}, [](const ParamSet&) {
-    return std::make_unique<Estimator>();
-  });
-}
 
 me::EstimatorRegistry make_builtin_registry() {
   // The degenerate AcbmParams configurations must stay expressible:
@@ -72,12 +58,14 @@ me::EstimatorRegistry make_builtin_registry() {
   // Candidate-reduction baselines (paper refs [3–5] family). Knob-less: the
   // search range every one of them scales to arrives per block via
   // BlockContext::window (EncoderConfig's "range" key).
-  add_plain<me::Tss>(registry, "TSS");
-  add_plain<me::Ntss>(registry, "NTSS");
-  add_plain<me::Fss>(registry, "4SS");
-  add_plain<me::DiamondSearch>(registry, "DS");
-  add_plain<me::HexagonSearch>(registry, "HEXBS");
-  add_plain<me::CrossDiamondSearch>(registry, "CDS");
+  using Kind = me::PatternSearch::Kind;
+  for (Kind kind : {Kind::kTss, Kind::kNtss, Kind::kFss, Kind::kDs,
+                    Kind::kHexbs, Kind::kCds}) {
+    registry.add(std::string(me::PatternSearch(kind).name()), {},
+                 [kind](const ParamSet&) {
+                   return std::make_unique<me::PatternSearch>(kind);
+                 });
+  }
   // Pixel-decimation baselines (paper refs [6–8] family).
   registry.add(
       "FSBM-adec",
@@ -95,7 +83,9 @@ me::EstimatorRegistry make_builtin_registry() {
             static_cast<std::uint32_t>(params.get_int("half_below"));
         return std::make_unique<me::AdaptiveDecimationSearch>(thresholds);
       });
-  add_plain<me::SubsampledFullSearch>(registry, "FSBM-sub");
+  registry.add("FSBM-sub", {}, [](const ParamSet&) {
+    return std::make_unique<me::SubsampledFullSearch>();
+  });
   return registry;
 }
 

@@ -1,7 +1,5 @@
 #include "me/decimation.hpp"
 
-#include <cstdlib>
-
 #include "me/halfpel.hpp"
 #include "me/sad.hpp"
 #include "me/search_support.hpp"
@@ -64,74 +62,67 @@ EstimateResult AdaptiveDecimationSearch::estimate(const BlockContext& ctx) {
   return result;
 }
 
-EstimateResult SubsampledFullSearch::estimate(const BlockContext& ctx) {
-  const video::Plane& ref_int = ctx.ref->integer_plane();
+namespace {
+
+/// Winner of a decimated integer scan and the candidates it ranked.
+struct DecimatedScan {
   Mv best{};
-  std::uint32_t best_dec = ~std::uint32_t{0};
   std::uint32_t positions = 0;
+};
+
+/// Ranks the window's integer candidates by `pattern`'s decimated SAD; with
+/// `checkerboard`, only the 2:1 lattice where (ix + iy) is even (ix, iy in
+/// integer-pel units).
+DecimatedScan decimated_scan(const BlockContext& ctx,
+                             DecimationPattern pattern, bool checkerboard) {
+  const video::Plane& ref_int = ctx.ref->integer_plane();
+  DecimatedScan scan;
+  std::uint32_t best_dec = ~std::uint32_t{0};
   const int min_x = ctx.window.min_x + (ctx.window.min_x & 1);
   const int min_y = ctx.window.min_y + (ctx.window.min_y & 1);
-  // 2:1 checkerboard of integer candidates: skip positions where
-  // (ix + iy) is odd (ix, iy in integer-pel units).
   for (int my = min_y; my <= ctx.window.max_y; my += 2) {
     for (int mx = min_x; mx <= ctx.window.max_x; mx += 2) {
-      if ((((mx >> 1) + (my >> 1)) & 1) != 0) {
+      if (checkerboard && (((mx >> 1) + (my >> 1)) & 1) != 0) {
         continue;
       }
       const std::uint32_t dec = sad_block_decimated(
           *ctx.cur, ctx.x, ctx.y, ref_int, ctx.x + mx / 2, ctx.y + my / 2,
-          ctx.bw, ctx.bh, DecimationPattern::kQuincunx4to1);
-      ++positions;
+          ctx.bw, ctx.bh, pattern);
+      ++scan.positions;
       if (dec < best_dec) {
         best_dec = dec;
-        best = {mx, my};
+        scan.best = {mx, my};
       }
     }
   }
+  return scan;
+}
+
+}  // namespace
+
+EstimateResult SubsampledFullSearch::estimate(const BlockContext& ctx) {
+  const DecimatedScan scan =
+      decimated_scan(ctx, DecimationPattern::kQuincunx4to1, true);
   // Exact SAD over the winner's full integer neighbourhood (recovers the
   // skipped checkerboard positions), then half-pel refinement.
   SearchState state(ctx, /*track_visited=*/true);
-  state.try_candidate(best);
-  for (int dy = -1; dy <= 1; ++dy) {
-    for (int dx = -1; dx <= 1; ++dx) {
-      if (dx == 0 && dy == 0) {
-        continue;
-      }
-      state.try_candidate({best.x + dx * 2, best.y + dy * 2});
-    }
-  }
+  state.try_candidate(scan.best);
+  probe(state, scan.best, kSquare, 2);
   refine_halfpel(state);
   EstimateResult result = state.result();
-  result.positions += positions;
+  result.positions += scan.positions;
   return result;
 }
 
 EstimateResult estimate_decimated_full_search(const BlockContext& ctx,
                                               DecimationPattern pattern) {
-  const video::Plane& ref_int = ctx.ref->integer_plane();
-  Mv best{};
-  std::uint32_t best_dec = ~std::uint32_t{0};
-  std::uint32_t positions = 0;
-  const int min_x = ctx.window.min_x + (ctx.window.min_x & 1);
-  const int min_y = ctx.window.min_y + (ctx.window.min_y & 1);
-  for (int my = min_y; my <= ctx.window.max_y; my += 2) {
-    for (int mx = min_x; mx <= ctx.window.max_x; mx += 2) {
-      const std::uint32_t dec = sad_block_decimated(
-          *ctx.cur, ctx.x, ctx.y, ref_int, ctx.x + mx / 2, ctx.y + my / 2,
-          ctx.bw, ctx.bh, pattern);
-      ++positions;
-      if (dec < best_dec) {
-        best_dec = dec;
-        best = {mx, my};
-      }
-    }
-  }
+  const DecimatedScan scan = decimated_scan(ctx, pattern, false);
   // Exact SAD at the decimated winner, then ordinary half-pel refinement.
   SearchState state(ctx);
-  state.try_candidate(best);
+  state.try_candidate(scan.best);
   refine_halfpel(state);
   EstimateResult result = state.result();
-  result.positions += positions;
+  result.positions += scan.positions;
   result.used_full_search = true;
   return result;
 }

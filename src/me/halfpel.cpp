@@ -2,37 +2,28 @@
 
 namespace acbm::me {
 
-void refine_halfpel(SearchState& state) {
-  if (!state.ctx().half_pel) {
-    return;
+bool probe(SearchState& state, Mv centre, std::span<const Mv> pattern,
+           int scale) {
+  bool moved = false;
+  for (const Mv& offset : pattern) {
+    moved |= state.try_candidate(
+        {centre.x + offset.x * scale, centre.y + offset.y * scale});
   }
-  const Mv center = state.best_mv();
-  for (int dy = -1; dy <= 1; ++dy) {
-    for (int dx = -1; dx <= 1; ++dx) {
-      if (dx == 0 && dy == 0) {
-        continue;
-      }
-      state.try_candidate({center.x + dx, center.y + dy});
+  return moved;
+}
+
+void descend(SearchState& state, std::span<const Mv> pattern, int scale,
+             int max_moves) {
+  for (int move = 0; move < max_moves; ++move) {
+    if (!probe(state, state.best_mv(), pattern, scale)) {
+      return;
     }
   }
 }
 
-void descend(SearchState& state, int step_halfpel, int max_iterations) {
-  for (int iter = 0; iter < max_iterations; ++iter) {
-    const Mv center = state.best_mv();
-    bool improved = false;
-    for (int dy = -1; dy <= 1; ++dy) {
-      for (int dx = -1; dx <= 1; ++dx) {
-        if (dx == 0 && dy == 0) {
-          continue;
-        }
-        improved |= state.try_candidate(
-            {center.x + dx * step_halfpel, center.y + dy * step_halfpel});
-      }
-    }
-    if (!improved) {
-      return;
-    }
+void refine_halfpel(SearchState& state) {
+  if (state.ctx().half_pel) {
+    probe(state, state.best_mv(), kSquare, 1);
   }
 }
 

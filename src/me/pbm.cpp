@@ -22,7 +22,7 @@ EstimateResult Pbm::estimate(const BlockContext& ctx) {
   }
 
   // Step 3a: bounded integer-pel descent around the best predictor.
-  descend(state, /*step_halfpel=*/2, max_descent_iterations_);
+  descend(state, kSquare, 2, max_descent_iterations_);
 
   // Step 3b: half-pel refinement (paper: "normally, the refinement step is
   // performed in a half pixel grid").

@@ -79,13 +79,6 @@ void Plane::fill(std::uint8_t value) {
   }
 }
 
-void Plane::copy_visible_from(const Plane& src) {
-  assert(src.width_ == width_ && src.height_ == height_);
-  for (int y = 0; y < height_; ++y) {
-    std::memcpy(row(y), src.row(y), static_cast<std::size_t>(width_));
-  }
-}
-
 std::uint64_t Plane::absolute_difference(const Plane& other) const {
   assert(other.width_ == width_ && other.height_ == height_);
   std::uint64_t total = 0;

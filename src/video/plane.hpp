@@ -61,9 +61,6 @@ class Plane {
   /// Fills the visible area with a constant value (border untouched).
   void fill(std::uint8_t value);
 
-  /// Copies the visible area from another plane of identical dimensions.
-  void copy_visible_from(const Plane& src);
-
   /// Sum of absolute per-sample differences over the visible area.
   [[nodiscard]] std::uint64_t absolute_difference(const Plane& other) const;
 

@@ -1,11 +1,12 @@
-// RD sweep driver: estimator factory, sweep mechanics, and the qualitative
-// relations the paper's Figs. 5/6 and Table 1 rest on (small scale here;
-// the benches run the full-size versions).
+// RD sweep driver: the estimator registry it builds from, sweep mechanics,
+// and the qualitative relations the paper's Figs. 5/6 and Table 1 rest on
+// (small scale here; the benches run the full-size versions).
 
 #include "analysis/rd_sweep.hpp"
 
 #include <gtest/gtest.h>
 
+#include "core/builtin_estimators.hpp"
 #include "synth/sequences.hpp"
 
 namespace acbm::analysis {
@@ -28,32 +29,27 @@ SweepConfig small_config(std::vector<int> qps) {
   return cfg;
 }
 
-TEST(AlgorithmNames, MatchPaperLegends) {
-  EXPECT_EQ(algorithm_name(Algorithm::kFsbm), "FSBM");
-  EXPECT_EQ(algorithm_name(Algorithm::kPbm), "PBM");
-  EXPECT_EQ(algorithm_name(Algorithm::kAcbm), "ACBM");
-  EXPECT_EQ(algorithm_name(Algorithm::kTss), "TSS");
-  EXPECT_EQ(algorithm_name(Algorithm::kNtss), "NTSS");
-  EXPECT_EQ(algorithm_name(Algorithm::kFss), "4SS");
-  EXPECT_EQ(algorithm_name(Algorithm::kDs), "DS");
-  EXPECT_EQ(algorithm_name(Algorithm::kHexbs), "HEXBS");
-  EXPECT_EQ(algorithm_name(Algorithm::kCds), "CDS");
-  EXPECT_EQ(algorithm_name(Algorithm::kFsbmAdaptiveDecimation), "FSBM-adec");
-  EXPECT_EQ(algorithm_name(Algorithm::kFsbmSubsampled), "FSBM-sub");
-  EXPECT_EQ(all_algorithms().size(), 11u);
+TEST(BuiltinEstimators, NamesMatchPaperLegendsInDisplayOrder) {
+  // The paper's three first, then the candidate-reduction and
+  // pixel-decimation baselines: the order benches and usage strings show.
+  const std::vector<std::string> expected = {
+      "ACBM", "FSBM", "PBM",   "TSS", "NTSS",      "4SS",
+      "DS",   "HEXBS", "CDS", "FSBM-adec", "FSBM-sub"};
+  EXPECT_EQ(core::builtin_estimators().names(), expected);
+  EXPECT_EQ(core::builtin_estimators().size(), 11u);
 }
 
-TEST(MakeEstimator, ProducesCorrectlyNamedInstances) {
-  for (Algorithm a : all_algorithms()) {
-    const auto est = make_estimator(a);
+TEST(BuiltinEstimators, CreatesCorrectlyNamedInstances) {
+  for (const std::string& name : core::builtin_estimators().names()) {
+    const auto est = core::builtin_estimators().create(name);
     ASSERT_NE(est, nullptr);
-    EXPECT_EQ(est->name(), algorithm_name(a));
+    EXPECT_EQ(est->name(), name);
   }
 }
 
 TEST(RunRdSweep, ProducesOnePointPerQp) {
   const auto frames = sequence("miss_america", 3);
-  const RdCurve curve = run_rd_sweep(frames, 30, Algorithm::kPbm,
+  const RdCurve curve = run_rd_sweep(frames, 30, "PBM",
                                      small_config({10, 20, 30}),
                                      "miss_america");
   EXPECT_EQ(curve.sequence, "miss_america");
@@ -66,7 +62,7 @@ TEST(RunRdSweep, ProducesOnePointPerQp) {
 
 TEST(RunRdSweep, RateAndQualityDecreaseWithQp) {
   const auto frames = sequence("carphone", 4);
-  const RdCurve curve = run_rd_sweep(frames, 30, Algorithm::kPbm,
+  const RdCurve curve = run_rd_sweep(frames, 30, "PBM",
                                      small_config({6, 16, 28}), "carphone");
   EXPECT_GT(curve.points[0].kbps, curve.points[1].kbps);
   EXPECT_GT(curve.points[1].kbps, curve.points[2].kbps);
@@ -76,14 +72,14 @@ TEST(RunRdSweep, RateAndQualityDecreaseWithQp) {
 
 TEST(RunRdSweep, EmptyFramesThrow) {
   const std::vector<video::Frame> empty;
-  EXPECT_THROW(run_rd_sweep(empty, 30, Algorithm::kPbm,
+  EXPECT_THROW(run_rd_sweep(empty, 30, "PBM",
                             small_config({16}), "x"),
                std::invalid_argument);
 }
 
 TEST(RunRdPoint, FsbmPositionsMatchTheory) {
   const auto frames = sequence("table", 3);
-  const auto est = make_estimator(Algorithm::kFsbm);
+  const auto est = core::builtin_estimators().create("FSBM");
   const RdPoint p = run_rd_point(frames, 30, *est, 16, small_config({16}));
   EXPECT_DOUBLE_EQ(p.avg_positions, (15 * 15) + 8);  // p=7: 225+8
   EXPECT_DOUBLE_EQ(p.full_search_fraction, 1.0);
@@ -94,9 +90,9 @@ TEST(RunRdPoint, AcbmCheaperThanFsbmAndBetterThanPbmQuality) {
   const auto frames = sequence("table", 5);
   const SweepConfig cfg = small_config({16});
 
-  const auto fsbm = make_estimator(Algorithm::kFsbm);
-  const auto pbm = make_estimator(Algorithm::kPbm);
-  const auto acbm = make_estimator(Algorithm::kAcbm);
+  const auto fsbm = core::builtin_estimators().create("FSBM");
+  const auto pbm = core::builtin_estimators().create("PBM");
+  const auto acbm = core::builtin_estimators().create("ACBM");
 
   const RdPoint pf = run_rd_point(frames, 30, *fsbm, 16, cfg);
   const RdPoint pp = run_rd_point(frames, 30, *pbm, 16, cfg);
@@ -112,7 +108,7 @@ TEST(RunRdPoint, AcbmCheaperThanFsbmAndBetterThanPbmQuality) {
 TEST(RunRdPoint, AcbmCriticalFractionRisesAtLowQp) {
   const auto frames = sequence("foreman", 4);
   const SweepConfig cfg = small_config({16});
-  const auto acbm = make_estimator(Algorithm::kAcbm);
+  const auto acbm = core::builtin_estimators().create("ACBM");
   const RdPoint lo = run_rd_point(frames, 30, *acbm, 4, cfg);
   const RdPoint hi = run_rd_point(frames, 30, *acbm, 30, cfg);
   EXPECT_GE(lo.full_search_fraction, hi.full_search_fraction);
@@ -124,7 +120,7 @@ TEST(RunRdPoint, EstimatorResetBetweenRuns) {
   // reset; complexity numbers identical for identical inputs).
   const auto frames = sequence("carphone", 3);
   const SweepConfig cfg = small_config({16});
-  const auto acbm = make_estimator(Algorithm::kAcbm);
+  const auto acbm = core::builtin_estimators().create("ACBM");
   const RdPoint a = run_rd_point(frames, 30, *acbm, 16, cfg);
   const RdPoint b = run_rd_point(frames, 30, *acbm, 16, cfg);
   EXPECT_DOUBLE_EQ(a.avg_positions, b.avg_positions);
@@ -134,7 +130,7 @@ TEST(RunRdPoint, EstimatorResetBetweenRuns) {
 
 TEST(RunRdPoint, MvBitsShareNonTrivialForFsbm) {
   const auto frames = sequence("foreman", 3);
-  const auto fsbm = make_estimator(Algorithm::kFsbm);
+  const auto fsbm = core::builtin_estimators().create("FSBM");
   const RdPoint p =
       run_rd_point(frames, 30, *fsbm, 30, small_config({30}));
   EXPECT_GT(p.mv_bits_share, 0.0);
@@ -152,8 +148,8 @@ TEST(RunRdPoint, PbmFieldSmootherThanFsbm) {
   req.fps = 10;
   const auto frames = synth::make_sequence(req);
   const SweepConfig cfg = small_config({16});
-  const auto fsbm = make_estimator(Algorithm::kFsbm);
-  const auto pbm = make_estimator(Algorithm::kPbm);
+  const auto fsbm = core::builtin_estimators().create("FSBM");
+  const auto pbm = core::builtin_estimators().create("PBM");
   const RdPoint pf = run_rd_point(frames, 10, *fsbm, 16, cfg);
   const RdPoint pp = run_rd_point(frames, 10, *pbm, 16, cfg);
   EXPECT_LT(pp.field_smoothness, pf.field_smoothness);

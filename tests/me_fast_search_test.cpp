@@ -5,14 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
-#include "me/cds.hpp"
-#include "me/ds.hpp"
-#include "me/fss.hpp"
-#include "me/hexbs.hpp"
 #include "me/full_search.hpp"
-#include "me/tss.hpp"
+#include "me/pattern_search.hpp"
 #include "test_support.hpp"
 
 namespace acbm::me {
@@ -21,22 +18,10 @@ namespace {
 using acbm::test::SearchFixture;
 using acbm::test::shifted_pair;
 
-enum class Kind { kTss, kFss, kDs, kHexbs, kCds };
+using Kind = PatternSearch::Kind;
 
 std::unique_ptr<MotionEstimator> make(Kind kind) {
-  switch (kind) {
-    case Kind::kTss:
-      return std::make_unique<Tss>();
-    case Kind::kFss:
-      return std::make_unique<Fss>();
-    case Kind::kDs:
-      return std::make_unique<DiamondSearch>();
-    case Kind::kHexbs:
-      return std::make_unique<HexagonSearch>();
-    case Kind::kCds:
-      return std::make_unique<CrossDiamondSearch>();
-  }
-  return nullptr;
+  return std::make_unique<PatternSearch>(kind);
 }
 
 class FastSearchTest : public ::testing::TestWithParam<Kind> {};
@@ -103,37 +88,26 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, FastSearchTest,
                          ::testing::Values(Kind::kTss, Kind::kFss, Kind::kDs,
                                            Kind::kHexbs, Kind::kCds),
                          [](const auto& info) {
-                           switch (info.param) {
-                             case Kind::kTss:
-                               return "TSS";
-                             case Kind::kFss:
-                               return "FSS";
-                             case Kind::kDs:
-                               return "DS";
-                             case Kind::kHexbs:
-                               return "HEXBS";
-                             case Kind::kCds:
-                               return "CDS";
-                           }
-                           return "?";
+                           return std::string(
+                               PatternSearch(info.param).name());
                          });
 
-TEST(Tss, FollowsGradientToLargeMotion) {
+TEST(TssSearch, FollowsGradientToLargeMotion) {
   // A smooth cone-shaped SAD landscape: matching error grows monotonically
   // with displacement error, so TSS's logarithmic 8→4→2→1 schedule must
   // walk to a +12 shift.
   auto [ref, cur] = acbm::test::smooth_shifted_pair(96, 96, 12, 0, 3, 32);
   const SearchFixture fx(std::move(ref), std::move(cur));
-  Tss tss;
+  PatternSearch tss(Kind::kTss);
   const EstimateResult r = tss.estimate(fx.context(32, 32, 15));
   EXPECT_EQ(r.mv, mv_from_fullpel(12, 0));
   EXPECT_EQ(r.sad, 0u);
 }
 
-TEST(Tss, PositionBudgetLogarithmic) {
+TEST(TssSearch, PositionBudgetLogarithmic) {
   auto [ref, cur] = shifted_pair(64, 48, 0, 0, 6);
   const SearchFixture fx(std::move(ref), std::move(cur));
-  Tss tss;
+  PatternSearch tss(Kind::kTss);
   const EstimateResult r = tss.estimate(fx.context(16, 16, 15));
   // ≤ 1 + 4 stages × 8 points + 8 half-pel (visited-dedup may reduce it).
   EXPECT_LE(r.positions, 41u);
@@ -142,7 +116,7 @@ TEST(Tss, PositionBudgetLogarithmic) {
 TEST(Ds, SdspRunsAfterConvergence) {
   auto [ref, cur] = shifted_pair(64, 48, 0, 0, 7);
   const SearchFixture fx(std::move(ref), std::move(cur));
-  DiamondSearch ds;
+  PatternSearch ds(Kind::kDs);
   const EstimateResult r = ds.estimate(fx.context(16, 16));
   // LDSP (9) + SDSP (4, deduped) + half-pel (8): stationary block budget.
   EXPECT_LE(r.positions, 21u);
@@ -151,7 +125,7 @@ TEST(Ds, SdspRunsAfterConvergence) {
 TEST(Cds, StationaryBlockUsesHalfwayStop) {
   auto [ref, cur] = shifted_pair(64, 48, 0, 0, 8);
   const SearchFixture fx(std::move(ref), std::move(cur));
-  CrossDiamondSearch cds;
+  PatternSearch cds(Kind::kCds);
   const EstimateResult r = cds.estimate(fx.context(16, 16));
   // Small cross (5) + half-pel (8) = 13 — the CDS selling point.
   EXPECT_LE(r.positions, 13u);
@@ -160,7 +134,7 @@ TEST(Cds, StationaryBlockUsesHalfwayStop) {
 TEST(Cds, QuasiStationaryStopsAfterSmallDiamond) {
   auto [ref, cur] = shifted_pair(64, 48, 1, 0, 9);
   const SearchFixture fx(std::move(ref), std::move(cur));
-  CrossDiamondSearch cds;
+  PatternSearch cds(Kind::kCds);
   const EstimateResult r = cds.estimate(fx.context(16, 16));
   EXPECT_EQ(r.mv, mv_from_fullpel(1, 0));
   EXPECT_LE(r.positions, 25u);
