@@ -7,6 +7,7 @@
 #include "codec/wire_format.hpp"
 #include "me/types.hpp"
 #include "obs/trace.hpp"
+#include "video/interp.hpp"
 
 namespace acbm::codec {
 
@@ -368,15 +369,15 @@ bool Decoder::decode_rows(util::BitReader& br, video::Frame& out, int qp,
 }
 
 bool Decoder::mv_in_reference(me::Mv mv, int x, int y) const {
-  // Same integer-part computation as predict_luma; the compensated 16×16
+  // Integer part by video::split_halfpel, as in predict_block; the 16×16
   // read must stay inside the reference's replicated border (one sample is
   // reserved for the half-pel interpolation overread). A valid encoder can
   // never emit such a vector — its search window is border-clamped — so an
   // out-of-range one is always stream corruption, and rejecting it here is
   // what keeps a fuzzed MVD from indexing outside the plane.
   const int margin = ref_.y().border() - 1;
-  const int ix = (mv.x - (mv.x & 1)) >> 1;
-  const int iy = (mv.y - (mv.y & 1)) >> 1;
+  const int ix = video::split_halfpel(mv.x).integer;
+  const int iy = video::split_halfpel(mv.y).integer;
   return x + ix >= -margin && x + ix + kMb <= size_.width + margin &&
          y + iy >= -margin && y + iy + kMb <= size_.height + margin;
 }

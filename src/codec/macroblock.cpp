@@ -114,13 +114,12 @@ void predict_mb(const video::Frame& ref, int bx, int by, me::Mv mv,
                 MbBuffer& pred) {
   const int x = bx * kMbSize;
   const int y = by * kMbSize;
-  predict_luma(video::HalfpelPlanes(ref.y()), x, y, mv, kMbSize, kMbSize,
-               pred.y, kMbSize);
+  predict_block(ref.y(), x, y, mv, kMbSize, kMbSize, pred.y, kMbSize);
   const me::Mv cmv = derive_chroma_mv(mv);
-  predict_chroma(ref.cb(), x / 2, y / 2, cmv, kChroma, kChroma, pred.cb,
-                 kChroma);
-  predict_chroma(ref.cr(), x / 2, y / 2, cmv, kChroma, kChroma, pred.cr,
-                 kChroma);
+  predict_block(ref.cb(), x / 2, y / 2, cmv, kChroma, kChroma, pred.cb,
+                kChroma);
+  predict_block(ref.cr(), x / 2, y / 2, cmv, kChroma, kChroma, pred.cr,
+                kChroma);
 }
 
 void reconstruct_intra_mb(const MbLevels& mb, int qp, const MbSamples& dst) {

@@ -1,29 +1,36 @@
 #include "codec/mc.hpp"
 
+#include <cassert>
+
 namespace acbm::codec {
 
-void predict_luma(const video::HalfpelPlanes& ref, int x, int y, me::Mv mv,
-                  int bw, int bh, std::uint8_t* dst, int stride) {
-  // Interpolates on the fly from the integer plane (H.263 rounding): one
-  // block's worth of bilinear taps per coded macroblock, no phase plane.
-  const int phase_h = mv.x & 1;
-  const int phase_v = mv.y & 1;
-  const video::Plane& plane = ref.integer_plane();
-  const int rx = x + ((mv.x - phase_h) >> 1);
-  const int ry = y + ((mv.y - phase_v) >> 1);
+void predict_block(const video::Plane& ref, int x, int y, me::Mv mv, int bw,
+                   int bh, std::uint8_t* dst, int stride) {
+  // H.263 rounding, no phase plane; the phase is constant over the block,
+  // so it is split off once and picks one row loop.
+  const video::HalfpelSplit sx = video::split_halfpel(mv.x);
+  const video::HalfpelSplit sy = video::split_halfpel(mv.y);
+  const int rx = x + sx.integer;
+  const int ry = y + sy.integer;
+  // Plane::row() checks only y, and ASan cannot see an x overrun that stays
+  // inside the plane's storage: check the whole read footprint.
+  assert(rx >= -ref.border() &&
+         rx + bw + sx.phase <= ref.width() + ref.border());
+  assert(ry >= -ref.border() &&
+         ry + bh + sy.phase <= ref.height() + ref.border());
   for (int row = 0; row < bh; ++row) {
-    const std::uint8_t* r0 = plane.row(ry + row) + rx;
-    const std::uint8_t* r1 = phase_v != 0 ? r0 + plane.stride() : r0;
+    const std::uint8_t* r0 = ref.row(ry + row) + rx;
+    const std::uint8_t* r1 = sy.phase != 0 ? r0 + ref.stride() : r0;
     std::uint8_t* out = dst + static_cast<std::ptrdiff_t>(row) * stride;
-    if (phase_h == 0 && phase_v == 0) {
+    if (sx.phase == 0 && sy.phase == 0) {
       for (int col = 0; col < bw; ++col) {
         out[col] = r0[col];
       }
-    } else if (phase_v == 0) {
+    } else if (sy.phase == 0) {
       for (int col = 0; col < bw; ++col) {
         out[col] = static_cast<std::uint8_t>((r0[col] + r0[col + 1] + 1) >> 1);
       }
-    } else if (phase_h == 0) {
+    } else if (sx.phase == 0) {
       for (int col = 0; col < bw; ++col) {
         out[col] = static_cast<std::uint8_t>((r0[col] + r1[col] + 1) >> 1);
       }
@@ -48,17 +55,6 @@ me::Mv derive_chroma_mv(me::Mv luma_mv) {
     return sign * (whole * 2 + (frac != 0 ? 1 : 0));
   };
   return {round_component(luma_mv.x), round_component(luma_mv.y)};
-}
-
-void predict_chroma(const video::Plane& ref_chroma, int cx, int cy, me::Mv cmv,
-                    int bw, int bh, std::uint8_t* dst, int stride) {
-  for (int row = 0; row < bh; ++row) {
-    std::uint8_t* out = dst + static_cast<std::ptrdiff_t>(row) * stride;
-    for (int col = 0; col < bw; ++col) {
-      out[col] = video::sample_halfpel(ref_chroma, (cx + col) * 2 + cmv.x,
-                                       (cy + row) * 2 + cmv.y);
-    }
-  }
 }
 
 }  // namespace acbm::codec

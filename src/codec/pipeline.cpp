@@ -553,8 +553,9 @@ void EncoderPipeline::run_back(const video::Frame& src, std::uint64_t f,
   // any row in the non-deblock path that raced the last strip).
   ref_ready_[back_parity_].publish(back_base_ +
                                    static_cast<std::uint64_t>(e.mbs_y()));
-  report.psnr_y = video::psnr_luma(src, *e.recon_);
-  report.psnr_yuv = video::psnr_yuv(src, *e.recon_);
+  const video::FramePsnr psnr = video::psnr_frame(src, *e.recon_);
+  report.psnr_y = psnr.y;
+  report.psnr_yuv = psnr.yuv;
 
   e.last_recon_ = e.recon_;
   e.last_me_field_ = &e.me_fields_[f & 1];

@@ -146,7 +146,7 @@ std::uint8_t sample(const std::vector<std::uint8_t>& plane, int w, int h,
 }
 
 /// One sample at half-pel coordinates (hx, hy), H.263 rounding.
-std::uint8_t sample_halfpel(const std::vector<std::uint8_t>& plane, int w,
+std::uint8_t halfpel_sample(const std::vector<std::uint8_t>& plane, int w,
                             int h, int hx, int hy) {
   const int phase_h = hx & 1;
   const int phase_v = hy & 1;
@@ -901,9 +901,9 @@ bool RefDecoder::decode_inter_mb(BitCursor& bc, RefPicture& out, int bx,
       const int hx = (x / 2 + col) * 2 + cmvx;
       const int hy = (y / 2 + row) * 2 + cmvy;
       pred_cb[static_cast<std::size_t>(row) * kBlock + col] =
-          sample_halfpel(ref_.cb, cw, ch, hx, hy);
+          halfpel_sample(ref_.cb, cw, ch, hx, hy);
       pred_cr[static_cast<std::size_t>(row) * kBlock + col] =
-          sample_halfpel(ref_.cr, cw, ch, hx, hy);
+          halfpel_sample(ref_.cr, cw, ch, hx, hy);
     }
   }
 

@@ -17,16 +17,15 @@ std::uint32_t sad_block(const video::Plane& cur, int cx, int cy,
 std::uint32_t sad_block_halfpel(const video::Plane& cur, int cx, int cy,
                                 const video::HalfpelPlanes& ref, int hx,
                                 int hy, int bw, int bh) {
-  const int phase_h = hx & 1;
-  const int phase_v = hy & 1;
-  const int rx = (hx - phase_h) >> 1;
-  const int ry = (hy - phase_v) >> 1;
+  const video::HalfpelSplit sx = video::split_halfpel(hx);
+  const video::HalfpelSplit sy = video::split_halfpel(hy);
   // Fused interpolate+SAD straight off the integer plane: no phase plane is
   // read or built.
   const video::Plane& p = ref.integer_plane();
   const simd::SadKernels& k = simd::active_kernels();
-  return k.sad_halfpel(cur.row(cy) + cx, cur.stride(), p.row(ry) + rx,
-                       p.stride(), phase_h, phase_v, bw, bh);
+  return k.sad_halfpel(cur.row(cy) + cx, cur.stride(),
+                       p.row(sy.integer) + sx.integer, p.stride(), sx.phase,
+                       sy.phase, bw, bh);
 }
 
 std::uint32_t block_mean(const video::Plane& cur, int cx, int cy, int bw,

@@ -1,27 +1,32 @@
 #pragma once
-// Half-pel bilinear interpolation (H.263 convention).
+// Half-pel addressing (H.263 convention).
 //
-// Both the motion estimators (half-pel refinement) and the codec's motion
-// compensation sample reference pictures on a half-pel grid, and both
-// interpolate on the fly from the integer-pel plane: candidate matching
-// through the fused interpolate+SAD kernels (me::sad_block_halfpel) and
-// prediction through codec::predict_luma. No pre-interpolated phase plane
-// is ever built. `sample_halfpel()` computes one sample directly;
-// `HalfpelPlanes` is the borrowed reference handle those paths take.
+// Matching (the fused interpolate+SAD kernels, me::sad_block_halfpel) and
+// motion compensation (codec::predict_block) interpolate a whole block on
+// the fly from the integer-pel plane; no phase plane is ever built.
+// `split_halfpel()` turns a half-pel coordinate into an integer-plane
+// origin and a phase for both; `HalfpelPlanes` is the borrowed reference
+// handle the search paths take.
 //
 // Rounding follows H.263: (a+b+1)>>1 and (a+b+c+d+2)>>2.
 
 #include <cassert>
-#include <cstdint>
 
 #include "video/plane.hpp"
 
 namespace acbm::video {
 
-/// Returns the reference sample at half-pel position (hx, hy), where hx/hy
-/// are in half-pel units (integer position X maps to hx = 2X). Coordinates
-/// may extend into the plane border (minus one sample for interpolation).
-[[nodiscard]] std::uint8_t sample_halfpel(const Plane& p, int hx, int hy);
+/// A half-pel coordinate h (integer position X is h = 2X) split as
+/// h = 2·integer + phase, phase ∈ {0, 1}: `integer` rounds toward −∞, so
+/// h = −1 is sample −1 at the half phase.
+struct HalfpelSplit {
+  int integer;
+  int phase;
+};
+[[nodiscard]] constexpr HalfpelSplit split_halfpel(int h) {
+  const int phase = h & 1;
+  return {(h - phase) >> 1, phase};
+}
 
 /// Non-owning half-pel view of a reference picture: one pointer to its
 /// integer-pel plane, whose border must be extended at least one sample

@@ -42,13 +42,13 @@ double psnr_luma(const Frame& a, const Frame& b) {
   return psnr(a.y(), b.y());
 }
 
-double psnr_yuv(const Frame& a, const Frame& b) {
-  const double sse = sum_squared_error(a.y(), b.y()) +
-                     sum_squared_error(a.cb(), b.cb()) +
+FramePsnr psnr_frame(const Frame& a, const Frame& b) {
+  const double sse_y = sum_squared_error(a.y(), b.y());
+  const double sse = sse_y + sum_squared_error(a.cb(), b.cb()) +
                      sum_squared_error(a.cr(), b.cr());
-  const double n =
-      static_cast<double>(a.width()) * a.height() * 3.0 / 2.0;
-  return mse_to_psnr(n > 0 ? sse / n : 0.0);
+  const double n = static_cast<double>(a.width()) * a.height();
+  return {mse_to_psnr(n > 0 ? sse_y / n : 0.0),
+          mse_to_psnr(n > 0 ? sse / (n * 3.0 / 2.0) : 0.0)};
 }
 
 }  // namespace acbm::video

@@ -17,7 +17,12 @@ namespace acbm::video {
 /// Luma-only PSNR between two frames (the paper reports Y-PSNR).
 [[nodiscard]] double psnr_luma(const Frame& a, const Frame& b);
 
-/// Combined 4:2:0 PSNR weighting Y:Cb:Cr as 4:1:1 by sample count.
-[[nodiscard]] double psnr_yuv(const Frame& a, const Frame& b);
+/// psnr_luma() and the combined 4:2:0 PSNR (Y:Cb:Cr weighted 4:1:1 by
+/// sample count), from one pass over each plane.
+struct FramePsnr {
+  double y = 0.0;
+  double yuv = 0.0;
+};
+[[nodiscard]] FramePsnr psnr_frame(const Frame& a, const Frame& b);
 
 }  // namespace acbm::video

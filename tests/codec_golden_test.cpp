@@ -9,14 +9,18 @@
 // decision × intra_period {0, 5}, 10 QCIF frames each, ACBM estimator, the
 // process's default (auto) kernel table. Each case pins FNV-1a over the
 // stream bytes and DecodeReport::sample_digest of decoding that stream.
+// Every frame's reported PSNRs are pinned bit for bit to the plain per-plane
+// double loop below.
 //
 // Regenerating: build this file against the reference commit's library with
 // an empty kGolden table; every case then fails and prints its table row.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -93,6 +97,36 @@ std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
   return h;
 }
 
+// Sum of squared sample differences over the visible area, in raster order.
+double plane_sse(const video::Plane& a, const video::Plane& b) {
+  double sse = 0.0;
+  for (int y = 0; y < a.height(); ++y) {
+    for (int x = 0; x < a.width(); ++x) {
+      const double d =
+          static_cast<double>(a.at(x, y)) - static_cast<double>(b.at(x, y));
+      sse += d * d;
+    }
+  }
+  return sse;
+}
+
+double psnr_of_mse(double mse) {
+  return mse <= 0.0 ? std::numeric_limits<double>::infinity()
+                    : 10.0 * std::log10(255.0 * 255.0 / mse);
+}
+
+// FrameReport::psnr_y and psnr_yuv equal, bit for bit, the luma PSNR and
+// the 4:2:0 PSNR over the Y, Cb and Cr sums added in that order.
+void expect_reported_psnr(const FrameReport& r, const video::Frame& src,
+                          const video::Frame& recon) {
+  const double sse_y = plane_sse(src.y(), recon.y());
+  const double sse = sse_y + plane_sse(src.cb(), recon.cb()) +
+                     plane_sse(src.cr(), recon.cr());
+  const double n_y = static_cast<double>(src.width()) * src.height();
+  EXPECT_EQ(r.psnr_y, psnr_of_mse(sse_y / n_y));
+  EXPECT_EQ(r.psnr_yuv, psnr_of_mse(sse / (n_y * 3.0 / 2.0)));
+}
+
 const Golden* find_golden(const std::string& name) {
   for (const Golden& g : kGolden) {
     if (name == g.name) {
@@ -120,7 +154,8 @@ TEST(CodecGolden, StreamsAndDecodesMatchPinnedDigests) {
           const auto est = core::builtin_estimators().create("ACBM");
           Encoder encoder(video::kQcif, config, *est);
           for (const video::Frame& frame : frames) {
-            encoder.encode_frame(frame);
+            const FrameReport r = encoder.encode_frame(frame);
+            expect_reported_psnr(r, frame, encoder.last_recon());
           }
           const std::vector<std::uint8_t> stream = encoder.finish();
           Decoder decoder(stream, DecoderConfig{});

@@ -1,6 +1,7 @@
-// Motion compensation: luma half-pel prediction, chroma vector derivation
-// (H.263 rounding table), chroma interpolation, the block-codec pipeline and
-// the macroblock sample paths.
+// Motion compensation: predict_block against the per-sample oracle on every
+// phase out to the last readable border sample, the luma and chroma
+// forwards, chroma vector derivation (H.263 rounding table), the
+// block-codec pipeline and the macroblock sample paths.
 
 #include "codec/mc.hpp"
 
@@ -16,6 +17,86 @@
 
 namespace acbm::codec {
 namespace {
+
+// Every sample random, border included: a border that does not replicate
+// its edge makes a read one sample off (or one row off) show.
+video::Plane random_bordered_plane(int w, int h, int border,
+                                   std::uint64_t seed) {
+  video::Plane p(w, h, border);
+  util::Rng rng(seed);
+  for (int y = -border; y < h + border; ++y) {
+    for (int x = -border; x < w + border; ++x) {
+      p.set(x, y, static_cast<std::uint8_t>(rng.next_below(256)));
+    }
+  }
+  return p;
+}
+
+TEST(PredictBlock, EveryPhaseMatchesTheOracleOutToTheBorder) {
+  // A luma-sized plane with the default border and a chroma-sized one with
+  // an odd, smaller border. Each block's read footprint
+  // [rx, rx + size + phase_h) × [ry, ry + size + phase_v) is placed at the
+  // first readable sample, one inside it, the picture origin, one inside
+  // the last readable sample and at the last, on both axes.
+  struct PlaneCase {
+    int w, h, border;
+  };
+  int blocks = 0;
+  for (const PlaneCase c : {PlaneCase{64, 48, 24}, PlaneCase{32, 24, 13}}) {
+    const video::Plane ref =
+        random_bordered_plane(c.w, c.h, c.border, 100 + c.border);
+    for (const int size : {16, 8}) {
+      for (int phase = 0; phase < 4; ++phase) {
+        const int ph = phase & 1;
+        const int pv = phase >> 1;
+        const int lo = -c.border;
+        const int hi_x = c.w + c.border - size - ph;
+        const int hi_y = c.h + c.border - size - pv;
+        for (const int rx : {lo, lo + 1, 0, hi_x - 1, hi_x}) {
+          for (const int ry : {lo, lo + 1, 0, hi_y - 1, hi_y}) {
+            // Place the block at either corner of the picture; the vector
+            // carries it to (rx, ry).
+            for (const int x : {0, c.w - size}) {
+              const int y = x == 0 ? 0 : c.h - size;
+              const me::Mv mv{2 * (rx - x) + ph, 2 * (ry - y) + pv};
+              std::uint8_t dst[16 * 16];
+              predict_block(ref, x, y, mv, size, size, dst, size);
+              for (int row = 0; row < size; ++row) {
+                for (int col = 0; col < size; ++col) {
+                  ASSERT_EQ(dst[row * size + col],
+                            acbm::test::sample_halfpel(
+                                ref, (x + col) * 2 + mv.x,
+                                (y + row) * 2 + mv.y))
+                      << c.w << "x" << c.h << " size " << size << " mv ("
+                      << mv.x << "," << mv.y << ") at (" << col << ","
+                      << row << ")";
+                }
+              }
+              ++blocks;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(blocks, 2 * 2 * 4 * 5 * 5 * 2);
+}
+
+#ifndef NDEBUG
+// Plane::row() bounds only the row index it is given, so neither overrun
+// below trips it: one column past the right border (which stays inside the
+// plane's storage, where ASan cannot see it either), and the interpolation
+// row one past the bottom border. Only predict_block's footprint assert
+// catches them.
+TEST(PredictBlockDeathTest, ReadPastTheBorderAsserts) {
+  const video::Plane ref = random_bordered_plane(32, 24, 4, 7);
+  std::uint8_t dst[8 * 8];
+  predict_block(ref, 24, 8, {7, 0}, 8, 8, dst, 8);  // last column: fine
+  EXPECT_DEATH(predict_block(ref, 24, 8, {9, 0}, 8, 8, dst, 8), "");
+  predict_block(ref, 8, 16, {0, 7}, 8, 8, dst, 8);  // last row: fine
+  EXPECT_DEATH(predict_block(ref, 8, 16, {0, 9}, 8, 8, dst, 8), "");
+}
+#endif
 
 TEST(PredictLuma, IntegerVectorCopiesBlock) {
   const video::Plane ref = acbm::test::random_plane(64, 48, 1);
@@ -37,7 +118,8 @@ TEST(PredictLuma, HalfpelVectorInterpolates) {
   for (int y = 0; y < 8; ++y) {
     for (int x = 0; x < 8; ++x) {
       ASSERT_EQ(dst[y * 8 + x],
-                video::sample_halfpel(ref, (24 + x) * 2 + 5, (24 + y) * 2 + 1));
+                acbm::test::sample_halfpel(ref, (24 + x) * 2 + 5,
+                                           (24 + y) * 2 + 1));
     }
   }
 }
@@ -91,7 +173,8 @@ TEST(PredictChroma, HalfSampleInterpolates) {
   for (int y = 0; y < 4; ++y) {
     for (int x = 0; x < 4; ++x) {
       ASSERT_EQ(dst[y * 4 + x],
-                video::sample_halfpel(ref, (8 + x) * 2 + 1, (8 + y) * 2 + 1));
+                acbm::test::sample_halfpel(ref, (8 + x) * 2 + 1,
+                                           (8 + y) * 2 + 1));
     }
   }
 }

@@ -78,8 +78,8 @@ TEST(SadHalfpel, HalfPhaseMatchesDirectInterpolation) {
     for (int x = 0; x < 16; ++x) {
       naive += static_cast<std::uint32_t>(
           std::abs(int(cur.at(16 + x, 16 + y)) -
-                   int(video::sample_halfpel(ref, 2 * (16 + x) + 1,
-                                             2 * (16 + y) + 1))));
+                   int(acbm::test::sample_halfpel(ref, 2 * (16 + x) + 1,
+                                                  2 * (16 + y) + 1))));
     }
   }
   EXPECT_EQ(sad_block_halfpel(cur, 16, 16, hp, 33, 33, 16, 16), naive);

@@ -1,6 +1,7 @@
 #pragma once
 // Shared fixtures/builders for the test suite.
 
+#include <cstdint>
 #include <utility>
 
 #include "me/estimator.hpp"
@@ -71,8 +72,33 @@ inline std::pair<video::Plane, video::Plane> smooth_shifted_pair(
   return {std::move(ref), std::move(cur)};
 }
 
+/// The reference sample at half-pel position (hx, hy) (integer position X
+/// is hx = 2X), computed one sample at a time through the bounds-checked
+/// Plane::at with H.263 rounding. The per-sample oracle that the library's
+/// per-block interpolation (codec::predict_block, the fused interpolate+SAD
+/// kernels) is checked against. Coordinates may reach into the border,
+/// minus the one sample an interpolation reads past them.
+inline std::uint8_t sample_halfpel(const video::Plane& p, int hx, int hy) {
+  const int phase_h = hx & 1;
+  const int phase_v = hy & 1;
+  const int x = (hx - phase_h) / 2;
+  const int y = (hy - phase_v) / 2;
+  if (phase_h == 0 && phase_v == 0) {
+    return p.at(x, y);
+  }
+  if (phase_v == 0) {
+    return static_cast<std::uint8_t>((p.at(x, y) + p.at(x + 1, y) + 1) >> 1);
+  }
+  if (phase_h == 0) {
+    return static_cast<std::uint8_t>((p.at(x, y) + p.at(x, y + 1) + 1) >> 1);
+  }
+  return static_cast<std::uint8_t>(
+      (p.at(x, y) + p.at(x + 1, y) + p.at(x, y + 1) + p.at(x + 1, y + 1) + 2) >>
+      2);
+}
+
 /// The (phase_h, phase_v) phase plane of `src`, sampled one position at a
-/// time with video::sample_halfpel: an independent oracle for the fused
+/// time with sample_halfpel(): an independent oracle for the fused
 /// interpolate+SAD kernels and on-the-fly motion compensation. Interpolation
 /// consumes one sample on the +x/+y side, so the result carries one less
 /// border sample than `src`.
@@ -82,8 +108,7 @@ inline video::Plane phase_plane(const video::Plane& src, int phase_h,
   video::Plane out(src.width(), src.height(), b);
   for (int y = -b; y < src.height() + b; ++y) {
     for (int x = -b; x < src.width() + b; ++x) {
-      out.set(x, y, video::sample_halfpel(src, 2 * x + phase_h,
-                                          2 * y + phase_v));
+      out.set(x, y, sample_halfpel(src, 2 * x + phase_h, 2 * y + phase_v));
     }
   }
   return out;

@@ -1,5 +1,6 @@
-// Half-pel interpolation: H.263 rounding, phase consistency, borders, and
-// the borrowed HalfpelPlanes view.
+// Half-pel addressing: the coordinate split, the H.263 rounding of the
+// per-sample test oracle every interpolating path is checked against,
+// phase consistency, borders, and the borrowed HalfpelPlanes view.
 
 #include "video/interp.hpp"
 
@@ -9,6 +10,22 @@
 
 namespace acbm::video {
 namespace {
+
+using acbm::test::sample_halfpel;
+
+TEST(SplitHalfpel, OriginRoundsTowardMinusInfinity) {
+  static_assert(split_halfpel(4).integer == 2 && split_halfpel(4).phase == 0);
+  static_assert(split_halfpel(5).integer == 2 && split_halfpel(5).phase == 1);
+  static_assert(split_halfpel(-1).integer == -1 &&
+                split_halfpel(-1).phase == 1);
+  static_assert(split_halfpel(-4).integer == -2 &&
+                split_halfpel(-4).phase == 0);
+  for (int h = -33; h <= 33; ++h) {
+    const HalfpelSplit s = split_halfpel(h);
+    ASSERT_TRUE(s.phase == 0 || s.phase == 1) << h;
+    ASSERT_EQ(2 * s.integer + s.phase, h);
+  }
+}
 
 TEST(SampleHalfpel, IntegerPhasePassesThrough) {
   const Plane p = acbm::test::random_plane(16, 16, 1);

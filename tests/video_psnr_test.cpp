@@ -66,7 +66,7 @@ TEST(Psnr, LumaOnlyIgnoresChroma) {
   b.fill(100);
   b.cb().fill(0);  // wreck chroma only
   EXPECT_TRUE(std::isinf(psnr_luma(a, b)));
-  EXPECT_FALSE(std::isinf(psnr_yuv(a, b)));
+  EXPECT_FALSE(std::isinf(psnr_frame(a, b).yuv));
 }
 
 TEST(Psnr, YuvWeightsBySampleCount) {
@@ -78,8 +78,18 @@ TEST(Psnr, YuvWeightsBySampleCount) {
   // samples, so combined MSE = 100·(2/3).
   b.y().fill(110);
   const double expected_mse = 100.0 * (32.0 * 32.0) / (32.0 * 32.0 * 1.5);
-  EXPECT_NEAR(psnr_yuv(a, b), 10.0 * std::log10(255.0 * 255.0 / expected_mse),
-              1e-9);
+  EXPECT_NEAR(psnr_frame(a, b).yuv,
+              10.0 * std::log10(255.0 * 255.0 / expected_mse), 1e-9);
+}
+
+TEST(Psnr, FrameLumaIsPsnrLuma) {
+  Frame a(32, 32);
+  Frame b(32, 32);
+  a.y() = acbm::test::random_plane(32, 32, 5);
+  b.y() = acbm::test::random_plane(32, 32, 6);
+  EXPECT_EQ(psnr_frame(a, b).y, psnr_luma(a, b));
+  EXPECT_TRUE(std::isinf(psnr_frame(a, a).y));
+  EXPECT_TRUE(std::isinf(psnr_frame(a, a).yuv));
 }
 
 }  // namespace
