@@ -568,8 +568,8 @@ void EncoderPipeline::run_back(const video::Frame& src, std::uint64_t f,
 // ------------------------------------------------------------ motion stage
 
 me::EstimateResult EncoderPipeline::estimate_block(
-    me::MotionEstimator& estimator, const video::Frame& src, int bx,
-    int by) const {
+    me::MotionEstimator& estimator, const video::Frame& src, int bx, int by,
+    bool wavefront) const {
   const Encoder& e = enc_;
   me::BlockContext ctx;
   ctx.cur = &src.y();
@@ -582,11 +582,14 @@ me::EstimateResult EncoderPipeline::estimate_block(
   // Rate-aware search (me_lambda > 0) prices MVD bits against the median of
   // the ME field: its inputs (left, above, above-right) are exactly the
   // wavefront-ordered entries, so the predictor is identical in serial and
-  // parallel encodes. λ = 0 (default) makes cost ≡ SAD.
-  ctx.cost = me::MotionCost(e.config_.me_lambda,
-                            e.me_field_->median_predictor(bx, by));
+  // parallel encodes. Without the wavefront those entries may be mid-write
+  // on other workers, so the block sees neither them nor the field; λ = 0
+  // then makes cost ≡ SAD whatever the predictor.
+  ctx.cost = me::MotionCost(
+      e.config_.me_lambda,
+      wavefront ? e.me_field_->median_predictor(bx, by) : me::Mv{});
   ctx.half_pel = e.config_.half_pel;
-  ctx.cur_field = e.me_field_;
+  ctx.cur_field = wavefront ? e.me_field_ : nullptr;
   ctx.prev_field = e.prev_me_field_;
   ctx.qp = front_qp_;
   ctx.frame = static_cast<int>(front_frame_);
@@ -620,14 +623,18 @@ void EncoderPipeline::motion_stage(const video::Frame& src,
 
   // Block (bx, by) may start once row by−1 has finished through column
   // bx+1 (its above-right predictor) — the classic two-block wavefront
-  // stagger. Progress is cumulative over the stream: this frame's row
-  // values start at `base` (see row_progress_).
+  // stagger. Only an estimator that reads the current field, or a rate-aware
+  // cost's median predictor, needs it; otherwise rows run independently.
+  // Progress is cumulative over the stream: this frame's row values start
+  // at `base` (see row_progress_).
+  const bool wavefront = e.config_.me_lambda != 0.0 ||
+                         stage_workers.front()->reads_current_field();
   const std::uint64_t base = front_frame_ * static_cast<std::uint64_t>(mbs_x);
   for (int by = 0; by < mbs_y; ++by) {
     // One task per row. The lane dispatches FIFO, so a row's predecessor is
     // always running or finished before the row starts: the dependency wait
     // below cannot deadlock.
-    pool_.submit(queue_, [this, &src, by, mbs_x, base, &results,
+    pool_.submit(queue_, [this, &src, by, mbs_x, base, wavefront, &results,
                           &stage_workers, &e] {
       const std::int32_t tsess = trace_arg(e.trace_session_);
       const std::int32_t tframe = trace_arg(front_frame_);
@@ -647,14 +654,14 @@ void EncoderPipeline::motion_stage(const video::Frame& src,
       util::ReadyCounter& done = row_progress_[static_cast<std::size_t>(by)];
       try {
         for (int bx = 0; bx < mbs_x; ++bx) {
-          if (by > 0) {
+          if (wavefront && by > 0) {
             row_progress_[static_cast<std::size_t>(by) - 1].wait_for(
                 base + static_cast<std::uint64_t>(std::min(bx + 2, mbs_x)));
           }
           const std::size_t idx =
               static_cast<std::size_t>(by) * static_cast<std::size_t>(mbs_x) +
               static_cast<std::size_t>(bx);
-          results[idx] = estimate_block(estimator, src, bx, by);
+          results[idx] = estimate_block(estimator, src, bx, by, wavefront);
           e.me_field_->set(bx, by, results[idx].mv);
           done.publish(base + static_cast<std::uint64_t>(bx) + 1);
         }

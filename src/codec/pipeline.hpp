@@ -3,16 +3,21 @@
 //
 // The encoder runs each frame as explicit stages over the whole frame:
 //
-//   1. motion stage       — one EstimateResult per macroblock, row-parallel
-//                           in WAVEFRONT order: block (bx, by) waits until
-//                           row by−1 has finished block bx+1, so the
-//                           spatial predictors PBM and the median predictor
-//                           read (left, above, above-right in
-//                           BlockContext::cur_field) are final before the
-//                           read. Worker 0 runs the caller's estimator;
-//                           every other worker owns a clone() of it whose
-//                           statistics are merged back into the primary via
-//                           merge_stats() after every frame.
+//   1. motion stage       — one EstimateResult per macroblock, row-parallel.
+//                           When the frame's estimator reads the current
+//                           field (reads_current_field(): PBM, ACBM) or
+//                           me_lambda > 0, rows run in WAVEFRONT order:
+//                           block (bx, by) waits until row by−1 has
+//                           finished block bx+1, so the spatial predictors
+//                           PBM and the median predictor read (left, above,
+//                           above-right in BlockContext::cur_field) are
+//                           final before the read. Otherwise rows run
+//                           unstaggered, and blocks get no current field
+//                           and a zero predictor. Worker 0 runs the
+//                           caller's estimator; every other worker owns a
+//                           clone() of it whose statistics are merged back
+//                           into the primary via merge_stats() after every
+//                           frame.
 //   2.5 plan stage        — one Encoder::MbPlan per macroblock: the TMN
 //                           heuristic INTRA/INTER/SKIP decision against the
 //                           block's motion estimate, then prediction, DCT
@@ -118,7 +123,9 @@
 // median of the ME field — computable inside the wavefront — instead of the
 // coded field, which only exists after entropy coding. With the default
 // me_lambda = 0 (the paper's pure-SAD search) the cost ignores the
-// predictor entirely and bitstreams are unchanged.
+// predictor entirely, so a frame whose estimator does not read the field
+// skips both the stagger and the predictor (it would read neighbours other
+// workers are still writing) and its bitstream is unchanged.
 
 #include <atomic>
 #include <chrono>
@@ -268,9 +275,12 @@ class EncoderPipeline {
 
   // --- stages ---
   void motion_stage(const video::Frame& src, FrameReport& report);
+  /// One block's estimate. `wavefront` false means other rows of this frame
+  /// may be writing the ME field concurrently: the block then gets no
+  /// current field and a zero cost predictor.
   [[nodiscard]] me::EstimateResult estimate_block(
-      me::MotionEstimator& estimator, const video::Frame& src, int bx,
-      int by) const;
+      me::MotionEstimator& estimator, const video::Frame& src, int bx, int by,
+      bool wavefront) const;
   /// Reference rows (cumulative macroblock rows, frame-local) frame f's ME
   /// row `by` may touch: the block rows themselves shifted by up to
   /// ±search_range, one extra sample row for half-pel interpolation, and

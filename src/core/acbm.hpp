@@ -33,6 +33,9 @@ class Acbm final : public me::MotionEstimator {
 
   [[nodiscard]] std::string_view name() const override { return "ACBM"; }
 
+  /// Step 2 runs PBM, which reads the current field.
+  [[nodiscard]] bool reads_current_field() const override { return true; }
+
   /// Clears statistics and the decision log.
   void reset() override;
 

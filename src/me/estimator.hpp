@@ -41,6 +41,9 @@ struct BlockContext {
   bool half_pel = true;     ///< perform the final half-pel refinement
   /// Spatial predictors: the current frame's field, filled up to but not
   /// including this block (raster order). May be null (no spatial preds).
+  /// The encoder passes it only to estimators whose reads_current_field()
+  /// is true, or when me_lambda > 0; otherwise its ME rows run without the
+  /// wavefront stagger and this is null.
   const MvField* cur_field = nullptr;
   /// Temporal predictors: the previous frame's complete field. May be null.
   const MvField* prev_field = nullptr;
@@ -76,6 +79,14 @@ class MotionEstimator {
   /// @brief Stable identifier used in bench output and as the registry key
   /// ("FSBM", "PBM", "ACBM", ...).
   [[nodiscard]] virtual std::string_view name() const = 0;
+
+  /// @brief True when estimate() reads BlockContext::cur_field.
+  ///
+  /// The encoder pays the two-block wavefront stagger only for estimators
+  /// that say so (or for a rate-aware cost, whose median predictor reads the
+  /// field); every other estimator gets cur_field == nullptr, because its
+  /// neighbours may still be mid-write on other workers.
+  [[nodiscard]] virtual bool reads_current_field() const { return false; }
 
   /// @brief Clears any cross-frame state (ACBM statistics, etc.). Called
   /// between sequences.

@@ -25,6 +25,9 @@ class Pbm final : public MotionEstimator {
 
   [[nodiscard]] std::string_view name() const override { return "PBM"; }
 
+  /// The left, above and above-right candidates come from the current field.
+  [[nodiscard]] bool reads_current_field() const override { return true; }
+
   [[nodiscard]] std::unique_ptr<MotionEstimator> clone() const override {
     return std::make_unique<Pbm>(*this);
   }

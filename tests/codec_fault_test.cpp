@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "codec/decoder.hpp"
 #include "codec/encoder.hpp"
 #include "codec/service.hpp"
 #include "codec/session_error.hpp"
@@ -57,12 +58,12 @@ std::vector<std::uint8_t> encode_standalone(
   return encoder.finish();
 }
 
-std::unique_ptr<EncodeSession> make_session(EncoderService& service,
-                                            const std::vector<video::Frame>& f,
-                                            const EncoderConfig& config) {
+std::unique_ptr<EncodeSession> make_session(
+    EncoderService& service, const std::vector<video::Frame>& f,
+    const EncoderConfig& config, const std::string& estimator = "ACBM") {
   return std::make_unique<EncodeSession>(
       service, video::PictureSize{f[0].width(), f[0].height()}, config,
-      core::builtin_estimators().create("ACBM"));
+      core::builtin_estimators().create(estimator));
 }
 
 /// One frame's outcome when driven through a possibly-faulty session.
@@ -495,6 +496,55 @@ TEST(Overload, DegradeEncodesInsteadOfShedding) {
   EXPECT_EQ(stats.accepted, static_cast<std::uint64_t>(kFrames));
   EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kFrames));
   EXPECT_GT(stats.degraded, 0u);
+}
+
+// The motion stage picks its row shape per frame from the estimator that
+// runs it: ACBM and PBM read the current field and keep the wavefront
+// stagger, DS and FSBM run their rows without it. A degraded session mixes
+// both shapes in consecutive frames; the stream must still decode whole.
+void expect_mixed_degrade_decodes(const std::string& primary,
+                                  const std::string& degrade) {
+  constexpr int kFrames = 8;
+  const auto frames = test_sequence("foreman", kFrames);
+  EncoderConfig config;
+  config.qp = 16;
+  config.search_range = 7;  // keep full search affordable in the suite
+  const util::FaultInjector injector(
+      "fault:site=task_delay_ms,p=1,seed=1,delay_ms=20");
+  EncoderService service(2);
+  service.set_fault_injector(&injector);
+  auto session = make_session(service, frames, config, primary);
+  const OverloadPolicy policy =
+      overload_policy_from_spec("overload:queue=1,degrade=" + degrade);
+  session->configure_overload(
+      policy, core::builtin_estimators().create(policy.degrade));
+
+  std::vector<std::future<Packet>> futures;
+  for (const video::Frame& frame : frames) {
+    futures.push_back(session->submit(frame));
+  }
+  std::vector<std::uint8_t> stream;
+  for (std::future<Packet>& f : futures) {
+    Packet packet;
+    ASSERT_NO_THROW(packet = f.get()) << primary << " / " << degrade;
+    stream.insert(stream.end(), packet.bytes.begin(), packet.bytes.end());
+  }
+  EXPECT_FALSE(session->failed());
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.failed, 0u);
+  EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kFrames));
+  EXPECT_GT(stats.degraded, 0u) << primary << " / " << degrade;
+
+  Decoder decoder(stream, DecoderConfig{});
+  EXPECT_EQ(decoder.decode_all().size(), static_cast<std::size_t>(kFrames));
+}
+
+TEST(Overload, DegradeFromStaggeredToUnstaggeredRows) {
+  expect_mixed_degrade_decodes("ACBM", "DS");
+}
+
+TEST(Overload, DegradeFromUnstaggeredToStaggeredRows) {
+  expect_mixed_degrade_decodes("FSBM", "PBM");
 }
 
 // --------------------------------------------------------------- stats ----

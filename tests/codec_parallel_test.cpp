@@ -1,4 +1,5 @@
-// Parallel-encoding determinism: the pipeline's wavefront ME stage must
+// Parallel-encoding determinism: the pipeline's row-parallel ME stage
+// (wavefront-staggered when the estimator reads the current field) must
 // produce byte-identical ACV1 bitstreams at any thread count, for I-only,
 // P-heavy and skip-heavy content, with identical AcbmStats totals after the
 // worker merge — the invariant that makes the thread count a pure
@@ -19,10 +20,11 @@
 namespace acbm::codec {
 namespace {
 
-std::vector<video::Frame> test_sequence(const std::string& name, int frames) {
+std::vector<video::Frame> test_sequence(const std::string& name, int frames,
+                                        video::PictureSize size = {64, 48}) {
   synth::SequenceRequest req;
   req.name = name;
-  req.size = {64, 48};
+  req.size = size;
   req.frame_count = frames;
   req.fps = 30;
   return synth::make_sequence(req);
@@ -110,6 +112,32 @@ TEST(ParallelEncode, FsbmBitstreamIdentical) {
   EncoderConfig parallel = config;
   parallel.parallel.threads = 3;
   EXPECT_EQ(encode_with(frames, "FSBM", parallel).stream, serial.stream);
+}
+
+TEST(ParallelEncode, BothRowShapesIdenticalAcrossThreadCounts) {
+  // The motion stage staggers its rows only when the block reads the
+  // current ME field: PBM always, any estimator at me_lambda > 0 (the
+  // median cost predictor). FSBM and DS at λ 0 run their rows without the
+  // stagger; every other cell of the grid keeps it.
+  const auto frames = test_sequence("foreman", 5, {96, 80});
+  for (const std::string algorithm : {"FSBM", "DS", "PBM"}) {
+    for (double lambda : {0.0, 4.0}) {
+      EncoderConfig config;
+      config.qp = 16;
+      config.search_range = 7;  // keep full search affordable in the suite
+      config.me_lambda = lambda;
+      const EncodeOutcome serial = encode_with(frames, algorithm, config);
+      ASSERT_GT(serial.stream.size(), 0u);
+      for (int threads : {2, 3, 4}) {
+        EncoderConfig parallel = config;
+        parallel.parallel.threads = threads;
+        const EncodeOutcome outcome = encode_with(frames, algorithm, parallel);
+        EXPECT_EQ(outcome.stream, serial.stream)
+            << algorithm << " λ " << lambda << ", " << threads << " threads";
+        expect_reports_identical(outcome.reports, serial.reports);
+      }
+    }
+  }
 }
 
 TEST(ParallelEncode, IOnlySequenceIdentical) {

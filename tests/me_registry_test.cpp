@@ -1,15 +1,19 @@
 // EstimatorRegistry: lookup, unknown-name error, registration discipline,
 // and the clone()/merge_stats() contract — in particular that ACBM clones
-// share parameters but never statistics.
+// share parameters but never statistics — plus the reads_current_field()
+// declaration the encoder's row scheduling relies on.
 
 #include "me/registry.hpp"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/acbm.hpp"
 #include "core/builtin_estimators.hpp"
+#include "me/mv_field.hpp"
 #include "me/pbm.hpp"
 #include "test_support.hpp"
 
@@ -146,6 +150,70 @@ TEST(EstimatorClone, AcbmStatsDoNotLeakBetweenClones) {
   (void)cloned->estimate(fx.context(48, 48));
   EXPECT_EQ(original.stats().blocks, 1u);
   EXPECT_EQ(cloned->stats().blocks, 2u);
+}
+
+// ------------------------------------------------- current-field declaration
+
+TEST(ReadsCurrentField, ExactlyPbmAndAcbmDeclareIt) {
+  const me::EstimatorRegistry& registry = core::builtin_estimators();
+  for (const std::string& name : registry.names()) {
+    const bool expected = name == "PBM" || name == "ACBM";
+    EXPECT_EQ(registry.create(name)->reads_current_field(), expected) << name;
+  }
+}
+
+/// Every block of a QCIF pair, estimated by a fresh `name` at λ = 0 with
+/// `cur_field` as the current field.
+std::vector<me::EstimateResult> estimate_qcif(const std::string& name,
+                                              const SearchFixture& fx,
+                                              const me::MvField* cur_field) {
+  const auto estimator = core::builtin_estimators().create(name);
+  std::vector<me::EstimateResult> results;
+  for (int y = 0; y + me::kBlockSize <= fx.cur.height(); y += me::kBlockSize) {
+    for (int x = 0; x + me::kBlockSize <= fx.cur.width();
+         x += me::kBlockSize) {
+      me::BlockContext ctx = fx.context(x, y);
+      ctx.cur_field = cur_field;
+      results.push_back(estimator->estimate(ctx));
+    }
+  }
+  return results;
+}
+
+// The encoder hands cur_field only to estimators that declare they read it
+// (the others run without the wavefront stagger and see null). An estimator
+// that reads the field without declaring it would change its output here.
+TEST(ReadsCurrentField, UndeclaredEstimatorsIgnoreTheField) {
+  auto [ref, cur] = shifted_pair(176, 144, 5, -3, 41);
+  const SearchFixture fx(std::move(ref), std::move(cur));
+  // A populated field: the true vector on some blocks, far-off ones on the
+  // rest, so a reader's predictor candidates differ from the null case.
+  me::MvField field = me::MvField::for_picture(176, 144);
+  for (int by = 0; by < field.mbs_y(); ++by) {
+    for (int bx = 0; bx < field.mbs_x(); ++bx) {
+      field.set(bx, by, (bx + by) % 3 == 0 ? me::Mv{10, -6}
+                                           : me::Mv{-2 * bx, 2 * by - 9});
+    }
+  }
+
+  const me::EstimatorRegistry& registry = core::builtin_estimators();
+  for (const std::string& name : registry.names()) {
+    const std::vector<me::EstimateResult> with =
+        estimate_qcif(name, fx, &field);
+    const std::vector<me::EstimateResult> without =
+        estimate_qcif(name, fx, nullptr);
+    ASSERT_EQ(with.size(), without.size());
+    bool identical = true;
+    for (std::size_t i = 0; i < with.size(); ++i) {
+      identical = identical && with[i].mv == without[i].mv &&
+                  with[i].sad == without[i].sad &&
+                  with[i].positions == without[i].positions;
+    }
+    // The declared readers must show the field matters, or this check
+    // could not catch an undeclared one.
+    EXPECT_EQ(identical, !registry.create(name)->reads_current_field())
+        << name;
+  }
 }
 
 // ------------------------------------------------------------- merge_stats
