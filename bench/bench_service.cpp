@@ -57,8 +57,7 @@ void add_latency_counters(
     std::vector<std::pair<std::string, double>>& counters,
     const std::vector<obs::Registry::HistogramRow>& rows) {
   constexpr std::pair<const char*, const char*> kStages[] = {
-      {"enc.stage.me", "me"},
-      {"enc.stage.plan", "plan"},
+      {"enc.stage.front", "front"},
       {"enc.stage.entropy", "entropy"},
       {"enc.frame.wall", "frame_wall"},
   };

@@ -50,35 +50,10 @@ namespace {
 
 using namespace acbm;
 
-/// Per-stage wall-clock totals over a sequence (--summary).
-struct StageTotals {
-  double me = 0.0;
-  double plan = 0.0;
-  double entropy = 0.0;
-  double frame_wall = 0.0;
-
-  void add(const codec::FrameReport& r) {
-    me += r.me_stage_seconds;
-    plan += r.plan_stage_seconds;
-    entropy += r.entropy_stage_seconds;
-    frame_wall += r.frame_wall_seconds;
-  }
-
-  void print(std::size_t frames) const {
-    const double n = static_cast<double>(frames);
-    std::cout << "  stage seconds (sum): ME "
-              << util::CsvWriter::num(me, 3) << ", plan "
-              << util::CsvWriter::num(plan, 3) << ", entropy "
-              << util::CsvWriter::num(entropy, 3) << "; mean frame wall "
-              << util::CsvWriter::num(frame_wall / n * 1000.0, 2) << " ms\n";
-  }
-};
-
 double ms(std::uint64_t ns) { return static_cast<double>(ns) / 1e6; }
 
-/// Registry-backed per-stage latency table (--summary): the same
-/// measurements FrameReport's stage timers sum, but as percentiles over the
-/// sequence — one p50/p95/p99 row per stage histogram.
+/// Registry-backed per-stage latency table (--summary): percentiles over
+/// the sequence, one p50/p95/p99 row per stage histogram.
 void print_stage_table(
     const std::vector<obs::Registry::HistogramRow>& rows) {
   bool header = false;
@@ -177,10 +152,9 @@ int main(int argc, char** argv) {
                     "mode; shed frames are dropped from the stream",
                     "");
   parser.add_flag("summary",
-                  "print per-stage wall-clock totals (ME/plan/entropy), a "
-                  "p50/p95/p99 per-stage latency table, mean per-frame "
-                  "latency, and (in service mode) the service health "
-                  "counters after encoding");
+                  "print a p50/p95/p99 latency table of the front and "
+                  "entropy stages and the frame wall clock, and (in service "
+                  "mode) the service health counters after encoding");
   parser.add_option("trace",
                     "write a Chrome trace-event JSON file of the encode "
                     "(loads in Perfetto / chrome://tracing); tracing never "
@@ -335,7 +309,6 @@ int main(int argc, char** argv) {
     std::uint64_t bits = 0;
     std::uint64_t positions = 0;
     double psnr = 0.0;
-    StageTotals totals;
     std::vector<std::uint8_t> stream;
     int effective_slices = 1;
     double wall_seconds = 0.0;
@@ -379,7 +352,6 @@ int main(int argc, char** argv) {
         bits += r.bits;
         positions += r.me_positions;
         psnr += r.psnr_y;
-        totals.add(r);
       }
       wall_seconds = wall.seconds();
       stream = encoder.finish();
@@ -476,7 +448,6 @@ int main(int argc, char** argv) {
         bits += r.bits;
         positions += r.me_positions;
         psnr += r.psnr_y;
-        totals.add(r);
       }
       stream = sess[0]->finish();
       effective_slices = sess[0]->encoder().slices();
@@ -546,7 +517,6 @@ int main(int argc, char** argv) {
                 << " frames/s per session)\n";
     }
     if (parser.get_flag("summary")) {
-      totals.print(encoded);
       print_stage_table(hist_rows);
       if (service_stats) {
         const codec::ServiceStats& st = *service_stats;

@@ -101,8 +101,7 @@ void Encoder::set_metrics(obs::Registry* registry) {
     stage_metrics_ = StageMetrics{};
     return;
   }
-  stage_metrics_.me = &registry->histogram("enc.stage.me");
-  stage_metrics_.plan = &registry->histogram("enc.stage.plan");
+  stage_metrics_.front = &registry->histogram("enc.stage.front");
   stage_metrics_.entropy = &registry->histogram("enc.stage.entropy");
   stage_metrics_.frame_wall = &registry->histogram("enc.frame.wall");
 }
@@ -182,7 +181,7 @@ void Encoder::plan_mb(const video::Frame& src, int bx, int by,
   // Plan all three candidates and reduce each to the pieces of its
   // Lagrangian cost that do not depend on the MVD predictor; write_mb
   // finishes the comparison. Scratch reconstructions are thrown away — the
-  // winner is reconstructed for real from its plan in stage 3.
+  // winner is reconstructed for real from its plan by write_mb.
   const double lambda = mode_lambda(qp);
   MbBuffer scratch{};
   reconstruct_inter_mb(out.inter.levels, out.inter.pred, qp,

@@ -129,21 +129,11 @@ struct FrameReport {
   std::uint64_t coeff_bits = 0;
   std::uint64_t header_bits = 0;   ///< sync + mode/COD/CBP bits
   double me_field_smoothness = 0.0;  ///< MvField::smoothness_l1 of ME field
-  /// Wall-clock spent in the pipeline's plan stage (stage 2.5: mode
-  /// decision, DCT/quant, RD candidate costing) and entropy stage (stage 3:
-  /// MVD coding + bit writing + reconstruction) for this frame.
-  /// Instrumentation only — the stage benches report these so their rows
-  /// keep measuring the stage they are named after, not whatever else
-  /// encode_frame does around it.
-  double plan_stage_seconds = 0.0;
-  double entropy_stage_seconds = 0.0;
-  /// Wall-clock spent in the motion-estimation stage (0 for intra frames),
-  /// completing the per-stage coverage the plan/entropy timers started.
-  double me_stage_seconds = 0.0;
   /// End-to-end wall clock for the frame, first stage entered to last stage
   /// left. Under frame-level pipelining this spans the overlap with the
   /// neighbouring frames' stages, so it is the per-frame latency a service
-  /// caller observes — not the sum of the stage timers.
+  /// caller observes — not the sum of the stage times. Per-stage times live
+  /// only in the "enc.stage.*" histograms (Encoder::set_metrics).
   double frame_wall_seconds = 0.0;
 };
 
@@ -253,11 +243,10 @@ class Encoder {
   }
 
   /// Installs the metrics registry the pipeline records stage latencies
-  /// into ("enc.stage.me/plan/entropy", "enc.frame.wall" histograms, in
-  /// nanoseconds). Null disarms. The registry must outlive the encoder.
-  /// The per-frame FrameReport stage timers keep being filled either way —
-  /// they are now thin per-frame reads of the same measurements the
-  /// histograms aggregate.
+  /// into, one sample per frame in nanoseconds: "enc.stage.front" (motion
+  /// estimation and planning), "enc.stage.entropy" and "enc.frame.wall".
+  /// These histograms are the encoder's only stage clock. Null disarms.
+  /// The registry must outlive the encoder.
   void set_metrics(obs::Registry* registry);
 
   /// Session id stamped into this encoder's trace spans and async
@@ -344,9 +333,9 @@ class Encoder {
 
   enum class MbMode { kIntra, kInter, kSkip };
 
-  /// Everything the plan stage (EncoderPipeline stage 2.5) precomputes for
-  /// one macroblock, leaving stage 3 with only predictor-dependent MVD
-  /// coding, bit writing and reconstruction. Heuristic and I-frame plans
+  /// Everything the front stage (EncoderPipeline) plans for one
+  /// macroblock, leaving the entropy stage with only predictor-dependent
+  /// MVD coding, bit writing and reconstruction. Heuristic and I-frame plans
   /// carry the decided mode and only its candidate. Rate–distortion plans
   /// carry all three candidates; the only cost term that cannot be
   /// precomputed is the MVD code length, which depends on the coded-field
@@ -358,7 +347,7 @@ class Encoder {
     MbLevels intra;   ///< valid when mode == kIntra (or rd)
     InterPlan inter;  ///< valid when mode != kIntra (or rd)
     MbMode mode = MbMode::kIntra;  ///< ignored when rd
-    bool rd = false;  ///< stage 3 must run the three-way J comparison
+    bool rd = false;  ///< write_mb must run the three-way J comparison
     /// RD precomputation: full J for the predictor-independent candidates…
     double j_intra = 0.0;
     double j_skip = 0.0;  ///< +inf when SKIP is disallowed
@@ -369,7 +358,7 @@ class Encoder {
 
   void write_sequence_header();
 
-  /// Stage-2.5 entry point: decides and plans macroblock (bx, by) at
+  /// Front-stage entry point: decides and plans macroblock (bx, by) at
   /// quantiser `qp` — the TMN INTRA/INTER test against the block's motion
   /// estimate `est` (unused in I-frames and RD mode), or all three RD
   /// candidates — without touching any mutable encoder state, so it is
@@ -377,9 +366,9 @@ class Encoder {
   void plan_mb(const video::Frame& src, int bx, int by, bool intra_frame,
                int qp, const me::EstimateResult& est, MbPlan& out) const;
 
-  /// Stage-3 entry point: settles the RD choice, entropy-codes macroblock
-  /// (bx, by) into `slice` from its plan and reconstructs it. Serial per
-  /// slice (the MVD predictor chains through coded_field_).
+  /// Entropy-stage entry point: settles the RD choice, entropy-codes
+  /// macroblock (bx, by) into `slice` from its plan and reconstructs it.
+  /// Serial per slice (the MVD predictor chains through coded_field_).
   void write_mb(bool intra_frame, int qp, const MbPlan& plan, int bx, int by,
                 SliceState& slice);
 
@@ -400,8 +389,8 @@ class Encoder {
   /// retargets the role pointers below at each frame's stage boundaries.
   video::Frame recon_buf_[2];
   video::Frame* recon_;            ///< current frame's reconstruction target
-  const video::Frame* front_ref_;  ///< reference read by ME/plan (stage 1-2.5)
-  const video::Frame* back_ref_;   ///< reference read by SKIP recon (stage 3)
+  const video::Frame* front_ref_;  ///< reference read by the front (ME, plan)
+  const video::Frame* back_ref_;   ///< reference read by SKIP recon (entropy)
   const video::Frame* last_recon_; ///< most recently completed frame
   video::HalfpelPlanes ref_half_;  ///< half-pel view bound onto *front_ref_
   /// ME-field double-buffer, same parity scheme: frame f's estimator output
@@ -423,8 +412,7 @@ class Encoder {
   // registry at set_metrics time so the hot path never does a name lookup,
   // and the session id trace spans are tagged with. All optional.
   struct StageMetrics {
-    obs::Histogram* me = nullptr;
-    obs::Histogram* plan = nullptr;
+    obs::Histogram* front = nullptr;
     obs::Histogram* entropy = nullptr;
     obs::Histogram* frame_wall = nullptr;
   };

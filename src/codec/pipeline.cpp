@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "codec/deblock.hpp"
+#include "codec/mc.hpp"
 #include "codec/service_stats.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -65,6 +66,8 @@ EncoderPipeline::EncoderPipeline(Encoder& encoder, util::ThreadPool& pool)
     : enc_(encoder),
       pool_(pool),
       worker_count_(pool.size() + 1),
+      me_results_(static_cast<std::size_t>(encoder.mbs_x()) *
+                  static_cast<std::size_t>(encoder.mbs_y())),
       row_progress_(static_cast<std::size_t>(encoder.mbs_y())),
       row_done_(static_cast<std::size_t>(encoder.mbs_y())),
       queue_(pool) {}
@@ -148,15 +151,13 @@ std::optional<std::future<EncodedFrame>> EncoderPipeline::enqueue(
     // next submitted frame however late this one is encoded.
     job->qp = enc_.config_.qp;
     if (seq < 2) {
-      // Size parity `seq`'s stage buffers once, here on the submitting
-      // thread: sizing them inside a front task on a pool worker measurably
+      // Size parity `seq`'s plan buffer once, here on the submitting
+      // thread: sizing it inside a front task on a pool worker measurably
       // raised peak RSS (the memory lands in that thread's malloc arena).
       // Encode indices never exceed submission numbers, so both parities
       // exist before their first use.
-      const std::size_t mbs = static_cast<std::size_t>(enc_.mbs_x()) *
-                              static_cast<std::size_t>(enc_.mbs_y());
-      me_results_[seq].resize(mbs);
-      plans_[seq].resize(mbs);
+      plans_[seq].resize(static_cast<std::size_t>(enc_.mbs_x()) *
+                         static_cast<std::size_t>(enc_.mbs_y()));
     }
     if (failed_.load(std::memory_order_relaxed)) {
       // Fail fast: the session is latched; every further submit resolves
@@ -437,7 +438,7 @@ void EncoderPipeline::release_back_waiters() {
       back_base_ + static_cast<std::uint64_t>(enc_.mbs_y()));
 }
 
-// ------------------------------------------------------- front half (1–2.5)
+// -------------------------------------------------------------- front half
 
 void EncoderPipeline::run_front(const video::Frame& src, std::uint64_t f,
                                 int qp, FrameReport& report, bool degraded) {
@@ -464,37 +465,24 @@ void EncoderPipeline::run_front(const video::Frame& src, std::uint64_t f,
   if (!intra_frame) {
     // Zero-copy reference: ME and motion compensation read the previous
     // frame's reconstruction buffer directly. Under pipelining its lower
-    // rows may still be materialising — the row-readiness gate below keeps
-    // every read behind the publication frontier.
+    // rows may still be materialising — each row task's readiness gate
+    // keeps every read behind the publication frontier.
     // (A P-frame always has a predecessor: frame 0 is intra.)
     e.ref_half_.bind(&e.front_ref_->y());
     front_gate_ = &ref_ready_[(f + 1) & 1];
     front_wait_base_ = ((f - 1) >> 1) * static_cast<std::uint64_t>(e.mbs_y());
-
-    util::Timer me_timer;
-    {
-      obs::Span me_span("enc", "stage.me", tsess, tframe);
-      motion_stage(src, report);
-    }
-    report.me_stage_seconds = me_timer.seconds();
-    record_latency(e.stage_metrics_.me, report.me_stage_seconds);
   }
-  report.me_field_smoothness = e.me_field_->smoothness_l1();
 
-  util::Timer plan_timer;
+  util::Timer front_timer;
   {
-    obs::Span plan_span("enc", "stage.plan", tsess, tframe);
-    // No gate needed here even though plans read the reference: the ME
-    // wavefront's last row always waits for the complete reference (its
-    // search window extends past the picture bottom into the replicated
-    // border — see rows_needed), and intra-frame plans read no reference.
-    plan_stage(src, intra_frame);
+    obs::Span front_span("enc", "stage.front", tsess, tframe);
+    front_stage(src, intra_frame, report);
   }
-  report.plan_stage_seconds = plan_timer.seconds();
-  record_latency(e.stage_metrics_.plan, report.plan_stage_seconds);
+  record_latency(e.stage_metrics_.front, front_timer.seconds());
+  report.me_field_smoothness = e.me_field_->smoothness_l1();
 }
 
-// ----------------------------------------------------------- back half (3)
+// --------------------------------------------------------------- back half
 
 void EncoderPipeline::run_back(const video::Frame& src, std::uint64_t f,
                                int qp, FrameReport& report,
@@ -535,8 +523,7 @@ void EncoderPipeline::run_back(const video::Frame& src, std::uint64_t f,
     obs::Span entropy_span("enc", "stage.entropy", tsess, tframe);
     entropy_stage(intra_frame, report);
   }
-  report.entropy_stage_seconds = entropy_timer.seconds();
-  record_latency(e.stage_metrics_.entropy, report.entropy_stage_seconds);
+  record_latency(e.stage_metrics_.entropy, entropy_timer.seconds());
 
   e.writer_.align();
   report.bits = e.writer_.bit_count() - frame_start_bits;
@@ -565,7 +552,7 @@ void EncoderPipeline::run_back(const video::Frame& src, std::uint64_t f,
                    stream.end());
 }
 
-// ------------------------------------------------------------ motion stage
+// ------------------------------------------------------------- front stage
 
 me::EstimateResult EncoderPipeline::estimate_block(
     me::MotionEstimator& estimator, const video::Frame& src, int bx, int by,
@@ -611,42 +598,72 @@ std::uint64_t EncoderPipeline::rows_needed(int by) const {
   return static_cast<std::uint64_t>(bottom / kMb + 1);
 }
 
-void EncoderPipeline::motion_stage(const video::Frame& src,
-                                   FrameReport& report) {
-  Encoder& e = enc_;
-  ensure_workers();
-  std::vector<me::EstimateResult>& results = me_results_[front_parity_];
+bool EncoderPipeline::mc_footprint_gated(int by, me::Mv mv) const {
+  const std::uint64_t rows = rows_needed(by);
+  if (rows == static_cast<std::uint64_t>(enc_.mbs_y())) {
+    return true;  // the whole reference, bottom border included, is final
+  }
+  // Only the bottom edge can pass the gate: the gate is a prefix of rows,
+  // and the top border is extended with row 0. Luma rows, then chroma rows
+  // (4:2:0, half-height), each with the interpolation row of a half phase.
+  const int gated = static_cast<int>(rows) * kMb;
+  const video::HalfpelSplit luma = video::split_halfpel(mv.y);
+  const video::HalfpelSplit chroma =
+      video::split_halfpel(derive_chroma_mv(mv).y);
+  return by * kMb + luma.integer + kMb - 1 + luma.phase < gated &&
+         by * kMb / 2 + chroma.integer + kMb / 2 - 1 + chroma.phase <
+             gated / 2;
+}
+
+void EncoderPipeline::front_stage(const video::Frame& src, bool intra_frame,
+                                  FrameReport& report) {
+  const Encoder& e = enc_;
+  if (!intra_frame) {
+    ensure_workers();
+  }
   const std::vector<me::MotionEstimator*>& stage_workers =
       front_degraded_ ? degraded_workers_ : workers_;
-  const int mbs_x = e.mbs_x();
-  const int mbs_y = e.mbs_y();
-
-  // Block (bx, by) may start once row by−1 has finished through column
+  // Block (bx, by) may start once row by−1 has estimated through column
   // bx+1 (its above-right predictor) — the classic two-block wavefront
   // stagger. Only an estimator that reads the current field, or a rate-aware
   // cost's median predictor, needs it; otherwise rows run independently.
+  const bool wavefront =
+      !intra_frame && (e.config_.me_lambda != 0.0 ||
+                       stage_workers.front()->reads_current_field());
+  const int mbs_x = e.mbs_x();
   // Progress is cumulative over the stream: this frame's row values start
   // at `base` (see row_progress_).
-  const bool wavefront = e.config_.me_lambda != 0.0 ||
-                         stage_workers.front()->reads_current_field();
   const std::uint64_t base = front_frame_ * static_cast<std::uint64_t>(mbs_x);
-  for (int by = 0; by < mbs_y; ++by) {
+  std::vector<Encoder::MbPlan>& plans = plans_[front_parity_];
+  for (int by = 0; by < e.mbs_y(); ++by) {
     // One task per row. The lane dispatches FIFO, so a row's predecessor is
     // always running or finished before the row starts: the dependency wait
     // below cannot deadlock.
-    pool_.submit(queue_, [this, &src, by, mbs_x, base, wavefront, &results,
-                          &stage_workers, &e] {
+    pool_.submit(queue_, [&, by] {
       const std::int32_t tsess = trace_arg(e.trace_session_);
       const std::int32_t tframe = trace_arg(front_frame_);
+      const std::size_t row_start =
+          static_cast<std::size_t>(by) * static_cast<std::size_t>(mbs_x);
+      if (intra_frame) {
+        // Intra plans read neither the reference nor the (stale) estimate.
+        obs::Span row_span("enc", "front.row", tsess, tframe, by);
+        for (int bx = 0; bx < mbs_x; ++bx) {
+          const std::size_t idx = row_start + static_cast<std::size_t>(bx);
+          e.plan_mb(src, bx, by, true, front_qp_, me_results_[idx],
+                    plans[idx]);
+        }
+        return;
+      }
       // Cross-frame gate first: park until the previous frame's entropy
-      // stage has published every reference row this row's search window
-      // can touch. The publisher (the back task, dispatched earlier on this
-      // lane) never parks on this frame, so the wait always resolves.
+      // stage has published every reference row this row's search window —
+      // and so its motion compensation — can touch. The publisher (the back
+      // task, dispatched earlier on this lane) never parks on this frame, so
+      // the wait always resolves.
       {
         obs::Span wait_span("enc", "wait.ref_rows", tsess, tframe, by);
         front_gate_->wait_for(front_wait_base_ + rows_needed(by));
       }
-      obs::Span row_span("enc", "me.row", tsess, tframe, by);
+      obs::Span row_span("enc", "front.row", tsess, tframe, by);
       const int worker = util::ThreadPool::worker_index();
       assert(worker >= 0 && worker < static_cast<int>(stage_workers.size()));
       me::MotionEstimator& estimator =
@@ -658,12 +675,17 @@ void EncoderPipeline::motion_stage(const video::Frame& src,
             row_progress_[static_cast<std::size_t>(by) - 1].wait_for(
                 base + static_cast<std::uint64_t>(std::min(bx + 2, mbs_x)));
           }
-          const std::size_t idx =
-              static_cast<std::size_t>(by) * static_cast<std::size_t>(mbs_x) +
-              static_cast<std::size_t>(bx);
-          results[idx] = estimate_block(estimator, src, bx, by, wavefront);
-          e.me_field_->set(bx, by, results[idx].mv);
+          const std::size_t idx = row_start + static_cast<std::size_t>(bx);
+          me::EstimateResult& est = me_results_[idx];
+          est = estimate_block(estimator, src, bx, by, wavefront);
+          e.me_field_->set(bx, by, est.mv);
           done.publish(base + static_cast<std::uint64_t>(bx) + 1);
+          // Planning after the publish never delays the row below. Its
+          // reference reads (MC at est.mv, the SKIP candidate's zero-vector
+          // copy) lie inside the rows the gate above waited for.
+          assert(mc_footprint_gated(by, est.mv) &&
+                 "motion compensation reads past the gated reference rows");
+          e.plan_mb(src, bx, by, false, front_qp_, est, plans[idx]);
         }
       } catch (...) {
         // Mark the whole row complete before the pool captures the error:
@@ -675,6 +697,9 @@ void EncoderPipeline::motion_stage(const video::Frame& src,
     }, &front_group_);
   }
   pool_.wait(front_group_);
+  if (intra_frame) {
+    return;
+  }
 
   // Drain the other workers' statistics into the primary (worker 0's
   // estimator). Totals are additive, so the result is independent of which
@@ -686,41 +711,12 @@ void EncoderPipeline::motion_stage(const video::Frame& src,
   }
 
   // Serial reduction keeps the report totals independent of scheduling.
-  for (const me::EstimateResult& er : results) {
+  for (const me::EstimateResult& er : me_results_) {
     report.me_positions += er.positions;
     if (er.used_full_search) {
       ++report.full_search_blocks;
     }
   }
-}
-
-// -------------------------------------------------------------- plan stage
-
-void EncoderPipeline::plan_stage(const video::Frame& src, bool intra_frame) {
-  const Encoder& e = enc_;
-  const std::vector<me::EstimateResult>& results = me_results_[front_parity_];
-  std::vector<Encoder::MbPlan>& plans = plans_[front_parity_];
-  const int mbs_x = e.mbs_x();
-  const int mbs_y = e.mbs_y();
-  // One contiguous chunk of rows per worker.
-  const int rows_per_task =
-      std::max(1, (mbs_y + worker_count_ - 1) / worker_count_);
-  for (int begin = 0; begin < mbs_y; begin += rows_per_task) {
-    const int end = std::min(begin + rows_per_task, mbs_y);
-    pool_.submit(queue_, [&, begin, end] {
-      for (int by = begin; by < end; ++by) {
-        for (int bx = 0; bx < mbs_x; ++bx) {
-          const std::size_t idx = static_cast<std::size_t>(by) *
-                                      static_cast<std::size_t>(mbs_x) +
-                                  static_cast<std::size_t>(bx);
-          // I-frame plans ignore the (stale) estimate.
-          e.plan_mb(src, bx, by, intra_frame, front_qp_, results[idx],
-                    plans[idx]);
-        }
-      }
-    }, &front_group_);
-  }
-  pool_.wait(front_group_);
 }
 
 // ----------------------------------------------------------- entropy stage
@@ -757,7 +753,7 @@ void EncoderPipeline::entropy_slice(bool intra_frame,
   obs::Span span("enc", "entropy.slice", trace_arg(e.trace_session_),
                  trace_arg(back_frame_), row_begin);
   const std::vector<Encoder::MbPlan>& plans = plans_[back_parity_];
-  // Same stride source as the stages that filled me_results_/plans_.
+  // Same stride source as the front stage that filled plans_.
   const int mbs_x = e.mbs_x();
 
   for (int by = row_begin; by < row_end; ++by) {

@@ -1,46 +1,38 @@
 #pragma once
 // The staged per-frame encoding pipeline behind codec::Encoder.
 //
-// The encoder runs each frame as explicit stages over the whole frame:
+// The encoder runs each frame as two explicit stages over the whole frame:
 //
-//   1. motion stage       — one EstimateResult per macroblock, row-parallel.
-//                           When the frame's estimator reads the current
-//                           field (reads_current_field(): PBM, ACBM) or
-//                           me_lambda > 0, rows run in WAVEFRONT order:
-//                           block (bx, by) waits until row by−1 has
-//                           finished block bx+1, so the spatial predictors
-//                           PBM and the median predictor read (left, above,
-//                           above-right in BlockContext::cur_field) are
-//                           final before the read. Otherwise rows run
-//                           unstaggered, and blocks get no current field
-//                           and a zero predictor. Worker 0 runs the
-//                           caller's estimator; every other worker owns a
-//                           clone() of it whose statistics are merged back
-//                           into the primary via merge_stats() after every
-//                           frame.
-//   2.5 plan stage        — one Encoder::MbPlan per macroblock: the TMN
-//                           heuristic INTRA/INTER/SKIP decision against the
-//                           block's motion estimate, then prediction, DCT
-//                           and quantisation of the chosen candidate
-//                           (codec/macroblock.hpp). Rate–distortion mode
-//                           decisions compare exact bit counts against the
-//                           coded-field predictor chain, so in
-//                           kRateDistortion mode the plan carries all three
-//                           candidates with their reconstruction SSDs and
-//                           the choice waits for stage 3. Every input —
-//                           me_results_, source, reference — is fixed
-//                           before the stage starts, so it is row-parallel
-//                           with no dependencies.
-//   3. entropy stage      — the RD choice, MVD coding, bit writing and
-//                           reconstruction from the precomputed plans
-//                           (Encoder::write_mb); the only work left here is
-//                           what genuinely chains through the coded-field MV
-//                           predictor. With
-//                           EncoderConfig::slices == 1 this is the legacy
-//                           serial raster scan straight into the stream
-//                           writer; with slices == N the frame's macroblock
-//                           rows split into N independently-predicted ACV2
-//                           slices coded in parallel (see entropy_stage).
+//   front stage   — one task per macroblock row, one barrier per frame.
+//                   A P-frame row estimates each block's motion, publishes
+//                   the row's progress, then plans the block: the TMN
+//                   INTRA/INTER/SKIP decision against the estimate, then
+//                   prediction, DCT and quantisation of the chosen
+//                   candidate (Encoder::MbPlan, codec/macroblock.hpp). RD
+//                   decisions compare exact bit counts against the
+//                   coded-field predictor chain, so in kRateDistortion
+//                   mode the plan carries all three candidates with their
+//                   reconstruction SSDs and the choice waits for the
+//                   entropy stage. An I-frame row only plans. When the
+//                   estimator reads the current field
+//                   (reads_current_field(): PBM, ACBM) or me_lambda > 0,
+//                   P-frame rows run in WAVEFRONT order: block (bx, by)
+//                   waits until row by−1 has estimated block bx+1, so the
+//                   predictors PBM and the median predictor read (left,
+//                   above, above-right in BlockContext::cur_field) are
+//                   final. Otherwise rows run unstaggered, and blocks get
+//                   no current field and a zero predictor. Worker 0 runs
+//                   the caller's estimator, every other worker a clone()
+//                   whose statistics merge_stats() folds back per frame.
+//   entropy stage — the RD choice, MVD coding, bit writing and
+//                   reconstruction from the precomputed plans
+//                   (Encoder::write_mb); the only work left here is what
+//                   genuinely chains through the coded-field MV predictor.
+//                   With EncoderConfig::slices == 1 this is the legacy
+//                   serial raster scan straight into the stream writer;
+//                   with slices == N the frame's macroblock rows split into
+//                   N independently-predicted ACV2 slices coded in parallel
+//                   (see entropy_stage).
 //
 // ONE ENGINE. Every encoder — a standalone Encoder at any thread count and
 // every EncoderService session — runs the stages above as tasks on one FIFO
@@ -55,22 +47,23 @@
 // pool enqueue() itself runs the frame's front and back before returning,
 // so the future is already resolved.
 //
-// FRAME-LEVEL PIPELINING: stages 1–2.5 read only the *previous* frame's
-// reconstruction, stage 3 writes the *current* one — so with the reference
-// double-buffered (Encoder::recon_buf_) and every stage buffer kept in two
-// parities (f & 1), frame t+1's front half (motion/plan) can run while
-// frame t's back half (entropy + reconstruction) is still coding:
+// FRAME-LEVEL PIPELINING: the front stage reads only the *previous* frame's
+// reconstruction, the entropy stage writes the *current* one — so with the
+// reference double-buffered (Encoder::recon_buf_) and the plans kept in two
+// parities (f & 1), frame t+1's front half (ME + plan) can run while frame
+// t's back half (entropy + reconstruction) is still coding:
 //
-//      frame t   : [ME t   | plan] [entropy+recon t  ]
-//      frame t+1 :           [ME t+1 | plan] [entropy t+1]
-//                              ▲ row-readiness waits
+//      frame t   : [front t  ] [entropy+recon t  ]
+//      frame t+1 :       [front t+1  ] [entropy t+1]
+//                          ▲ row-readiness waits
 //
-// The handoff is row-granular, not whole-frame: stage 3 publishes each
-// reconstructed macroblock row (border-extended) through a monotonic
-// util::ReadyCounter, and frame t+1's ME row `by` parks until the rows its
-// clamped search window can touch — ±search_range plus the half-pel
-// interpolation sample — are published (rows_needed()). Everything an ME /
-// plan read can observe is final before the read, so pipelined streams are
+// The handoff is row-granular, not whole-frame: the entropy stage publishes
+// each reconstructed macroblock row (border-extended) through a monotonic
+// util::ReadyCounter, and frame t+1's front row `by` parks until the rows
+// its clamped search window can touch — ±search_range plus the half-pel
+// interpolation sample — are published (rows_needed()). The row's motion
+// compensation reads inside that window too (asserted in Debug builds), so
+// every front read is final before it happens, and pipelined streams are
 // byte-identical to an unpipelined encode. In-loop deblocking is
 // frame-global and rewrites rows after entropy, so with deblock enabled the
 // pipeline degrades to whole-frame publication (still overlapped with the
@@ -105,7 +98,7 @@
 //     sessions on the shared pool are untouched — all failure state is
 //     per-pipeline, and a standalone encoder latches exactly the same way.
 //   * Unwedging. A failed back poison-publishes its full row range
-//     (release_back_waiters) so the next frame's ME rows parked on the
+//     (release_back_waiters) so the next frame's front rows parked on the
 //     reference gate wake up (they read stale-but-allocated samples; the
 //     session is latched and their results are discarded), and a throwing
 //     wavefront row publishes its row complete before rethrowing so sibling
@@ -150,7 +143,7 @@ namespace acbm::codec {
 /// @brief The staged per-frame encoder described above; owned by
 /// codec::Encoder and driven once per encode_frame / submit_frame call.
 ///
-/// The ME stage's SAD arithmetic routes through the runtime-dispatched
+/// The front stage's SAD arithmetic routes through the runtime-dispatched
 /// kernel table (simd/dispatch.hpp); every worker reads the same table, so
 /// the (kernel × thread-count × pipelining) grid is one bitstream
 /// equivalence class.
@@ -239,15 +232,15 @@ class EncoderPipeline {
 
   [[nodiscard]] bool is_intra(std::uint64_t frame) const;
 
-  /// Stages 1–2.5: motion, plan — everything that reads only the previous
-  /// frame's reconstruction. Retargets the encoder's front role pointers
-  /// for frame `f` first. `qp` is the frame's admitted quantiser;
-  /// `degraded` selects the overload estimator for the motion stage.
+  /// The front stage: motion and plan — everything that reads only the
+  /// previous frame's reconstruction. Retargets the encoder's front role
+  /// pointers for frame `f` first. `qp` is the frame's admitted quantiser;
+  /// `degraded` selects the overload estimator for motion estimation.
   void run_front(const video::Frame& src, std::uint64_t f, int qp,
                  FrameReport& report, bool degraded);
-  /// Stage 3 + frame finalisation: header/entropy bits, reconstruction,
-  /// row publication, PSNR. `bytes_out` receives the frame's byte range of
-  /// the stream (the packet payload).
+  /// The entropy stage + frame finalisation: header/entropy bits,
+  /// reconstruction, row publication, PSNR. `bytes_out` receives the
+  /// frame's byte range of the stream (the packet payload).
   void run_back(const video::Frame& src, std::uint64_t f, int qp,
                 FrameReport& report, std::vector<std::uint8_t>& bytes_out);
 
@@ -269,33 +262,37 @@ class EncoderPipeline {
                    Reap& reap);
   /// Removes `job` from jobs_ and returns its owner. Requires admit_mutex_.
   std::unique_ptr<FrameJob> extract_locked(FrameJob* job);
-  /// Poison-publishes the failed back's full row range so gated ME rows of
-  /// the next frame wake up (see the header comment).
+  /// Poison-publishes the failed back's full row range so gated front rows
+  /// of the next frame wake up (see the header comment).
   void release_back_waiters();
 
   // --- stages ---
-  void motion_stage(const video::Frame& src, FrameReport& report);
+  /// One task per macroblock row and one barrier. A P-frame row passes the
+  /// reference gate, then per block: the wavefront wait (if needed), the
+  /// estimate, the ME-field write, the progress publish, and the plan. An
+  /// I-frame row only plans. P-frames then merge the workers' statistics
+  /// and sum their ME totals into `report`.
+  void front_stage(const video::Frame& src, bool intra_frame,
+                   FrameReport& report);
   /// One block's estimate. `wavefront` false means other rows of this frame
   /// may be writing the ME field concurrently: the block then gets no
   /// current field and a zero cost predictor.
   [[nodiscard]] me::EstimateResult estimate_block(
       me::MotionEstimator& estimator, const video::Frame& src, int bx, int by,
       bool wavefront) const;
-  /// Reference rows (cumulative macroblock rows, frame-local) frame f's ME
-  /// row `by` may touch: the block rows themselves shifted by up to
+  /// Reference rows (cumulative macroblock rows, frame-local) frame f's
+  /// front row `by` may touch: the block rows themselves shifted by up to
   /// ±search_range, one extra sample row for half-pel interpolation, and
   /// one row of slack. Reads past the bottom edge resolve in the replicated
   /// border, which is only final once the whole reference is — hence the
   /// clamp to "all rows".
   [[nodiscard]] std::uint64_t rows_needed(int by) const;
+  /// True when motion compensation (luma and chroma) of a row-`by` block
+  /// at `mv` reads only rows rows_needed(by) covers. Asserted per block.
+  [[nodiscard]] bool mc_footprint_gated(int by, me::Mv mv) const;
 
-  /// Stage 2.5: fills the front parity's plans (one MbPlan per macroblock).
-  /// All inputs are fixed before the stage starts, so the rows split into
-  /// one contiguous front_group_ task per worker — no wavefront.
-  void plan_stage(const video::Frame& src, bool intra_frame);
-
-  /// Stage 3: codes every slice and folds its tallies into `report`
-  /// (which already holds the frame header's bits).
+  /// The entropy stage: codes every slice and folds its tallies into
+  /// `report` (which already holds the frame header's bits).
   void entropy_stage(bool intra_frame, FrameReport& report);
   /// Entropy-codes and reconstructs rows [row_begin, row_end) into `slice`
   /// from the precomputed plans (the stage no longer reads the source
@@ -328,35 +325,36 @@ class EncoderPipeline {
   /// [0] is the encoder's own estimator, the rest point into clones_.
   std::vector<me::MotionEstimator*> workers_;
   /// The same for the session's degraded (overload) estimator; frames
-  /// admitted with FrameJob::degraded run their motion stage on these.
+  /// admitted with FrameJob::degraded run motion estimation on these.
   std::vector<me::MotionEstimator*> degraded_workers_;
   std::vector<std::unique_ptr<me::MotionEstimator>> clones_;
   util::TaskGroup frames_group_;  ///< every front and back task
-  util::TaskGroup front_group_;   ///< ME/plan row tasks, current front
+  util::TaskGroup front_group_;   ///< front row tasks, current front
   util::TaskGroup back_group_;    ///< entropy slice tasks, current back
 
-  // Per-frame stage outputs, indexed by by * mbs_x + bx; two parities so a
-  // back half can read frame f's plans while the next front fills frame
-  // f+1's. Each parity is sized once, at the submission before its first
-  // use (see enqueue), and reused across frames — geometry is fixed per
-  // encoder and every stage overwrites all of its entries: plans_ in
-  // particular holds every candidate's levels and prediction buffer
-  // inline, so re-allocating it per frame would be megabytes of allocator
-  // traffic at HD.
-  std::vector<me::EstimateResult> me_results_[2];
-  std::vector<Encoder::MbPlan> plans_[2];  ///< plan-stage output (stage 2.5)
+  // Per-frame front outputs, indexed by by * mbs_x + bx, sized once and
+  // reused across frames — geometry is fixed per encoder and every front
+  // overwrites all of their entries. Only the front reads the estimates,
+  // and fronts serialise, so one buffer serves every frame. The plans have
+  // two parities so a back half can read frame f's while the next front
+  // fills frame f+1's; each parity is sized at the submission before its
+  // first use (see enqueue). A plan holds every candidate's levels and
+  // prediction buffer inline, so re-allocating them per frame would be
+  // megabytes of allocator traffic at HD.
+  std::vector<me::EstimateResult> me_results_;
+  std::vector<Encoder::MbPlan> plans_[2];
   /// ACV2 per-slice payload writers, reset (capacity kept) every frame.
   std::vector<util::BitWriter> slice_writers_;
 
-  /// Wavefront progress, one counter per macroblock row. Frame f's ME row
-  /// `by` publishes f·mbs_x + (blocks done) — cumulative over the stream,
-  /// so the counters are sized once and never reset: a value left over from
-  /// an earlier frame is at most f·mbs_x, which satisfies no wait of frame
-  /// f (every wait needs at least one block of the row).
+  /// Wavefront progress, one counter per macroblock row. Frame f's front
+  /// row `by` publishes f·mbs_x + (blocks estimated) — cumulative over the
+  /// stream, so the counters are sized once and never reset: a value left
+  /// over from an earlier frame is at most f·mbs_x, which satisfies no wait
+  /// of frame f (every wait needs at least one block of the row).
   std::vector<util::ReadyCounter> row_progress_;
 
   // --- front-half state, owned by the (single) in-flight front task ---
-  int front_parity_ = 0;              ///< stage-buffer parity of this front
+  int front_parity_ = 0;              ///< plan-buffer parity of this front
   std::uint64_t front_frame_ = 0;     ///< frame index (BlockContext::frame)
   int front_qp_ = 0;                  ///< this frame's admitted Qp
   bool front_degraded_ = false;       ///< this front uses degraded_workers_

@@ -1,4 +1,4 @@
-// Parallel-encoding determinism: the pipeline's row-parallel ME stage
+// Parallel-encoding determinism: the pipeline's row-parallel front stage
 // (wavefront-staggered when the estimator reads the current field) must
 // produce byte-identical ACV1 bitstreams at any thread count, for I-only,
 // P-heavy and skip-heavy content, with identical AcbmStats totals after the
@@ -8,13 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "codec/decoder.hpp"
 #include "codec/encoder.hpp"
 #include "core/acbm.hpp"
 #include "core/builtin_estimators.hpp"
+#include "me/estimator.hpp"
 #include "synth/sequences.hpp"
 
 namespace acbm::codec {
@@ -115,26 +118,40 @@ TEST(ParallelEncode, FsbmBitstreamIdentical) {
 }
 
 TEST(ParallelEncode, BothRowShapesIdenticalAcrossThreadCounts) {
-  // The motion stage staggers its rows only when the block reads the
+  // The front stage staggers its P-frame rows only when the block reads the
   // current ME field: PBM always, any estimator at me_lambda > 0 (the
   // median cost predictor). FSBM and DS at λ 0 run their rows without the
-  // stagger; every other cell of the grid keeps it.
+  // stagger; every other cell of the grid keeps it. Each row plans its
+  // blocks right after estimating them, so the grid also crosses both mode
+  // decisions (RD plans read the reference twice: MC and the SKIP copy)
+  // with an intra period (I-frame rows only plan).
   const auto frames = test_sequence("foreman", 5, {96, 80});
   for (const std::string algorithm : {"FSBM", "DS", "PBM"}) {
     for (double lambda : {0.0, 4.0}) {
-      EncoderConfig config;
-      config.qp = 16;
-      config.search_range = 7;  // keep full search affordable in the suite
-      config.me_lambda = lambda;
-      const EncodeOutcome serial = encode_with(frames, algorithm, config);
-      ASSERT_GT(serial.stream.size(), 0u);
-      for (int threads : {2, 3, 4}) {
-        EncoderConfig parallel = config;
-        parallel.parallel.threads = threads;
-        const EncodeOutcome outcome = encode_with(frames, algorithm, parallel);
-        EXPECT_EQ(outcome.stream, serial.stream)
-            << algorithm << " λ " << lambda << ", " << threads << " threads";
-        expect_reports_identical(outcome.reports, serial.reports);
+      for (ModeDecision mode :
+           {ModeDecision::kHeuristic, ModeDecision::kRateDistortion}) {
+        for (int intra_period : {0, 3}) {
+          EncoderConfig config;
+          config.qp = 16;
+          config.search_range = 7;  // keep full search affordable
+          config.me_lambda = lambda;
+          config.mode_decision = mode;
+          config.intra_period = intra_period;
+          const EncodeOutcome serial = encode_with(frames, algorithm, config);
+          ASSERT_GT(serial.stream.size(), 0u);
+          for (int threads : {2, 3, 4}) {
+            EncoderConfig parallel = config;
+            parallel.parallel.threads = threads;
+            const EncodeOutcome outcome =
+                encode_with(frames, algorithm, parallel);
+            EXPECT_EQ(outcome.stream, serial.stream)
+                << algorithm << " λ " << lambda << ", "
+                << (mode == ModeDecision::kHeuristic ? "heuristic" : "rd")
+                << ", intra_period " << intra_period << ", " << threads
+                << " threads";
+            expect_reports_identical(outcome.reports, serial.reports);
+          }
+        }
       }
     }
   }
@@ -269,6 +286,53 @@ TEST(ParallelEncode, AutoThreadCountIdentical) {
   parallel.parallel.threads = 0;  // one worker per hardware thread
   EXPECT_EQ(encode_with(frames, "ACBM", parallel).stream, serial.stream);
 }
+
+#ifndef NDEBUG
+// Points every block `dy` full rows down, whatever its search window.
+class ShiftDownEstimator final : public me::MotionEstimator {
+ public:
+  explicit ShiftDownEstimator(int dy) : dy_(dy) {}
+  me::EstimateResult estimate(const me::BlockContext&) override {
+    me::EstimateResult result;
+    result.mv = me::mv_from_fullpel(0, dy_);
+    return result;
+  }
+  [[nodiscard]] std::string_view name() const override { return "down"; }
+  [[nodiscard]] std::unique_ptr<me::MotionEstimator> clone() const override {
+    return std::make_unique<ShiftDownEstimator>(*this);
+  }
+
+ private:
+  int dy_;
+};
+
+void encode_serially(const std::vector<video::Frame>& frames,
+                     const EncoderConfig& config,
+                     me::MotionEstimator& estimator) {
+  Encoder encoder({frames[0].width(), frames[0].height()}, config, estimator);
+  for (const video::Frame& frame : frames) {
+    (void)encoder.encode_frame(frame);
+  }
+}
+
+// A front row plans each block right after estimating it, so its motion
+// compensation may read only the reference rows the row's gate waited for
+// (rows_needed). At search range 4, row 0 gates on reference rows [0, 32):
+// a 16-row vector reads rows 16..31 and passes, a 20-row vector reads rows
+// 20..35 and must trip the row task's footprint assert. Both stay inside
+// the plane's border, so predict_block's own assert cannot fire first.
+TEST(FrontRowDeathTest, McFootprintPastTheGatedRowsAsserts) {
+  const auto frames = test_sequence("foreman", 2, {176, 144});
+  EncoderConfig config;
+  config.qp = 16;
+  config.search_range = 4;
+  ShiftDownEstimator inside(16);
+  encode_serially(frames, config, inside);
+  ShiftDownEstimator outside(20);
+  EXPECT_DEATH(encode_serially(frames, config, outside),
+               "gated reference rows");
+}
+#endif
 
 TEST(ParallelEncode, ParallelStreamDecodes) {
   const auto frames = test_sequence("foreman", 6);

@@ -1,5 +1,5 @@
 // Plan-stage parity: hoisting macroblock planning (DCT/quant/RD candidate
-// costing) out of the entropy loop into the row-parallel plan stage must
+// costing) out of the entropy loop into the row-parallel front stage must
 // not move a single bit. Serial and multi-threaded encodes are held
 // byte-identical across the full {slices} × {mode decision} × {kernel}
 // grid, and the precomputed-plan write path must leave reconstruction (and
@@ -55,9 +55,9 @@ struct KernelSelectionGuard {
 TEST(PlanStage, ByteIdenticalAcrossFullGrid) {
   // The acceptance grid: serial vs 4-thread encodes must agree bit for bit
   // for every {slices} × {rd} × {kernel} combination. The 4-thread encode
-  // runs the plan stage on the pool; the serial one plans inline — any
-  // divergence (scheduling, predictor chains, RD cost arithmetic) shows up
-  // as a byte mismatch here.
+  // plans in front row tasks on pool workers, the serial one on the caller
+  // — any divergence (scheduling, predictor chains, RD cost arithmetic)
+  // shows up as a byte mismatch here.
   KernelSelectionGuard guard;
   const auto frames = test_sequence("foreman", 6);
   for (const char* kernel : {"scalar", "auto"}) {

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -23,6 +24,7 @@
 #include "codec/encoder.hpp"
 #include "codec/service.hpp"
 #include "core/builtin_estimators.hpp"
+#include "obs/metrics.hpp"
 #include "synth/sequences.hpp"
 
 namespace acbm::codec {
@@ -260,22 +262,35 @@ TEST(ServiceEncode, StandaloneSubmitFramePacketsTileEncodeFrameStream) {
   }
 }
 
-TEST(ServiceEncode, MeStageTimerPopulated) {
+TEST(ServiceEncode, StageHistogramsCountEveryFrame) {
+  // The registry histograms are the encoder's only stage clock: one sample
+  // per frame each, I-frames included (their front stage plans), and no
+  // separate ME or plan stage left to time.
   const auto frames = test_sequence("foreman", 4);
   EncoderConfig config;
   config.qp = 16;
   const auto estimator = core::builtin_estimators().create("ACBM");
+  obs::Registry registry;
   Encoder encoder({frames[0].width(), frames[0].height()}, config,
                   *estimator);
+  encoder.set_metrics(&registry);
   for (std::size_t i = 0; i < frames.size(); ++i) {
     const FrameReport report = encoder.encode_frame(frames[i]);
-    EXPECT_GE(report.frame_wall_seconds,
-              report.entropy_stage_seconds)  // wall spans every stage
-        << i;
-    if (i == 0) {
-      EXPECT_EQ(report.me_stage_seconds, 0.0);  // intra: ME never ran
-    } else {
-      EXPECT_GT(report.me_stage_seconds, 0.0) << i;
+    EXPECT_GE(report.frame_wall_seconds, 0.0) << i;
+  }
+  std::map<std::string, std::uint64_t> counts;
+  for (const obs::Registry::HistogramRow& row : registry.histogram_rows()) {
+    counts[row.name] = row.count;
+  }
+  for (const char* name :
+       {"enc.stage.front", "enc.stage.entropy", "enc.frame.wall"}) {
+    EXPECT_EQ(counts[name], frames.size()) << name;
+  }
+  // No other stage histogram is registered (no ME or plan stage clock).
+  for (const auto& [name, count] : counts) {
+    if (name.starts_with("enc.stage.")) {
+      EXPECT_TRUE(name == "enc.stage.front" || name == "enc.stage.entropy")
+          << name;
     }
   }
 }
