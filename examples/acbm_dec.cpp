@@ -106,7 +106,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (parser.help_requested() || parser.get("input").empty()) {
-    std::cout << parser.usage("acbm_dec");
+    std::cout << parser.usage("acbm_dec") << '\n'
+              << codec::decoder_config_spec_usage();
     return parser.help_requested() ? 0 : 2;
   }
 

@@ -51,7 +51,6 @@ int main(int argc, char** argv) {
     (void)encoder.encode_frame(frames[i]);
   }
   // Log only the final frame's decisions.
-  acbm.set_record_log(true);
   acbm.reset();
   acbm.set_record_log(true);
   (void)encoder.encode_frame(frames.back());
@@ -65,7 +64,7 @@ int main(int argc, char** argv) {
                                     encoder.last_me_field().mbs_x(),
                                     encoder.last_me_field().mbs_y()));
 
-  const core::AcbmStats& stats = acbm.stats();
+  const core::AcbmStats stats = acbm.stats();
   std::cout << "Snapshot of '" << request.name << "' frame "
             << frames.size() - 1 << " at Qp " << cfg.qp << ":\n"
             << "  T1 (low activity): " << stats.accepted_low_activity

@@ -74,7 +74,7 @@ int main() {
     std::cout << '\n';
   }
 
-  const core::AcbmStats& stats = acbm.stats();
+  const core::AcbmStats stats = acbm.stats();
   std::cout << "\nACBM statistics over " << stats.blocks << " blocks:\n"
             << "  accepted by T1 (low activity): "
             << stats.accepted_low_activity << '\n'

@@ -67,11 +67,10 @@ namespace acbm::codec {
 /// Threading knobs for the encoding pipeline. The motion-estimation stage
 /// runs row-parallel in wavefront order (row N may lead row N+1 by at least
 /// two macroblocks), which keeps every spatial predictor a block reads —
-/// left, above, above-right — computed before the read. Worker 0 runs the
-/// caller's estimator; every other worker owns a clone() of it, whose
-/// per-sequence statistics flow back via MotionEstimator::merge_stats
-/// after every frame, so the primary estimator's totals match a
-/// single-threaded run exactly. The bytes are identical at every count.
+/// left, above, above-right — computed before the read. Every worker runs
+/// the caller's estimator itself (MotionEstimator::estimate is const), so
+/// its per-sequence statistics match a single-threaded run exactly. The
+/// bytes are identical at every count.
 struct ParallelConfig {
   /// Worker threads for the parallel stages: 1 = no worker threads, every
   /// stage runs on the calling thread (default), 0 = one per hardware
@@ -167,14 +166,9 @@ class Encoder {
   /// a zero-worker pool that runs every stage on the calling thread.
   /// `estimator` is borrowed and must outlive the encoder — callers keep it
   /// to read algorithm-specific statistics (e.g. core::Acbm::stats()).
-  /// Worker 0 runs `estimator` itself; with more than one worker the others
-  /// run clone()s of it (taken lazily at the first P-frame) and merge their
-  /// statistics back into it after every frame, so stats() reads stay valid
-  /// and match a single-threaded run. The clones snapshot the estimator's
-  /// configuration at that point: reconfiguring it mid-stream (e.g.
-  /// Acbm::set_params or set_record_log after the first P-frame) is only
-  /// fully honoured at threads == 1 — finish the configuration before
-  /// encoding starts.
+  /// Every row task runs `estimator` itself, so a setting changed between
+  /// frames (e.g. Acbm::set_record_log) applies from the next frame at
+  /// every thread count.
   Encoder(video::PictureSize size, const EncoderConfig& config,
           me::MotionEstimator& estimator);
 
@@ -255,8 +249,9 @@ class Encoder {
 
   /// Installs the overload (degraded) estimator: frames admitted with
   /// SubmitOptions::degrade_on_overload past the queue limit run their
-  /// motion stage on clones of this estimator instead of being shed.
-  /// Install before the first encoded frame (worker clones are taken then).
+  /// motion stage on this estimator instead of being shed. Install it while
+  /// no frame is in flight (before the first submission or after drain()):
+  /// a running front reads it.
   void set_degraded_estimator(std::unique_ptr<me::MotionEstimator> estimator) {
     degraded_estimator_ = std::move(estimator);
   }

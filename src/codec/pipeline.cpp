@@ -65,7 +65,6 @@ EncoderPipeline::FrameJob::~FrameJob() {
 EncoderPipeline::EncoderPipeline(Encoder& encoder, util::ThreadPool& pool)
     : enc_(encoder),
       pool_(pool),
-      worker_count_(pool.size() + 1),
       me_results_(static_cast<std::size_t>(encoder.mbs_x()) *
                   static_cast<std::size_t>(encoder.mbs_y())),
       row_progress_(static_cast<std::size_t>(encoder.mbs_y())),
@@ -80,24 +79,6 @@ EncoderPipeline::~EncoderPipeline() {
     // error reaching the group can only come from a task's own bookkeeping
     // (an allocation failure). The session is going away with it, and a
     // destructor must not throw.
-  }
-}
-
-void EncoderPipeline::ensure_workers() {
-  const auto build = [this](std::vector<me::MotionEstimator*>& workers,
-                            me::MotionEstimator& primary) {
-    workers.reserve(static_cast<std::size_t>(worker_count_));
-    workers.push_back(&primary);
-    while (static_cast<int>(workers.size()) < worker_count_) {
-      clones_.push_back(primary.clone());
-      workers.push_back(clones_.back().get());
-    }
-  };
-  if (workers_.empty()) {
-    build(workers_, *enc_.estimator_);
-  }
-  if (enc_.degraded_estimator_ != nullptr && degraded_workers_.empty()) {
-    build(degraded_workers_, *enc_.degraded_estimator_);
   }
 }
 
@@ -555,8 +536,8 @@ void EncoderPipeline::run_back(const video::Frame& src, std::uint64_t f,
 // ------------------------------------------------------------- front stage
 
 me::EstimateResult EncoderPipeline::estimate_block(
-    me::MotionEstimator& estimator, const video::Frame& src, int bx, int by,
-    bool wavefront) const {
+    const me::MotionEstimator& estimator, const video::Frame& src, int bx,
+    int by, bool wavefront) const {
   const Encoder& e = enc_;
   me::BlockContext ctx;
   ctx.cur = &src.y();
@@ -618,18 +599,16 @@ bool EncoderPipeline::mc_footprint_gated(int by, me::Mv mv) const {
 void EncoderPipeline::front_stage(const video::Frame& src, bool intra_frame,
                                   FrameReport& report) {
   const Encoder& e = enc_;
-  if (!intra_frame) {
-    ensure_workers();
-  }
-  const std::vector<me::MotionEstimator*>& stage_workers =
-      front_degraded_ ? degraded_workers_ : workers_;
+  // One estimator serves every row task of the frame (estimate() is const).
+  const me::MotionEstimator& estimator =
+      front_degraded_ ? *e.degraded_estimator_ : *e.estimator_;
   // Block (bx, by) may start once row by−1 has estimated through column
   // bx+1 (its above-right predictor) — the classic two-block wavefront
   // stagger. Only an estimator that reads the current field, or a rate-aware
   // cost's median predictor, needs it; otherwise rows run independently.
   const bool wavefront =
       !intra_frame && (e.config_.me_lambda != 0.0 ||
-                       stage_workers.front()->reads_current_field());
+                       estimator.reads_current_field());
   const int mbs_x = e.mbs_x();
   // Progress is cumulative over the stream: this frame's row values start
   // at `base` (see row_progress_).
@@ -664,10 +643,6 @@ void EncoderPipeline::front_stage(const video::Frame& src, bool intra_frame,
         front_gate_->wait_for(front_wait_base_ + rows_needed(by));
       }
       obs::Span row_span("enc", "front.row", tsess, tframe, by);
-      const int worker = util::ThreadPool::worker_index();
-      assert(worker >= 0 && worker < static_cast<int>(stage_workers.size()));
-      me::MotionEstimator& estimator =
-          *stage_workers[static_cast<std::size_t>(worker)];
       util::ReadyCounter& done = row_progress_[static_cast<std::size_t>(by)];
       try {
         for (int bx = 0; bx < mbs_x; ++bx) {
@@ -699,15 +674,6 @@ void EncoderPipeline::front_stage(const video::Frame& src, bool intra_frame,
   pool_.wait(front_group_);
   if (intra_frame) {
     return;
-  }
-
-  // Drain the other workers' statistics into the primary (worker 0's
-  // estimator). Totals are additive, so the result is independent of which
-  // worker processed which rows. Fronts serialise per session, so this
-  // never races with another frame of the same estimator.
-  me::MotionEstimator& primary = *stage_workers.front();
-  for (std::size_t w = 1; w < stage_workers.size(); ++w) {
-    primary.merge_stats(*stage_workers[w]);
   }
 
   // Serial reduction keeps the report totals independent of scheduling.

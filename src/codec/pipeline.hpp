@@ -21,9 +21,10 @@
 //                   predictors PBM and the median predictor read (left,
 //                   above, above-right in BlockContext::cur_field) are
 //                   final. Otherwise rows run unstaggered, and blocks get
-//                   no current field and a zero predictor. Worker 0 runs
-//                   the caller's estimator, every other worker a clone()
-//                   whose statistics merge_stats() folds back per frame.
+//                   no current field and a zero predictor. Every row task
+//                   runs the session's one estimator: estimate() is
+//                   const, and the only state it accumulates (ACBM's
+//                   counters and decision log) is safe to share.
 //   entropy stage — the RD choice, MVD coding, bit writing and
 //                   reconstruction from the precomputed plans
 //                   (Encoder::write_mb); the only work left here is what
@@ -270,16 +271,16 @@ class EncoderPipeline {
   /// One task per macroblock row and one barrier. A P-frame row passes the
   /// reference gate, then per block: the wavefront wait (if needed), the
   /// estimate, the ME-field write, the progress publish, and the plan. An
-  /// I-frame row only plans. P-frames then merge the workers' statistics
-  /// and sum their ME totals into `report`.
+  /// I-frame row only plans. P-frames then sum their ME totals into
+  /// `report`.
   void front_stage(const video::Frame& src, bool intra_frame,
                    FrameReport& report);
   /// One block's estimate. `wavefront` false means other rows of this frame
   /// may be writing the ME field concurrently: the block then gets no
   /// current field and a zero cost predictor.
   [[nodiscard]] me::EstimateResult estimate_block(
-      me::MotionEstimator& estimator, const video::Frame& src, int bx, int by,
-      bool wavefront) const;
+      const me::MotionEstimator& estimator, const video::Frame& src, int bx,
+      int by, bool wavefront) const;
   /// Reference rows (cumulative macroblock rows, frame-local) frame f's
   /// front row `by` may touch: the block rows themselves shifted by up to
   /// ±search_range, one extra sample row for half-pel interpolation, and
@@ -310,24 +311,8 @@ class EncoderPipeline {
   static void fold_slice(const Encoder::SliceState& slice,
                          FrameReport& report);
 
-  /// Builds each worker's estimator once (lazily, so callers may still
-  /// configure the estimator between Encoder construction and the first
-  /// P-frame): worker 0 runs the primary itself, workers 1..N−1 clone it;
-  /// likewise for the degraded estimator if one is set.
-  void ensure_workers();
-
   Encoder& enc_;
   util::ThreadPool& pool_;
-  /// Threads that may run this pipeline's tasks: the pool's workers plus
-  /// one outside waiter (util::ThreadPool::worker_index() == pool size).
-  int worker_count_ = 1;
-  /// Per-worker estimators, indexed by util::ThreadPool::worker_index().
-  /// [0] is the encoder's own estimator, the rest point into clones_.
-  std::vector<me::MotionEstimator*> workers_;
-  /// The same for the session's degraded (overload) estimator; frames
-  /// admitted with FrameJob::degraded run motion estimation on these.
-  std::vector<me::MotionEstimator*> degraded_workers_;
-  std::vector<std::unique_ptr<me::MotionEstimator>> clones_;
   util::TaskGroup frames_group_;  ///< every front and back task
   util::TaskGroup front_group_;   ///< front row tasks, current front
   util::TaskGroup back_group_;    ///< entropy slice tasks, current back
@@ -357,7 +342,7 @@ class EncoderPipeline {
   int front_parity_ = 0;              ///< plan-buffer parity of this front
   std::uint64_t front_frame_ = 0;     ///< frame index (BlockContext::frame)
   int front_qp_ = 0;                  ///< this frame's admitted Qp
-  bool front_degraded_ = false;       ///< this front uses degraded_workers_
+  bool front_degraded_ = false;       ///< run the degraded estimator
   util::ReadyCounter* front_gate_ = nullptr;  ///< reference's row counter
   std::uint64_t front_wait_base_ = 0; ///< gate value where this ref starts
 

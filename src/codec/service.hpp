@@ -129,8 +129,8 @@ class EncodeSession {
 
   /// Installs the session's overload posture. `degraded_estimator`, when
   /// non-null, should be built from policy.degrade — frames past the queue
-  /// limit then encode on it instead of being shed. Call before the first
-  /// submit (the pipeline clones estimator workers at the first frame).
+  /// limit then encode on it instead of being shed. Call while no frame is
+  /// in flight (before the first submit or after drain()).
   void configure_overload(const OverloadPolicy& policy,
                           std::unique_ptr<me::MotionEstimator>
                               degraded_estimator = nullptr);

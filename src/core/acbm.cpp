@@ -1,7 +1,6 @@
 #include "core/acbm.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "me/sad.hpp"
 
@@ -9,7 +8,7 @@ namespace acbm::core {
 
 Acbm::Acbm(AcbmParams params) : params_(params) {}
 
-me::EstimateResult Acbm::estimate(const me::BlockContext& ctx) {
+me::EstimateResult Acbm::estimate(const me::BlockContext& ctx) const {
   // Step 1: texture statistic of the current block. This costs one
   // block-sized pass, the same arithmetic as one SAD; it is charged to the
   // position counter so Table 1's comparison against FSBM's 969 is fair.
@@ -53,63 +52,52 @@ me::EstimateResult Acbm::estimate(const me::BlockContext& ctx) {
   decision.final_mv = result.mv;
   decision.positions = result.positions;
 
-  ++stats_.blocks;
-  stats_.total_positions += result.positions;
-  switch (decision.outcome) {
-    case AcbmOutcome::kAcceptLowActivity:
-      ++stats_.accepted_low_activity;
-      break;
-    case AcbmOutcome::kAcceptGoodMatch:
-      ++stats_.accepted_good_match;
-      break;
-    case AcbmOutcome::kCritical:
-      ++stats_.critical;
-      break;
-  }
-  if (record_log_) {
-    decision_log_.push_back(decision);
+  outcome_blocks_[static_cast<int>(decision.outcome)].fetch_add(
+      1, std::memory_order_relaxed);
+  total_positions_.fetch_add(result.positions, std::memory_order_relaxed);
+  if (record_log_.load(std::memory_order_relaxed)) {
+    // Rows finish out of order under parallel encoding; inserting at the
+    // upper bound keeps the log in the serial (frame, by, bx) order.
+    const auto before = [](const BlockDecision& a, const BlockDecision& b) {
+      if (a.frame != b.frame) return a.frame < b.frame;
+      return a.by != b.by ? a.by < b.by : a.bx < b.bx;
+    };
+    const std::lock_guard<std::mutex> lock(log_mutex_);
+    decision_log_.insert(std::upper_bound(decision_log_.begin(),
+                                          decision_log_.end(), decision,
+                                          before),
+                         decision);
   }
   return result;
 }
 
 void Acbm::reset() {
-  stats_ = AcbmStats{};
+  for (std::atomic<std::uint64_t>& count : outcome_blocks_) {
+    count.store(0, std::memory_order_relaxed);
+  }
+  total_positions_.store(0, std::memory_order_relaxed);
+  const std::lock_guard<std::mutex> lock(log_mutex_);
   decision_log_.clear();
 }
 
-std::unique_ptr<me::MotionEstimator> Acbm::clone() const {
-  auto copy = std::make_unique<Acbm>(params_);
-  copy->record_log_ = record_log_;
-  return copy;
+AcbmStats Acbm::stats() const {
+  AcbmStats stats;
+  const auto count = [this](AcbmOutcome outcome) {
+    return outcome_blocks_[static_cast<int>(outcome)].load(
+        std::memory_order_relaxed);
+  };
+  stats.accepted_low_activity = count(AcbmOutcome::kAcceptLowActivity);
+  stats.accepted_good_match = count(AcbmOutcome::kAcceptGoodMatch);
+  stats.critical = count(AcbmOutcome::kCritical);
+  stats.blocks =
+      stats.accepted_low_activity + stats.accepted_good_match + stats.critical;
+  stats.total_positions = total_positions_.load(std::memory_order_relaxed);
+  return stats;
 }
 
-void Acbm::merge_stats(me::MotionEstimator& worker) {
-  auto* other = dynamic_cast<Acbm*>(&worker);
-  if (other == nullptr) {
-    throw std::invalid_argument("Acbm::merge_stats: worker is not an Acbm");
-  }
-  if (other == this) {
-    return;
-  }
-  stats_ += other->stats_;
-  if (!other->decision_log_.empty()) {
-    // Both halves are already sorted — this log by construction (estimate()
-    // appends in encode order, prior merges preserve it) and the worker's by
-    // its own raster traversal — so a linear merge keeps the whole log in
-    // (frame, raster) order without re-sorting history every frame.
-    const auto middle_index = decision_log_.size();
-    decision_log_.insert(decision_log_.end(), other->decision_log_.begin(),
-                         other->decision_log_.end());
-    const auto before = [](const BlockDecision& a, const BlockDecision& b) {
-      if (a.frame != b.frame) return a.frame < b.frame;
-      return a.by != b.by ? a.by < b.by : a.bx < b.bx;
-    };
-    std::inplace_merge(decision_log_.begin(),
-                       decision_log_.begin() +
-                           static_cast<std::ptrdiff_t>(middle_index),
-                       decision_log_.end(), before);
-  }
-  other->reset();
+std::vector<BlockDecision> Acbm::decision_log() const {
+  const std::lock_guard<std::mutex> lock(log_mutex_);
+  return decision_log_;
 }
 
 }  // namespace acbm::core

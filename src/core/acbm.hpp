@@ -14,7 +14,9 @@
 // The class is a drop-in MotionEstimator, so the encoder and every bench
 // treat {FSBM, PBM, ACBM, ...} uniformly.
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "core/decision.hpp"
@@ -29,7 +31,9 @@ class Acbm final : public me::MotionEstimator {
  public:
   explicit Acbm(AcbmParams params = AcbmParams::paper_defaults());
 
-  me::EstimateResult estimate(const me::BlockContext& ctx) override;
+  /// Safe to call concurrently on distinct blocks: each block is decided on
+  /// its own, and only the counters and the decision log are shared.
+  me::EstimateResult estimate(const me::BlockContext& ctx) const override;
 
   [[nodiscard]] std::string_view name() const override { return "ACBM"; }
 
@@ -39,36 +43,32 @@ class Acbm final : public me::MotionEstimator {
   /// Clears statistics and the decision log.
   void reset() override;
 
-  /// Copies parameters and the logging flag; statistics and the decision
-  /// log start empty (the clone() contract).
-  [[nodiscard]] std::unique_ptr<me::MotionEstimator> clone() const override;
-
-  /// Adds `worker`'s AcbmStats into this instance's, appends its decision
-  /// log, and clears both from the worker. The merged log is kept sorted in
-  /// (frame, raster) order so it is byte-identical to a serial run's log no
-  /// matter how blocks were partitioned across workers. `worker` must be an
-  /// Acbm (it is checked); anything else throws std::invalid_argument.
-  void merge_stats(me::MotionEstimator& worker) override;
-
   [[nodiscard]] const AcbmParams& params() const { return params_; }
-  void set_params(AcbmParams params) { params_ = params; }
 
-  [[nodiscard]] const AcbmStats& stats() const { return stats_; }
+  /// Snapshot of the counters. Totals are sums over blocks, so they do not
+  /// depend on which thread decided which block.
+  [[nodiscard]] AcbmStats stats() const;
 
-  /// When enabled, every block appends a BlockDecision to decision_log().
-  /// Off by default (the log grows by one entry per macroblock).
-  void set_record_log(bool on) { record_log_ = on; }
-  [[nodiscard]] const std::vector<BlockDecision>& decision_log() const {
-    return decision_log_;
+  /// When enabled, every block records a BlockDecision in decision_log().
+  /// Off by default (the log grows by one entry per macroblock). May be
+  /// flipped between frames; it applies to every block estimated after.
+  void set_record_log(bool on) {
+    record_log_.store(on, std::memory_order_relaxed);
   }
+  /// Snapshot of the log, in (frame, by, bx) order whatever order the
+  /// blocks were estimated in.
+  [[nodiscard]] std::vector<BlockDecision> decision_log() const;
 
  private:
   AcbmParams params_;
   me::Pbm pbm_;
   me::FullSearch full_search_;
-  AcbmStats stats_;
-  bool record_log_ = false;
-  std::vector<BlockDecision> decision_log_;
+  std::atomic<bool> record_log_{false};
+  // Per-outcome block and position totals; blocks is their sum.
+  mutable std::atomic<std::uint64_t> outcome_blocks_[3] = {};
+  mutable std::atomic<std::uint64_t> total_positions_{0};
+  mutable std::mutex log_mutex_;
+  mutable std::vector<BlockDecision> decision_log_;  ///< log_mutex_
 };
 
 }  // namespace acbm::core

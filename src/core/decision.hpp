@@ -28,6 +28,8 @@ struct BlockDecision {
   me::Mv pbm_mv;
   me::Mv final_mv;
   std::uint32_t positions = 0;  ///< SAD evaluations charged to this block
+
+  bool operator==(const BlockDecision&) const = default;
 };
 
 /// Aggregate counters across all blocks since the last reset().
@@ -52,16 +54,7 @@ struct AcbmStats {
                : 0.0;
   }
 
-  /// Counter-wise accumulation; all fields are additive, so merging worker
-  /// partitions in any order yields the same totals as a serial run.
-  AcbmStats& operator+=(const AcbmStats& other) {
-    blocks += other.blocks;
-    accepted_low_activity += other.accepted_low_activity;
-    accepted_good_match += other.accepted_good_match;
-    critical += other.critical;
-    total_positions += other.total_positions;
-    return *this;
-  }
+  bool operator==(const AcbmStats&) const = default;
 };
 
 }  // namespace acbm::core

@@ -33,7 +33,6 @@ class MotionCost {
 
   [[nodiscard]] double lambda() const { return lambda_; }
   [[nodiscard]] Mv predictor() const { return pred_; }
-  void set_predictor(Mv pred) { pred_ = pred; }
 
   /// J = SAD + λ·R(mv − pred).
   [[nodiscard]] double cost(std::uint32_t sad, Mv mv) const {

@@ -53,7 +53,8 @@ DecimationPattern AdaptiveDecimationSearch::pattern_for(
   return DecimationPattern::kNone;
 }
 
-EstimateResult AdaptiveDecimationSearch::estimate(const BlockContext& ctx) {
+EstimateResult AdaptiveDecimationSearch::estimate(
+    const BlockContext& ctx) const {
   const std::uint32_t texture =
       intra_sad(*ctx.cur, ctx.x, ctx.y, ctx.bw, ctx.bh);
   const DecimationPattern pattern = pattern_for(texture, ctx.bw, ctx.bh);
@@ -100,7 +101,8 @@ DecimatedScan decimated_scan(const BlockContext& ctx,
 
 }  // namespace
 
-EstimateResult SubsampledFullSearch::estimate(const BlockContext& ctx) {
+EstimateResult SubsampledFullSearch::estimate(
+    const BlockContext& ctx) const {
   const DecimatedScan scan =
       decimated_scan(ctx, DecimationPattern::kQuincunx4to1, true);
   // Exact SAD over the winner's full integer neighbourhood (recovers the

@@ -49,13 +49,9 @@ class AdaptiveDecimationSearch final : public MotionEstimator {
   explicit AdaptiveDecimationSearch(Thresholds thresholds)
       : thresholds_(thresholds) {}
 
-  EstimateResult estimate(const BlockContext& ctx) override;
+  EstimateResult estimate(const BlockContext& ctx) const override;
 
   [[nodiscard]] std::string_view name() const override { return "FSBM-adec"; }
-
-  [[nodiscard]] std::unique_ptr<MotionEstimator> clone() const override {
-    return std::make_unique<AdaptiveDecimationSearch>(*this);
-  }
 
   /// Pattern the thresholds select for a given texture level (exposed for
   /// tests and the ablation bench).
@@ -73,13 +69,9 @@ class AdaptiveDecimationSearch final : public MotionEstimator {
 /// FSBM at near-full-search quality on natural content.
 class SubsampledFullSearch final : public MotionEstimator {
  public:
-  EstimateResult estimate(const BlockContext& ctx) override;
+  EstimateResult estimate(const BlockContext& ctx) const override;
 
   [[nodiscard]] std::string_view name() const override { return "FSBM-sub"; }
-
-  [[nodiscard]] std::unique_ptr<MotionEstimator> clone() const override {
-    return std::make_unique<SubsampledFullSearch>(*this);
-  }
 };
 
 }  // namespace acbm::me

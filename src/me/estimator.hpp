@@ -5,7 +5,6 @@
 // against MotionEstimator, so FSBM / PBM / ACBM / TSS / 4SS / DS / CDS are
 // interchangeable — exactly the comparison structure of the paper's §4.
 
-#include <memory>
 #include <string_view>
 
 #include "me/cost.hpp"
@@ -50,7 +49,8 @@ struct BlockContext {
   int qp = 16;              ///< quantiser, consulted by adaptive algorithms
   /// Display index of the frame being encoded. Purely informational (no
   /// search decision may depend on it); ACBM stamps it into its decision
-  /// log so logs from parallel workers can be merged back into encode order.
+  /// log, which it keeps in (frame, by, bx) order whatever order concurrent
+  /// rows finish in.
   int frame = 0;
 };
 
@@ -61,6 +61,12 @@ struct BlockContext {
 /// me::EstimatorRegistry / core::builtin_estimators(); every SAD an
 /// implementation computes routes through me::sad_block* and therefore the
 /// runtime-dispatched SIMD kernel table (simd/dispatch.hpp).
+///
+/// One instance serves every row task of an encode: estimate() is const
+/// and may run concurrently on distinct blocks. An implementation keeps no
+/// per-block state in members; whatever it accumulates across blocks (ACBM's
+/// statistics and decision log) must be safe to update from several threads
+/// at once and must not depend on their order.
 class MotionEstimator {
  public:
   virtual ~MotionEstimator() = default;
@@ -74,7 +80,7 @@ class MotionEstimator {
   ///
   /// @param ctx caller-owned per-block inputs (see BlockContext)
   /// @return the chosen vector plus its SAD and the evaluation count
-  virtual EstimateResult estimate(const BlockContext& ctx) = 0;
+  virtual EstimateResult estimate(const BlockContext& ctx) const = 0;
 
   /// @brief Stable identifier used in bench output and as the registry key
   /// ("FSBM", "PBM", "ACBM", ...).
@@ -91,25 +97,6 @@ class MotionEstimator {
   /// @brief Clears any cross-frame state (ACBM statistics, etc.). Called
   /// between sequences.
   virtual void reset() {}
-
-  /// @brief Returns an estimator with identical configuration (search
-  /// parameters, logging flags) but FRESH per-sequence state: statistics
-  /// and decision logs start empty.
-  ///
-  /// The parallel encoding pipeline clones one estimator per worker so
-  /// concurrent rows never share mutable state; the workers' statistics
-  /// flow back through merge_stats().
-  [[nodiscard]] virtual std::unique_ptr<MotionEstimator> clone() const = 0;
-
-  /// @brief Folds `worker`'s accumulated statistics into this estimator
-  /// and clears them from `worker`.
-  ///
-  /// Drain semantics, so a worker can be merged after every frame without
-  /// double counting. Stateless estimators inherit this no-op.
-  ///
-  /// @param worker the same concrete type, typically a clone() of this
-  ///        estimator
-  virtual void merge_stats(MotionEstimator& worker) { (void)worker; }
 };
 
 }  // namespace acbm::me

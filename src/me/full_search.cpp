@@ -41,7 +41,7 @@ void integer_scan(SearchState& state, const BlockContext& ctx) {
 
 }  // namespace
 
-EstimateResult FullSearch::estimate(const BlockContext& ctx) {
+EstimateResult FullSearch::estimate(const BlockContext& ctx) const {
   if (pattern_ != DecimationPattern::kNone) {
     return estimate_decimated_full_search(ctx, pattern_);
   }

@@ -38,17 +38,13 @@ class FullSearch final : public MotionEstimator {
   explicit FullSearch(DecimationPattern pattern = DecimationPattern::kNone)
       : pattern_(pattern) {}
 
-  EstimateResult estimate(const BlockContext& ctx) override;
+  EstimateResult estimate(const BlockContext& ctx) const override;
 
   /// Full-detail search for the characterization harness.
   [[nodiscard]] FullSearchResult search_full(const BlockContext& ctx) const;
 
   [[nodiscard]] std::string_view name() const override {
     return pattern_ == DecimationPattern::kNone ? "FSBM" : "FSBM-dec";
-  }
-
-  [[nodiscard]] std::unique_ptr<MotionEstimator> clone() const override {
-    return std::make_unique<FullSearch>(*this);
   }
 
  private:

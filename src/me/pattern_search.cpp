@@ -91,7 +91,7 @@ void cds(SearchState& state) {
 
 }  // namespace
 
-EstimateResult PatternSearch::estimate(const BlockContext& ctx) {
+EstimateResult PatternSearch::estimate(const BlockContext& ctx) const {
   SearchState state(ctx, /*track_visited=*/true);
   state.try_candidate({0, 0});
   switch (kind_) {

@@ -38,13 +38,9 @@ class PatternSearch final : public MotionEstimator {
 
   explicit PatternSearch(Kind kind) : kind_(kind) {}
 
-  EstimateResult estimate(const BlockContext& ctx) override;
+  EstimateResult estimate(const BlockContext& ctx) const override;
 
   [[nodiscard]] std::string_view name() const override;
-
-  [[nodiscard]] std::unique_ptr<MotionEstimator> clone() const override {
-    return std::make_unique<PatternSearch>(*this);
-  }
 
  private:
   Kind kind_;

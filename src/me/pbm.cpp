@@ -6,7 +6,7 @@
 
 namespace acbm::me {
 
-EstimateResult Pbm::estimate(const BlockContext& ctx) {
+EstimateResult Pbm::estimate(const BlockContext& ctx) const {
   // Visited-tracking: predictors, descent and half-pel refinement may touch
   // the same position twice; each position must be paid for exactly once.
   SearchState state(ctx, /*track_visited=*/true);

@@ -21,16 +21,12 @@ class Pbm final : public MotionEstimator {
   explicit Pbm(int max_descent_iterations = 8)
       : max_descent_iterations_(max_descent_iterations) {}
 
-  EstimateResult estimate(const BlockContext& ctx) override;
+  EstimateResult estimate(const BlockContext& ctx) const override;
 
   [[nodiscard]] std::string_view name() const override { return "PBM"; }
 
   /// The left, above and above-right candidates come from the current field.
   [[nodiscard]] bool reads_current_field() const override { return true; }
-
-  [[nodiscard]] std::unique_ptr<MotionEstimator> clone() const override {
-    return std::make_unique<Pbm>(*this);
-  }
 
  private:
   int max_descent_iterations_;

@@ -9,41 +9,6 @@
 namespace acbm::util {
 
 namespace {
-thread_local int tls_worker_index = -1;
-/// Identity of the pool the calling thread is running tasks for: an index
-/// is only meaningful together with the pool whose per-worker state it
-/// selects.
-thread_local ThreadPool* tls_worker_pool = nullptr;
-
-/// Makes a thread that is not one of `pool`'s workers act as its extra
-/// worker, index pool->size() (worker 0 of a zero-worker pool), for the
-/// scope — how an outside waiter runs the tasks it helps with — and then
-/// restores the previous identity, so nested waits across pools unwind
-/// correctly. A thread already running `pool`'s tasks keeps its index.
-class ActAsOutsideWorker {
- public:
-  explicit ActAsOutsideWorker(ThreadPool* pool)
-      : active_(tls_worker_pool != pool),
-        saved_index_(tls_worker_index),
-        saved_pool_(tls_worker_pool) {
-    if (active_) {
-      tls_worker_index = pool->size();
-      tls_worker_pool = pool;
-    }
-  }
-  ~ActAsOutsideWorker() {
-    tls_worker_index = saved_index_;
-    tls_worker_pool = saved_pool_;
-  }
-  ActAsOutsideWorker(const ActAsOutsideWorker&) = delete;
-  ActAsOutsideWorker& operator=(const ActAsOutsideWorker&) = delete;
-
- private:
-  bool active_;
-  int saved_index_;
-  ThreadPool* saved_pool_;
-};
-
 /// Publishes a lane's queue depth as a per-lane counter track
 /// ("lane.depth.<id>"). Disarmed this is one relaxed load + branch; callers
 /// hold the pool mutex, so the depth read is exact.
@@ -65,14 +30,11 @@ ThreadPool::Queue::~Queue() {
   // leave its tasks running against freed state. This thread runs the jobs
   // still queued itself (on a zero-worker pool nobody else ever would),
   // then waits for the ones already running elsewhere.
-  if (!jobs_.empty()) {
-    const ActAsOutsideWorker worker(&pool_);
-    while (!jobs_.empty()) {
-      Job job = std::move(jobs_.front());
-      jobs_.pop_front();
-      --pool_.queued_total_;
-      pool_.run_job(lock, job, "task");
-    }
+  while (!jobs_.empty()) {
+    Job job = std::move(jobs_.front());
+    jobs_.pop_front();
+    --pool_.queued_total_;
+    pool_.run_job(lock, job, "task");
   }
   pool_.lane_drained_.wait(lock, [this] { return in_flight_ == 0; });
   auto& queues = pool_.queues_;
@@ -86,7 +48,7 @@ ThreadPool::ThreadPool(int threads) {
   const int n = std::max(0, threads);
   workers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -121,10 +83,8 @@ void ThreadPool::submit(Queue& queue, std::function<void()> task,
 
 void ThreadPool::wait(TaskGroup& group) {
   std::unique_lock<std::mutex> lock(mutex_);
-  // Every waiter helps; one from outside the pool does so as its extra
-  // worker (on a zero-worker pool, the only one: the tasks run here or
-  // nowhere).
-  const ActAsOutsideWorker worker(this);
+  // Every waiter helps (on a zero-worker pool it is the only thread: the
+  // tasks run here or nowhere).
   for (;;) {
     if (group.pending_ == 0) {
       if (group.first_error_ != nullptr) {
@@ -148,8 +108,6 @@ void ThreadPool::wait(TaskGroup& group) {
     group.done_or_work_.wait(lock);
   }
 }
-
-int ThreadPool::worker_index() { return tls_worker_index; }
 
 int ThreadPool::resolve_thread_count(int requested) {
   if (requested > 0) {
@@ -223,9 +181,7 @@ void ThreadPool::run_job(std::unique_lock<std::mutex>& lock, Job& job,
   }
 }
 
-void ThreadPool::worker_loop(int index) {
-  tls_worker_index = index;
-  tls_worker_pool = this;
+void ThreadPool::worker_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
     {

@@ -2,32 +2,28 @@
 // A small fixed-size worker pool for the encoder's parallel stages.
 //
 // Design constraints, in order:
-//   1. Determinism support: every thread running pool tasks has a stable
-//      0-based index (worker_index()) below size() + 1, so callers can give
-//      each worker private state — the encoding pipeline hands each worker
-//      its own MotionEstimator (worker 0 runs the caller's estimator) and
-//      merges statistics afterwards.
-//   2. FIFO dispatch *per lane*: tasks of one Queue start in submission
+//   1. FIFO dispatch *per lane*: tasks of one Queue start in submission
 //      order. The wavefront scheduler in codec::EncoderPipeline relies on
 //      this to guarantee that a macroblock row's predecessor row is always
 //      running or finished before the row itself starts (no deadlock in the
 //      dependency waits), and the frame pipeline relies on it to guarantee
 //      that the task publishing a reference row is dispatched before any
 //      task that parks on it.
-//   3. Fair multi-session scheduling: when several Queues hold work (one
+//   2. Fair multi-session scheduling: when several Queues hold work (one
 //      per concurrent encode/decode session), the dispatcher round-robins
 //      across them, so one saturating session cannot starve the others.
-//   4. No task futures or result plumbing — callers use a TaskGroup wait as
+//   3. No task futures or result plumbing — callers use a TaskGroup wait as
 //      the stage barrier and write results into pre-sized arrays.
 //
+// Tasks carry no worker identity: any thread may run any task, so state a
+// task touches is either its own or safe to share (the encoding pipeline
+// runs one session's estimator in every row task).
+//
 // A thread that waits on a group HELPS: it runs the group's queued tasks
-// itself. A waiter from outside the pool does so as its extra worker,
-// worker_index() == size(), so one outside thread at a time may wait on
-// groups whose tasks use per-worker state. A pool of ZERO workers starts no
-// threads at all: its tasks run only on whichever thread calls wait(group)
-// for them, in lane-FIFO order, as worker 0. This is the single-threaded
-// encoder's executor — the same task graph as N workers, without any
-// thread hand-off.
+// itself. A pool of ZERO workers starts no threads at all: its tasks run
+// only on whichever thread calls wait(group) for them, in lane-FIFO order.
+// This is the single-threaded encoder's executor — the same task graph as
+// N workers, without any thread hand-off.
 //
 // Tasks may throw. An exception escaping a task is captured (never
 // std::terminate): the first error of a TaskGroup is latched on the group
@@ -136,24 +132,18 @@ class ThreadPool {
   /// Blocks until every task tagged with `group` has finished, then rethrows
   /// (and clears) the first error a task of the group threw. The wait
   /// HELPS: it runs queued tasks of that group (in lane order) instead of
-  /// parking — from outside the pool as worker size() — so a task may
-  /// submit subtasks and wait for them without deadlocking the pool, and a
-  /// zero-worker pool makes progress at all. Only the waited group's tasks
-  /// are helped — stealing unrelated work could park this thread on a
-  /// dependency that is itself queued behind it.
+  /// parking, so a task may submit subtasks and wait for them without
+  /// deadlocking the pool, and a zero-worker pool makes progress at all.
+  /// Only the waited group's tasks are helped — stealing unrelated work
+  /// could park this thread on a dependency that is itself queued behind it.
   void wait(TaskGroup& group);
-
-  /// 0-based index of the calling pool thread, size() for an outside
-  /// thread while it helps a wait (so 0 on a zero-worker pool), or -1
-  /// outside any pool task.
-  [[nodiscard]] static int worker_index();
 
   /// Picks a worker count: `requested` if positive, the hardware
   /// concurrency (at least 1) for 0, and 1 (serial) for negative values.
   [[nodiscard]] static int resolve_thread_count(int requested);
 
  private:
-  void worker_loop(int index);
+  void worker_loop();
   /// Pops the next job round-robin across lanes. Requires queued_total_ > 0
   /// and the pool mutex held.
   Job pop_next_locked();

@@ -5,8 +5,8 @@
 
 namespace acbm::util {
 
-/// Monotonic stopwatch. Construction starts it; `seconds()`/`millis()` read
-/// elapsed time without stopping.
+/// Monotonic stopwatch. Construction starts it; `seconds()` reads elapsed
+/// time without stopping.
 class Timer {
  public:
   Timer() : start_(clock::now()) {}
@@ -16,8 +16,6 @@ class Timer {
   [[nodiscard]] double seconds() const {
     return std::chrono::duration<double>(clock::now() - start_).count();
   }
-
-  [[nodiscard]] double millis() const { return seconds() * 1e3; }
 
  private:
   using clock = std::chrono::steady_clock;

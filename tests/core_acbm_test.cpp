@@ -180,7 +180,7 @@ TEST(Acbm, DecisionLogRecordsOutcomes) {
   ctx.by = 2;
   (void)acbm.estimate(ctx);
   ASSERT_EQ(acbm.decision_log().size(), 1u);
-  const BlockDecision& d = acbm.decision_log()[0];
+  const BlockDecision d = acbm.decision_log()[0];
   EXPECT_EQ(d.bx, 2);
   EXPECT_EQ(d.by, 2);
   EXPECT_EQ(d.outcome, AcbmOutcome::kCritical);

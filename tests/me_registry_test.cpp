@@ -1,7 +1,8 @@
 // EstimatorRegistry: lookup, unknown-name error, registration discipline,
-// and the clone()/merge_stats() contract — in particular that ACBM clones
-// share parameters but never statistics — plus the reads_current_field()
-// declaration the encoder's row scheduling relies on.
+// the reads_current_field() declaration the encoder's row scheduling relies
+// on, and the sharing contract: one instance of every registered estimator,
+// called from several threads at once, decides every block as a serial
+// pass does (for ACBM: the same statistics and decision log too).
 
 #include "me/registry.hpp"
 
@@ -9,12 +10,15 @@
 
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/acbm.hpp"
 #include "core/builtin_estimators.hpp"
 #include "me/mv_field.hpp"
 #include "me/pbm.hpp"
+#include "synth/sequences.hpp"
 #include "test_support.hpp"
 
 namespace acbm {
@@ -101,57 +105,6 @@ TEST(EstimatorRegistry, CustomParameterizedFactoryReceivesBoundParams) {
   EXPECT_EQ(registry.canonical_spec("mine"), "mine:knob=2.5");
 }
 
-// ----------------------------------------------------------- clone contract
-
-TEST(EstimatorClone, EveryBuiltinClonesToSameAlgorithm) {
-  const me::EstimatorRegistry& registry = core::builtin_estimators();
-  for (const std::string& name : registry.names()) {
-    const auto original = registry.create(name);
-    const auto copy = original->clone();
-    ASSERT_NE(copy, nullptr) << name;
-    EXPECT_NE(copy.get(), original.get()) << name;
-    EXPECT_EQ(copy->name(), original->name()) << name;
-  }
-}
-
-TEST(EstimatorClone, AcbmClonePreservesParamsAndLogFlag) {
-  core::Acbm acbm(core::AcbmParams{123.0, 4.5, 0.5});
-  acbm.set_record_log(true);
-  const auto copy = acbm.clone();
-  auto* cloned = dynamic_cast<core::Acbm*>(copy.get());
-  ASSERT_NE(cloned, nullptr);
-  EXPECT_DOUBLE_EQ(cloned->params().alpha, 123.0);
-  EXPECT_DOUBLE_EQ(cloned->params().beta, 4.5);
-  EXPECT_DOUBLE_EQ(cloned->params().gamma, 0.5);
-
-  auto [ref, cur] = shifted_pair(96, 96, 14, 14, 31);
-  const SearchFixture fx(std::move(ref), std::move(cur));
-  (void)cloned->estimate(fx.context(32, 32));
-  EXPECT_EQ(cloned->decision_log().size(), 1u);  // flag was copied
-}
-
-TEST(EstimatorClone, AcbmStatsDoNotLeakBetweenClones) {
-  auto [ref, cur] = shifted_pair(96, 96, 14, 14, 32);
-  const SearchFixture fx(std::move(ref), std::move(cur));
-
-  core::Acbm original;
-  (void)original.estimate(fx.context(32, 32));
-  ASSERT_EQ(original.stats().blocks, 1u);
-
-  // A clone taken from a used estimator starts from zero.
-  const auto copy = original.clone();
-  auto* cloned = dynamic_cast<core::Acbm*>(copy.get());
-  ASSERT_NE(cloned, nullptr);
-  EXPECT_EQ(cloned->stats().blocks, 0u);
-  EXPECT_EQ(cloned->stats().total_positions, 0u);
-
-  // Running the clone leaves the original untouched, and vice versa.
-  (void)cloned->estimate(fx.context(32, 32));
-  (void)cloned->estimate(fx.context(48, 48));
-  EXPECT_EQ(original.stats().blocks, 1u);
-  EXPECT_EQ(cloned->stats().blocks, 2u);
-}
-
 // ------------------------------------------------- current-field declaration
 
 TEST(ReadsCurrentField, ExactlyPbmAndAcbmDeclareIt) {
@@ -216,82 +169,113 @@ TEST(ReadsCurrentField, UndeclaredEstimatorsIgnoreTheField) {
   }
 }
 
-// ------------------------------------------------------------- merge_stats
+// ----------------------------------------------------------- shared use
 
-TEST(MergeStats, DefaultIsNoOpForStatelessEstimators) {
-  me::Pbm primary;
-  const auto worker = primary.clone();
-  primary.merge_stats(*worker);  // must not throw
-  SUCCEED();
+/// The blocks of a CIF pair (foreman, frames 0 → 1), each estimated by
+/// `estimator` with `prev_field` as the temporal predictor field, on
+/// `threads` threads that take every threads-th block (0 = the calling
+/// thread alone). Results are in raster order.
+std::vector<me::EstimateResult> estimate_cif(
+    const me::MotionEstimator& estimator, const SearchFixture& fx,
+    const me::MvField& prev_field, int threads) {
+  const int mbs_x = fx.cur.width() / me::kBlockSize;
+  const int blocks = mbs_x * (fx.cur.height() / me::kBlockSize);
+  std::vector<me::EstimateResult> results(static_cast<std::size_t>(blocks));
+  const auto run = [&](int first, int step) {
+    for (int i = first; i < blocks; i += step) {
+      me::BlockContext ctx = fx.context((i % mbs_x) * me::kBlockSize,
+                                        (i / mbs_x) * me::kBlockSize);
+      ctx.prev_field = &prev_field;
+      ctx.frame = 1;
+      results[static_cast<std::size_t>(i)] = estimator.estimate(ctx);
+    }
+  };
+  if (threads == 0) {
+    run(0, 1);
+    return results;
+  }
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back(run, t, threads);
+  }
+  for (std::thread& thread : pool) {
+    thread.join();
+  }
+  return results;
 }
 
-TEST(MergeStats, AcbmTotalsAreSumOfWorkerPartitions) {
-  auto [ref, cur] = shifted_pair(96, 96, 14, 14, 33);
+TEST(SharedEstimator, ConcurrentCallsDecideEveryBlockAsASerialPass) {
+  synth::SequenceRequest req;
+  req.name = "foreman";
+  req.size = {352, 288};
+  req.frame_count = 2;
+  req.fps = 30;
+  const std::vector<video::Frame> frames = synth::make_sequence(req);
+  video::Plane ref = frames[0].y();
+  video::Plane cur = frames[1].y();
+  ref.extend_border();
+  cur.extend_border();
   const SearchFixture fx(std::move(ref), std::move(cur));
+  me::MvField prev_field = me::MvField::for_picture(352, 288);
+  for (int by = 0; by < prev_field.mbs_y(); ++by) {
+    for (int bx = 0; bx < prev_field.mbs_x(); ++bx) {
+      prev_field.set(bx, by, me::Mv{(bx % 5) - 2, (by % 3) - 1});
+    }
+  }
 
-  core::Acbm primary;
-  const auto w1 = primary.clone();
-  const auto w2 = primary.clone();
-  auto* worker1 = dynamic_cast<core::Acbm*>(w1.get());
-  auto* worker2 = dynamic_cast<core::Acbm*>(w2.get());
-  ASSERT_NE(worker1, nullptr);
-  ASSERT_NE(worker2, nullptr);
-
-  (void)worker1->estimate(fx.context(16, 16));
-  (void)worker1->estimate(fx.context(32, 32));
-  (void)worker2->estimate(fx.context(48, 48));
-  const std::uint64_t expected_positions =
-      worker1->stats().total_positions + worker2->stats().total_positions;
-  const std::uint64_t expected_critical =
-      worker1->stats().critical + worker2->stats().critical;
-
-  primary.merge_stats(*worker1);
-  primary.merge_stats(*worker2);
-
-  EXPECT_EQ(primary.stats().blocks, 3u);
-  EXPECT_EQ(primary.stats().total_positions, expected_positions);
-  EXPECT_EQ(primary.stats().critical, expected_critical);
-
-  // Drain semantics: merging again must not double count.
-  EXPECT_EQ(worker1->stats().blocks, 0u);
-  EXPECT_EQ(worker2->stats().blocks, 0u);
-  primary.merge_stats(*worker1);
-  EXPECT_EQ(primary.stats().blocks, 3u);
+  const me::EstimatorRegistry& registry = core::builtin_estimators();
+  for (const std::string& name : registry.names()) {
+    const auto serial_estimator = registry.create(name);
+    const auto shared_estimator = registry.create(name);
+    auto* serial_acbm = dynamic_cast<core::Acbm*>(serial_estimator.get());
+    auto* shared_acbm = dynamic_cast<core::Acbm*>(shared_estimator.get());
+    if (serial_acbm != nullptr) {
+      serial_acbm->set_record_log(true);
+      shared_acbm->set_record_log(true);
+    }
+    const std::vector<me::EstimateResult> serial =
+        estimate_cif(*serial_estimator, fx, prev_field, 0);
+    const std::vector<me::EstimateResult> shared =
+        estimate_cif(*shared_estimator, fx, prev_field, 4);
+    ASSERT_EQ(shared.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(shared[i].mv, serial[i].mv) << name << " block " << i;
+      EXPECT_EQ(shared[i].sad, serial[i].sad) << name << " block " << i;
+      EXPECT_EQ(shared[i].positions, serial[i].positions)
+          << name << " block " << i;
+    }
+    if (serial_acbm != nullptr) {
+      const core::AcbmStats stats = serial_acbm->stats();
+      EXPECT_EQ(stats.blocks, serial.size());
+      // Both branches of the test ran, so both kinds of counter were hit.
+      EXPECT_GT(stats.critical, 0u);
+      EXPECT_GT(stats.accepted_low_activity + stats.accepted_good_match, 0u);
+      EXPECT_EQ(shared_acbm->stats(), stats);
+      EXPECT_EQ(shared_acbm->decision_log(), serial_acbm->decision_log());
+    }
+  }
 }
 
-TEST(MergeStats, AcbmMergeSortsDecisionLogIntoEncodeOrder) {
+TEST(SharedEstimator, AcbmLogsInEncodeOrderWhateverTheCallOrder) {
   auto [ref, cur] = shifted_pair(96, 96, 3, 2, 34);
   const SearchFixture fx(std::move(ref), std::move(cur));
-
-  core::Acbm primary;
-  primary.set_record_log(true);
-  const auto w1 = primary.clone();
-  const auto w2 = primary.clone();
-  auto* worker1 = dynamic_cast<core::Acbm*>(w1.get());
-  auto* worker2 = dynamic_cast<core::Acbm*>(w2.get());
-
-  // Worker 2 handles row 1, worker 1 handles row 0; merge in worker order
-  // must still yield raster order.
-  me::BlockContext row1 = fx.context(32, 32);
-  row1.bx = 0;
-  row1.by = 1;
-  (void)worker2->estimate(row1);
-  me::BlockContext row0 = fx.context(16, 16);
-  row0.bx = 1;
-  row0.by = 0;
-  (void)worker1->estimate(row0);
-
-  primary.merge_stats(*worker2);
-  primary.merge_stats(*worker1);
-  ASSERT_EQ(primary.decision_log().size(), 2u);
-  EXPECT_EQ(primary.decision_log()[0].by, 0);
-  EXPECT_EQ(primary.decision_log()[1].by, 1);
-}
-
-TEST(MergeStats, AcbmRejectsForeignWorkerType) {
   core::Acbm acbm;
-  me::Pbm pbm;
-  EXPECT_THROW(acbm.merge_stats(pbm), std::invalid_argument);
+  acbm.set_record_log(true);
+  // Row 1 finishes before row 0, and frame 2 before frame 1.
+  for (const auto& [frame, x, y] :
+       {std::tuple{2, 16, 16}, std::tuple{1, 32, 32}, std::tuple{1, 48, 16}}) {
+    me::BlockContext ctx = fx.context(x, y);
+    ctx.frame = frame;
+    (void)acbm.estimate(ctx);
+  }
+  const std::vector<core::BlockDecision> log = acbm.decision_log();
+  ASSERT_EQ(log.size(), 3u);
+  EXPECT_EQ((std::tuple{log[0].frame, log[0].by, log[0].bx}),
+            (std::tuple{1, 1, 3}));
+  EXPECT_EQ((std::tuple{log[1].frame, log[1].by, log[1].bx}),
+            (std::tuple{1, 2, 2}));
+  EXPECT_EQ((std::tuple{log[2].frame, log[2].by, log[2].bx}),
+            (std::tuple{2, 1, 1}));
 }
 
 }  // namespace

@@ -214,7 +214,7 @@ TEST(AcbmStatsProperty, CountersPartitionBlocks) {
     ctx.qp = 1 + static_cast<int>(rng.next_below(31));
     (void)acbm.estimate(ctx);
   }
-  const core::AcbmStats& s = acbm.stats();
+  const core::AcbmStats s = acbm.stats();
   EXPECT_EQ(s.blocks, static_cast<std::uint64_t>(blocks));
   EXPECT_EQ(s.accepted_low_activity + s.accepted_good_match + s.critical,
             s.blocks);

@@ -1,5 +1,5 @@
-// util::ThreadPool: task completion, the TaskGroup barrier, stable worker
-// indices, FIFO dispatch per lane, the zero-worker (inline) pool, and
+// util::ThreadPool: task completion, the TaskGroup barrier, the helping
+// waiter, FIFO dispatch per lane, the zero-worker (inline) pool, and
 // thread-count resolution — the properties the encoding pipeline is built
 // on — plus util::ReadyCounter, the progress counter its wavefront and
 // reference gate park on.
@@ -70,30 +70,9 @@ TEST(ThreadPool, GroupIsReusableAcrossBatches) {
   }
 }
 
-TEST(ThreadPool, WorkerIndicesAreStableAndInRange) {
-  ThreadPool pool(3);
-  ThreadPool::Queue lane(pool);
-  TaskGroup group;
-  std::mutex m;
-  std::set<int> seen;
-  for (int i = 0; i < 60; ++i) {
-    pool.submit(lane, [&] {
-      const int index = ThreadPool::worker_index();
-      const std::lock_guard<std::mutex> lock(m);
-      seen.insert(index);
-    }, &group);
-  }
-  pool.wait(group);
-  for (int index : seen) {
-    EXPECT_GE(index, 0);
-    EXPECT_LE(index, pool.size());  // size(): the helping outside waiter
-  }
-}
-
-TEST(ThreadPool, OutsideWaiterHelpsAsWorkerSize) {
+TEST(ThreadPool, OutsideWaiterRunsTheGroupsTasks) {
   // With every worker busy, a thread from outside the pool that waits on a
-  // group runs the group's tasks itself, as the extra worker size(), and
-  // is an outsider (-1) again once the wait returns.
+  // group runs the group's tasks itself instead of parking.
   ThreadPool pool(2);
   ThreadPool::Queue lane(pool);
   TaskGroup blockers;
@@ -111,20 +90,16 @@ TEST(ThreadPool, OutsideWaiterHelpsAsWorkerSize) {
     std::this_thread::yield();
   }
   TaskGroup group;
-  std::vector<int> seen;
+  std::vector<std::thread::id> seen;
   for (int i = 0; i < 3; ++i) {
-    pool.submit(lane, [&seen] { seen.push_back(ThreadPool::worker_index()); },
+    pool.submit(lane, [&seen] { seen.push_back(std::this_thread::get_id()); },
                 &group);
   }
   pool.wait(group);
-  EXPECT_EQ(seen, (std::vector<int>{2, 2, 2}));
-  EXPECT_EQ(ThreadPool::worker_index(), -1);
+  const std::thread::id waiter = std::this_thread::get_id();
+  EXPECT_EQ(seen, (std::vector<std::thread::id>{waiter, waiter, waiter}));
   release.store(true);
   pool.wait(blockers);
-}
-
-TEST(ThreadPool, WorkerIndexOutsidePoolIsMinusOne) {
-  EXPECT_EQ(ThreadPool::worker_index(), -1);
 }
 
 TEST(ThreadPool, SingleThreadExecutesInSubmissionOrder) {
@@ -686,25 +661,6 @@ TEST(ZeroWorkerPool, NestedSubmitAndWaitDoesNotDeadlock) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 100}));
 }
 
-TEST(ZeroWorkerPool, WaiterActsAsWorkerZeroThenRestores) {
-  ThreadPool pool(0);
-  ThreadPool::Queue lane(pool);
-  TaskGroup group;
-  std::vector<int> seen;
-  pool.submit(lane, [&] {
-    seen.push_back(ThreadPool::worker_index());
-    TaskGroup inner;
-    pool.submit(lane, [&] { seen.push_back(ThreadPool::worker_index()); },
-                &inner);
-    pool.wait(inner);
-    seen.push_back(ThreadPool::worker_index());  // nested wait restored it
-  }, &group);
-  EXPECT_EQ(ThreadPool::worker_index(), -1);
-  pool.wait(group);
-  EXPECT_EQ(seen, (std::vector<int>{0, 0, 0}));
-  EXPECT_EQ(ThreadPool::worker_index(), -1);
-}
-
 TEST(ZeroWorkerPool, WaitRethrowsTheFirstTaskError) {
   ThreadPool pool(0);
   ThreadPool::Queue lane(pool);
@@ -720,7 +676,6 @@ TEST(ZeroWorkerPool, WaitRethrowsTheFirstTaskError) {
     EXPECT_STREQ(e.what(), "inline boom");
   }
   EXPECT_EQ(after, 1) << "the batch must still run to completion";
-  EXPECT_EQ(ThreadPool::worker_index(), -1);
   pool.wait(group);  // consumed: must not rethrow again
 }
 
