@@ -8,8 +8,10 @@
 //
 // Grid: every core::builtin_estimators() name plus FSBM:dec=quincunx and
 // FSBM:dec=rowskip, × {range 15 half-pel λ 0, range 7 full-pel λ 0, range 4
-// half-pel λ 4}, Qp 16. Each case encodes the four synthetic QCIF clips,
-// 8 frames at 10 fps, and folds FNV-1a over every frame's me_positions,
+// half-pel λ 4}, Qp 16, plus the paper's three estimators (FSBM, PBM, ACBM)
+// at range 15 half-pel λ 14.72 = 0.92·16, whose fixed-point λ·256 = 3768.32
+// truncates (λ 4 scales exactly). Each case encodes the four synthetic QCIF
+// clips, 8 frames at 10 fps, and folds FNV-1a over every frame's me_positions,
 // full_search_blocks and ME field, then the clip's stream bytes. The case
 // runs at threads 1 and 4, which must give the same digest.
 //
@@ -38,12 +40,15 @@ constexpr Golden kGolden[] = {
     {"ACBM/r15/hp/l0", 0x7c9c358beb7da46aull},
     {"ACBM/r7/fp/l0", 0x694e4ece86e1f8e7ull},
     {"ACBM/r4/hp/l4", 0x5eb203a340d3078cull},
+    {"ACBM/r15/hp/l14.72", 0xc8b2d10d417238d1ull},
     {"FSBM/r15/hp/l0", 0xaa1d7278a1386789ull},
     {"FSBM/r7/fp/l0", 0x1bd411c84bf652c7ull},
     {"FSBM/r4/hp/l4", 0x970bfcca0f3d6d3bull},
+    {"FSBM/r15/hp/l14.72", 0x96ab752c0b757785ull},
     {"PBM/r15/hp/l0", 0xf9a73a528547844ull},
     {"PBM/r7/fp/l0", 0x7071d03170c353cfull},
     {"PBM/r4/hp/l4", 0x85779bca54ba8b65ull},
+    {"PBM/r15/hp/l14.72", 0xab6f2a44bd605881ull},
     {"TSS/r15/hp/l0", 0x8572820de31ce489ull},
     {"TSS/r7/fp/l0", 0x57475d688fdada5dull},
     {"TSS/r4/hp/l4", 0x9e1c9f4ddd4c8492ull},
@@ -81,13 +86,19 @@ struct SearchConfig {
   int range;
   bool half_pel;
   double me_lambda;
+  bool paper_estimators_only = false;
 };
 
 constexpr SearchConfig kConfigs[] = {
     {"r15/hp/l0", 15, true, 0.0},
     {"r7/fp/l0", 7, false, 0.0},
     {"r4/hp/l4", 4, true, 4.0},
+    {"r15/hp/l14.72", 15, true, 14.72, true},
 };
+
+bool is_paper_estimator(const std::string& spec) {
+  return spec == "FSBM" || spec == "PBM" || spec == "ACBM";
+}
 
 class Fnv1a {
  public:
@@ -175,6 +186,9 @@ TEST(MeGolden, EveryEstimatorMatchesPinnedDigests) {
   int cases = 0;
   for (const std::string& spec : specs()) {
     for (const SearchConfig& search : kConfigs) {
+      if (search.paper_estimators_only && !is_paper_estimator(spec)) {
+        continue;
+      }
       const std::string name = spec + "/" + search.label;
       const std::uint64_t serial = digest(spec, search, 1);
       EXPECT_EQ(digest(spec, search, 4), serial) << name;
@@ -185,8 +199,8 @@ TEST(MeGolden, EveryEstimatorMatchesPinnedDigests) {
       ++cases;
     }
   }
-  EXPECT_EQ(cases, 39);
-  EXPECT_EQ(std::size(kGolden), 39u);
+  EXPECT_EQ(cases, 42);
+  EXPECT_EQ(std::size(kGolden), 42u);
 }
 
 }  // namespace
