@@ -10,19 +10,26 @@
 #include <cstdint>
 
 #include "me/types.hpp"
+#include "util/expgolomb.hpp"
 
 namespace acbm::me {
 
 /// Bits needed to code `mv` differentially against `pred` (both half-pel).
-[[nodiscard]] std::uint32_t mv_rate_bits(Mv mv, Mv pred);
+[[nodiscard]] inline std::uint32_t mv_rate_bits(Mv mv, Mv pred) {
+  const Mv d = mv - pred;
+  return static_cast<std::uint32_t>(util::se_bit_length(d.x) +
+                                    util::se_bit_length(d.y));
+}
 
 /// Lagrangian cost model for motion search.
 class MotionCost {
  public:
   /// `lambda` converts bits into SAD units. The repository default follows
   /// λ_motion = kLambdaScale·Qp (SAD domain; see DESIGN.md §6).
-  explicit MotionCost(double lambda, Mv pred = {}) : lambda_(lambda),
-                                                     pred_(pred) {}
+  explicit MotionCost(double lambda, Mv pred = {})
+      : lambda_(lambda),
+        lambda_fixed_(static_cast<std::uint64_t>(lambda * 256.0)),
+        pred_(pred) {}
 
   static constexpr double kLambdaScale = 0.92;
 
@@ -40,16 +47,19 @@ class MotionCost {
            lambda_ * static_cast<double>(mv_rate_bits(mv, pred_));
   }
 
-  /// Integer-scaled cost for tie-stable comparisons inside search loops
-  /// (costs are compared, never accumulated, so scaling by 256 is exact
-  /// enough for λ with two fractional digits).
+  /// Integer-scaled cost for tie-stable comparisons inside search loops:
+  /// SAD·256 + ⌊λ·256⌋·R. λ is truncated to 1/256 once, at construction, so
+  /// pricing a candidate is two bit widths, a multiply and an add. Costs are
+  /// only compared, never accumulated; the truncation moves a candidate's J
+  /// by less than R/256 SAD units.
   [[nodiscard]] std::uint64_t cost_fixed(std::uint32_t sad, Mv mv) const {
     return (static_cast<std::uint64_t>(sad) << 8) +
-           static_cast<std::uint64_t>(lambda_ * 256.0) * mv_rate_bits(mv, pred_);
+           lambda_fixed_ * mv_rate_bits(mv, pred_);
   }
 
  private:
   double lambda_;
+  std::uint64_t lambda_fixed_;  ///< ⌊λ·256⌋
   Mv pred_;
 };
 

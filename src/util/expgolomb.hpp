@@ -9,6 +9,7 @@
 // (0, 1, -1, 2, -2, ...), which keeps small-magnitude values cheap — the
 // property the paper's rate term R(mv) relies on.
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 
@@ -16,41 +17,37 @@
 
 namespace acbm::util {
 
-/// Number of bits ue(v) occupies, without writing anything.
+/// Number of bits ue(v) occupies, without writing anything: a prefix of
+/// msb zeros, then the msb+1 bits of v+1, where msb = bit_width(v+1) − 1.
+/// The one length formula: put_ue writes exactly this many bits.
 [[nodiscard]] constexpr int ue_bit_length(std::uint32_t value) {
   const std::uint64_t v = static_cast<std::uint64_t>(value) + 1;
-  int msb = 0;
-  for (std::uint64_t t = v; t > 1; t >>= 1) {
-    ++msb;
-  }
-  return 2 * msb + 1;
+  return 2 * (static_cast<int>(std::bit_width(v)) - 1) + 1;
+}
+
+/// The H.26x zig-zag map from se(v) to ue: 0, 1, -1, 2, -2 -> 0, 1, 2, 3, 4.
+[[nodiscard]] constexpr std::uint32_t se_to_ue(std::int32_t value) {
+  return value > 0
+             ? static_cast<std::uint32_t>(value) * 2 - 1
+             : static_cast<std::uint32_t>(-static_cast<std::int64_t>(value)) * 2;
 }
 
 /// Number of bits se(v) occupies.
 [[nodiscard]] constexpr int se_bit_length(std::int32_t value) {
-  const std::uint32_t mapped =
-      value > 0 ? static_cast<std::uint32_t>(value) * 2 - 1
-                : static_cast<std::uint32_t>(-static_cast<std::int64_t>(value)) * 2;
-  return ue_bit_length(mapped);
+  return ue_bit_length(se_to_ue(value));
 }
 
 /// Writes an unsigned exp-Golomb code.
 inline void put_ue(BitWriter& bw, std::uint32_t value) {
   const std::uint64_t v = static_cast<std::uint64_t>(value) + 1;
-  int msb = 0;
-  for (std::uint64_t t = v; t > 1; t >>= 1) {
-    ++msb;
-  }
+  const int msb = ue_bit_length(value) / 2;
   bw.put_bits(0, msb);       // leading zeros
   bw.put_bits(v, msb + 1);   // value with its top bit acting as the stop bit
 }
 
 /// Writes a signed exp-Golomb code.
 inline void put_se(BitWriter& bw, std::int32_t value) {
-  const std::uint32_t mapped =
-      value > 0 ? static_cast<std::uint32_t>(value) * 2 - 1
-                : static_cast<std::uint32_t>(-static_cast<std::int64_t>(value)) * 2;
-  put_ue(bw, mapped);
+  put_ue(bw, se_to_ue(value));
 }
 
 /// Reads an unsigned exp-Golomb code.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "me/cost.hpp"
 #include "me/window.hpp"
 #include "util/expgolomb.hpp"
@@ -61,6 +64,54 @@ TEST(MotionCost, FixedAndFloatAgreeOnOrdering) {
   const bool float_order = cost.cost(200, a) < cost.cost(230, b);
   const bool fixed_order = cost.cost_fixed(200, a) < cost.cost_fixed(230, b);
   EXPECT_EQ(float_order, fixed_order);
+}
+
+// cost_fixed must equal SAD·256 + ⌊λ·256⌋·R with R the two signed
+// exp-Golomb lengths, for every λ the encoder derives from a Qp and for the
+// extremes. The length is counted here bit by bit, not with util's formula.
+TEST(MotionCost, FixedCostIsTheTruncatedFormula) {
+  const auto se_len = [](int v) {
+    const std::uint64_t code =
+        (v > 0 ? 2 * static_cast<std::uint64_t>(v) - 1
+               : 2 * static_cast<std::uint64_t>(-static_cast<std::int64_t>(v))) +
+        1;
+    int msb = 0;
+    while ((code >> (msb + 1)) != 0) {
+      ++msb;
+    }
+    return static_cast<std::uint64_t>(2 * msb + 1);
+  };
+  std::vector<double> lambdas = {0.0, 0.1, 1e6};
+  for (int qp = 1; qp <= 31; ++qp) {
+    lambdas.push_back(0.92 * qp);
+  }
+  int mismatches = 0;
+  for (const double lambda : lambdas) {
+    const auto lambda_fixed = static_cast<std::uint64_t>(lambda * 256.0);
+    for (int py = -64; py <= 64; py += 32) {
+      for (int px = -64; px <= 64; px += 32) {
+        const MotionCost cost(lambda, {px, py});
+        for (int y = -64; y <= 64; ++y) {
+          for (int x = -64; x <= 64; ++x) {
+            const auto sad = static_cast<std::uint32_t>((x + 64) * 509 +
+                                                        (y + 64) * 131);
+            const std::uint64_t expected =
+                (static_cast<std::uint64_t>(sad) << 8) +
+                lambda_fixed * (se_len(x - px) + se_len(y - py));
+            if (cost.cost_fixed(sad, {x, y}) != expected) {
+              ++mismatches;
+              ADD_FAILURE() << "lambda " << lambda << " mv (" << x << "," << y
+                            << ") pred (" << px << "," << py << ")";
+            }
+          }
+        }
+        if (mismatches > 10) {
+          return;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(SearchWindow, UnrestrictedBounds) {

@@ -4,11 +4,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "util/bitstream.hpp"
 #include "util/rng.hpp"
 
 namespace acbm::util {
 namespace {
+
+// Both lengths stay usable in constant expressions.
+static_assert(ue_bit_length(0) == 1 && ue_bit_length(3) == 5 &&
+              ue_bit_length(std::numeric_limits<std::uint32_t>::max()) == 65);
+static_assert(se_bit_length(0) == 1 && se_bit_length(-2) == 5);
 
 TEST(ExpGolombUe, CanonicalCodewords) {
   // ue(0)=1, ue(1)=010, ue(2)=011, ue(3)=00100 ... (H.26x convention).
@@ -40,6 +49,63 @@ TEST(ExpGolombUe, BitLengthMatchesEncoding) {
     EXPECT_EQ(static_cast<int>(bw.bit_count()), ue_bit_length(v))
         << "value " << v;
   }
+}
+
+// Every value up to 2^16, and 2^k − 2, 2^k − 1, 2^k for k = 1..31 plus
+// UINT32_MAX: the writer emits ue_bit_length(v) bits and the reader, whose
+// leading-zero count is an independent measure of the length, consumes
+// exactly as many and returns v.
+TEST(ExpGolombUe, ReaderConsumesExactlyTheCountedLength) {
+  std::vector<std::uint32_t> values;
+  for (std::uint32_t v = 0; v <= (1u << 16); ++v) {
+    values.push_back(v);
+  }
+  for (int k = 1; k <= 31; ++k) {
+    const std::uint32_t p = std::uint32_t{1} << k;
+    values.insert(values.end(), {p - 2, p - 1, p});
+  }
+  values.push_back(std::numeric_limits<std::uint32_t>::max());
+
+  BitWriter bw;
+  for (std::uint32_t v : values) {
+    const std::size_t before = bw.bit_count();
+    put_ue(bw, v);
+    ASSERT_EQ(bw.bit_count() - before,
+              static_cast<std::size_t>(ue_bit_length(v)))
+        << "value " << v;
+  }
+  const auto bytes = bw.take();
+  BitReader br(bytes);
+  for (std::uint32_t v : values) {
+    const std::size_t before = br.bit_position();
+    ASSERT_EQ(get_ue(br), v);
+    ASSERT_EQ(br.bit_position() - before,
+              static_cast<std::size_t>(ue_bit_length(v)))
+        << "value " << v;
+  }
+  EXPECT_FALSE(br.exhausted());
+}
+
+TEST(ExpGolombSe, ReaderConsumesExactlyTheCountedLength) {
+  constexpr std::int32_t kMax = 1 << 15;
+  BitWriter bw;
+  for (std::int32_t v = -kMax; v <= kMax; ++v) {
+    const std::size_t before = bw.bit_count();
+    put_se(bw, v);
+    ASSERT_EQ(bw.bit_count() - before,
+              static_cast<std::size_t>(se_bit_length(v)))
+        << "value " << v;
+  }
+  const auto bytes = bw.take();
+  BitReader br(bytes);
+  for (std::int32_t v = -kMax; v <= kMax; ++v) {
+    const std::size_t before = br.bit_position();
+    ASSERT_EQ(get_se(br), v);
+    ASSERT_EQ(br.bit_position() - before,
+              static_cast<std::size_t>(se_bit_length(v)))
+        << "value " << v;
+  }
+  EXPECT_FALSE(br.exhausted());
 }
 
 TEST(ExpGolombSe, ZigzagMapping) {
