@@ -27,6 +27,7 @@
 #include "codec/dct.hpp"
 #include "codec/encoder.hpp"
 #include "core/acbm.hpp"
+#include "me/block_sums.hpp"
 #include "me/decimation.hpp"
 #include "me/full_search.hpp"
 #include "me/pbm.hpp"
@@ -297,6 +298,66 @@ void BM_FullSearchP15(benchmark::State& state) {
   run_search_benchmark<me::FullSearch>(state, 15);
 }
 BENCHMARK(BM_FullSearchP15)->Unit(benchmark::kMicrosecond);
+
+// Full search as the encoder runs FSBM: per macroblock row, the row's
+// block-sum band is built, then each of its blocks is searched with it, so
+// the successive elimination bound skips SADs. Two consecutive synthetic
+// foreman QCIF frames give the bound real motion to prune on (the
+// unrelated random planes of BM_FullSearchP15 take no band). One iteration
+// is one frame; the counters are per block.
+void run_band_benchmark(benchmark::State& state, double lambda) {
+  synth::SequenceRequest req;
+  req.name = "foreman";
+  req.frame_count = 2;
+  const std::vector<video::Frame> frames = synth::make_sequence(req);
+  video::Plane ref = frames[0].y();
+  ref.extend_border();
+  const video::Plane& cur = frames[1].y();
+  const video::HalfpelPlanes hp(ref);
+  const me::FullSearch fsbm;
+  me::BlockSumBand band;
+  constexpr int kRange = 15;
+  std::uint64_t blocks = 0;
+  std::uint64_t positions = 0;
+  std::uint64_t sads = 0;
+  for (auto _ : state) {
+    for (int y = 0; y + me::kBlockSize <= cur.height(); y += me::kBlockSize) {
+      band.build(ref, y, kRange);
+      for (int x = 0; x + me::kBlockSize <= cur.width();
+           x += me::kBlockSize) {
+        me::BlockContext ctx;
+        ctx.cur = &cur;
+        ctx.ref = &hp;
+        ctx.x = x;
+        ctx.y = y;
+        ctx.window = me::unrestricted_window(kRange);
+        ctx.cost = me::MotionCost(lambda);
+        ctx.sums = &band;
+        const me::EstimateResult r = fsbm.estimate(ctx);
+        ++blocks;
+        positions += r.positions;
+        sads += r.sad_evaluations;
+        benchmark::DoNotOptimize(r);
+      }
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(blocks));
+  state.counters["positions/block"] = benchmark::Counter(
+      static_cast<double>(positions) / static_cast<double>(blocks));
+  state.counters["SADs/block"] = benchmark::Counter(
+      static_cast<double>(sads) / static_cast<double>(blocks));
+}
+
+void BM_FullSearchP15Band(benchmark::State& state) {
+  run_band_benchmark(state, 0.0);
+}
+BENCHMARK(BM_FullSearchP15Band)->Unit(benchmark::kMicrosecond);
+// The rate-aware row: λ = 0.92·Qp 16 prices every candidate's vector bits.
+[[maybe_unused]] const benchmark::internal::Benchmark* const
+    kFullSearchP15BandLambda =
+        benchmark::RegisterBenchmark("BM_FullSearchP15Band/lambda:14.72",
+                                     run_band_benchmark, 14.72)
+            ->Unit(benchmark::kMicrosecond);
 
 void BM_PbmP15(benchmark::State& state) {
   run_search_benchmark<me::Pbm>(state, 15);

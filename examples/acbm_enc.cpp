@@ -98,8 +98,9 @@ void print_metrics(const std::vector<obs::Registry::CounterRow>& counters,
 int main(int argc, char** argv) {
   util::ArgParser parser;
   parser.add_option("input", ".y4m or .yuv input file", "");
-  parser.add_option("width", "width for raw .yuv input", "176");
-  parser.add_option("height", "height for raw .yuv input", "144");
+  parser.add_option("width", "width for raw .yuv or synthetic input", "176");
+  parser.add_option("height", "height for raw .yuv or synthetic input",
+                    "144");
   parser.add_option("fps", "frame rate for raw/synthetic input", "30");
   parser.add_option("synthetic",
                     "generate carphone|foreman|miss_america|table instead of "
@@ -223,6 +224,8 @@ int main(int argc, char** argv) {
     if (!parser.get("synthetic").empty()) {
       synth::SequenceRequest req;
       req.name = parser.get("synthetic");
+      req.size = {static_cast<int>(parser.get_int("width")),
+                  static_cast<int>(parser.get_int("height"))};
       req.frame_count = static_cast<int>(max_frames ? max_frames : 60);
       req.fps = fps;
       frames = synth::make_sequence(req);
@@ -308,6 +311,7 @@ int main(int argc, char** argv) {
     // --- Encode.
     std::uint64_t bits = 0;
     std::uint64_t positions = 0;
+    std::uint64_t sad_evaluations = 0;
     double psnr = 0.0;
     std::vector<std::uint8_t> stream;
     int effective_slices = 1;
@@ -351,6 +355,7 @@ int main(int argc, char** argv) {
         }
         bits += r.bits;
         positions += r.me_positions;
+        sad_evaluations += r.me_sad_evaluations;
         psnr += r.psnr_y;
       }
       wall_seconds = wall.seconds();
@@ -447,6 +452,7 @@ int main(int argc, char** argv) {
       for (const codec::FrameReport& r : reports[0]) {
         bits += r.bits;
         positions += r.me_positions;
+        sad_evaluations += r.me_sad_evaluations;
         psnr += r.psnr_y;
       }
       stream = sess[0]->finish();
@@ -489,6 +495,8 @@ int main(int argc, char** argv) {
       return 0;
     }
     const double n = static_cast<double>(encoded);
+    const double mbs =
+        n * (frames[0].width() / 16.0) * (frames[0].height() / 16.0);
     std::cout << "encoded " << encoded << " frames ("
               << frames[0].width() << "x" << frames[0].height() << ") with "
               << estimator_spec << " (SAD kernel "
@@ -498,11 +506,11 @@ int main(int argc, char** argv) {
                                           1000.0, 1)
               << " kbit/s, PSNR-Y " << util::CsvWriter::num(psnr / n, 2)
               << " dB, "
+              << util::CsvWriter::num(static_cast<double>(positions) / mbs, 1)
+              << " positions/MB, "
               << util::CsvWriter::num(
-                     static_cast<double>(positions) /
-                         (n * (frames[0].width() / 16.0) *
-                          (frames[0].height() / 16.0)), 1)
-              << " positions/MB\n  " << stream.size() << " bytes ("
+                     static_cast<double>(sad_evaluations) / mbs, 1)
+              << " SADs/MB\n  " << stream.size() << " bytes ("
               << (effective_slices > 1
                       ? "ACV2, " + std::to_string(effective_slices) +
                             " slices/frame"

@@ -22,7 +22,7 @@ struct RdPoint {
   double kbps = 0.0;           ///< total_bits · fps / frames / 1000
   double psnr_y = 0.0;         ///< mean luma PSNR over all frames
   double psnr_yuv = 0.0;
-  double avg_positions = 0.0;  ///< SAD evaluations per P-frame macroblock
+  double avg_positions = 0.0;  ///< candidate positions per P-frame macroblock
   double full_search_fraction = 0.0;  ///< P-frame blocks where FSBM ran
   double skip_fraction = 0.0;
   double mv_bits_share = 0.0;  ///< fraction of bits spent on vectors

@@ -122,7 +122,11 @@ struct FrameReport {
   int intra_mbs = 0;
   int inter_mbs = 0;
   int skip_mbs = 0;
-  std::uint64_t me_positions = 0;  ///< SAD evaluations this frame
+  /// Candidate positions decided this frame (Table 1's count).
+  std::uint64_t me_positions = 0;
+  /// SADs computed this frame: me_positions less the candidates full search
+  /// pruned with the block-sum bound.
+  std::uint64_t me_sad_evaluations = 0;
   std::uint64_t full_search_blocks = 0;  ///< blocks where FSBM ran
   std::uint64_t mv_bits = 0;
   std::uint64_t coeff_bits = 0;

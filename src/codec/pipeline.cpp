@@ -67,6 +67,7 @@ EncoderPipeline::EncoderPipeline(Encoder& encoder, util::ThreadPool& pool)
       pool_(pool),
       me_results_(static_cast<std::size_t>(encoder.mbs_x()) *
                   static_cast<std::size_t>(encoder.mbs_y())),
+      bands_(static_cast<std::size_t>(encoder.mbs_y())),
       row_progress_(static_cast<std::size_t>(encoder.mbs_y())),
       row_done_(static_cast<std::size_t>(encoder.mbs_y())),
       queue_(pool) {}
@@ -537,7 +538,7 @@ void EncoderPipeline::run_back(const video::Frame& src, std::uint64_t f,
 
 me::EstimateResult EncoderPipeline::estimate_block(
     const me::MotionEstimator& estimator, const video::Frame& src, int bx,
-    int by, bool wavefront) const {
+    int by, bool wavefront, const me::BlockSumBand* sums) const {
   const Encoder& e = enc_;
   me::BlockContext ctx;
   ctx.cur = &src.y();
@@ -559,6 +560,7 @@ me::EstimateResult EncoderPipeline::estimate_block(
   ctx.half_pel = e.config_.half_pel;
   ctx.cur_field = wavefront ? e.me_field_ : nullptr;
   ctx.prev_field = e.prev_me_field_;
+  ctx.sums = sums;
   ctx.qp = front_qp_;
   ctx.frame = static_cast<int>(front_frame_);
   return estimator.estimate(ctx);
@@ -577,6 +579,14 @@ std::uint64_t EncoderPipeline::rows_needed(int by) const {
     return static_cast<std::uint64_t>(e.mbs_y());
   }
   return static_cast<std::uint64_t>(bottom / kMb + 1);
+}
+
+bool EncoderPipeline::band_gated(int by) const {
+  const std::uint64_t rows = rows_needed(by);
+  // The band's deepest row: the block row displaced by +search_range.
+  return rows == static_cast<std::uint64_t>(enc_.mbs_y()) ||
+         by * kMb + enc_.config_.search_range + kMb - 1 <
+             static_cast<int>(rows) * kMb;
 }
 
 bool EncoderPipeline::mc_footprint_gated(int by, me::Mv mv) const {
@@ -609,6 +619,7 @@ void EncoderPipeline::front_stage(const video::Frame& src, bool intra_frame,
   const bool wavefront =
       !intra_frame && (e.config_.me_lambda != 0.0 ||
                        estimator.reads_current_field());
+  const bool block_sums = !intra_frame && estimator.wants_block_sums();
   const int mbs_x = e.mbs_x();
   // Progress is cumulative over the stream: this frame's row values start
   // at `base` (see row_progress_).
@@ -645,6 +656,16 @@ void EncoderPipeline::front_stage(const video::Frame& src, bool intra_frame,
       obs::Span row_span("enc", "front.row", tsess, tframe, by);
       util::ReadyCounter& done = row_progress_[static_cast<std::size_t>(by)];
       try {
+        // The row's block sums, built once and shared by its blocks. The
+        // band reads inside the rows the gate above waited for.
+        const me::BlockSumBand* sums = nullptr;
+        if (block_sums) {
+          assert(band_gated(by) && "block sums read past the gated rows");
+          me::BlockSumBand& band = bands_[static_cast<std::size_t>(by)];
+          band.build(e.ref_half_.integer_plane(), by * kMb,
+                     e.config_.search_range);
+          sums = &band;
+        }
         for (int bx = 0; bx < mbs_x; ++bx) {
           if (wavefront && by > 0) {
             row_progress_[static_cast<std::size_t>(by) - 1].wait_for(
@@ -652,7 +673,7 @@ void EncoderPipeline::front_stage(const video::Frame& src, bool intra_frame,
           }
           const std::size_t idx = row_start + static_cast<std::size_t>(bx);
           me::EstimateResult& est = me_results_[idx];
-          est = estimate_block(estimator, src, bx, by, wavefront);
+          est = estimate_block(estimator, src, bx, by, wavefront, sums);
           e.me_field_->set(bx, by, est.mv);
           done.publish(base + static_cast<std::uint64_t>(bx) + 1);
           // Planning after the publish never delays the row below. Its
@@ -679,6 +700,7 @@ void EncoderPipeline::front_stage(const video::Frame& src, bool intra_frame,
   // Serial reduction keeps the report totals independent of scheduling.
   for (const me::EstimateResult& er : me_results_) {
     report.me_positions += er.positions;
+    report.me_sad_evaluations += er.sad_evaluations;
     if (er.used_full_search) {
       ++report.full_search_blocks;
     }

@@ -13,8 +13,11 @@
 //                   coded-field predictor chain, so in kRateDistortion
 //                   mode the plan carries all three candidates with their
 //                   reconstruction SSDs and the choice waits for the
-//                   entropy stage. An I-frame row only plans. When the
-//                   estimator reads the current field
+//                   entropy stage. An I-frame row only plans. A P-frame
+//                   row whose estimator wants_block_sums() (plain FSBM)
+//                   first sums every 16×16 reference block its window
+//                   reaches (me::BlockSumBand), once for all its blocks.
+//                   When the estimator reads the current field
 //                   (reads_current_field(): PBM, ACBM) or me_lambda > 0,
 //                   P-frame rows run in WAVEFRONT order: block (bx, by)
 //                   waits until row by−1 has estimated block bx+1, so the
@@ -135,6 +138,7 @@
 
 #include "codec/encoder.hpp"
 #include "codec/session_error.hpp"
+#include "me/block_sums.hpp"
 #include "me/types.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -277,10 +281,11 @@ class EncoderPipeline {
                    FrameReport& report);
   /// One block's estimate. `wavefront` false means other rows of this frame
   /// may be writing the ME field concurrently: the block then gets no
-  /// current field and a zero cost predictor.
+  /// current field and a zero cost predictor. `sums` is the row's block-sum
+  /// band, or null.
   [[nodiscard]] me::EstimateResult estimate_block(
       const me::MotionEstimator& estimator, const video::Frame& src, int bx,
-      int by, bool wavefront) const;
+      int by, bool wavefront, const me::BlockSumBand* sums) const;
   /// Reference rows (cumulative macroblock rows, frame-local) frame f's
   /// front row `by` may touch: the block rows themselves shifted by up to
   /// ±search_range, one extra sample row for half-pel interpolation, and
@@ -288,6 +293,10 @@ class EncoderPipeline {
   /// border, which is only final once the whole reference is — hence the
   /// clamp to "all rows".
   [[nodiscard]] std::uint64_t rows_needed(int by) const;
+  /// True when row `by`'s block-sum band (reference rows 16·by − p …
+  /// 16·by + p + 15) reads only rows rows_needed(by) covers. Asserted per
+  /// row.
+  [[nodiscard]] bool band_gated(int by) const;
   /// True when motion compensation (luma and chroma) of a row-`by` block
   /// at `mv` reads only rows rows_needed(by) covers. Asserted per block.
   [[nodiscard]] bool mc_footprint_gated(int by, me::Mv mv) const;
@@ -327,6 +336,10 @@ class EncoderPipeline {
   // prediction buffer inline, so re-allocating them per frame would be
   // megabytes of allocator traffic at HD.
   std::vector<me::EstimateResult> me_results_;
+  /// One block-sum band per macroblock row, built by the row's front task
+  /// when the frame's estimator wants_block_sums(). Fronts serialise, so
+  /// one set serves every frame; a band allocates at its first build.
+  std::vector<me::BlockSumBand> bands_;
   std::vector<Encoder::MbPlan> plans_[2];
   /// ACV2 per-slice payload writers, reset (capacity kept) every frame.
   std::vector<util::BitWriter> slice_writers_;

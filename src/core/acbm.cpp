@@ -28,6 +28,7 @@ me::EstimateResult Acbm::estimate(const me::BlockContext& ctx) const {
 
   me::EstimateResult result = pbm;
   result.positions += 1;  // the Intra_SAD pass
+  result.sad_evaluations += 1;
 
   // Step 3: the two acceptance tests (T1 then T2, as in §3.2).
   const double t1 = static_cast<double>(texture) + pbm.sad;
@@ -42,10 +43,13 @@ me::EstimateResult Acbm::estimate(const me::BlockContext& ctx) const {
     decision.outcome = AcbmOutcome::kCritical;
     me::EstimateResult full = full_search_.estimate(ctx);
     const std::uint32_t combined_positions = result.positions + full.positions;
+    const std::uint32_t combined_sads =
+        result.sad_evaluations + full.sad_evaluations;
     if (full.sad <= pbm.sad) {
       result = full;
     }
     result.positions = combined_positions;
+    result.sad_evaluations = combined_sads;
     result.used_full_search = true;
   }
 

@@ -27,7 +27,7 @@ struct BlockDecision {
   std::uint32_t pbm_sad = 0;
   me::Mv pbm_mv;
   me::Mv final_mv;
-  std::uint32_t positions = 0;  ///< SAD evaluations charged to this block
+  std::uint32_t positions = 0;  ///< candidate positions charged to this block
 
   bool operator==(const BlockDecision&) const = default;
 };

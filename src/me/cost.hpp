@@ -27,8 +27,7 @@ class MotionCost {
   /// `lambda` converts bits into SAD units. The repository default follows
   /// λ_motion = kLambdaScale·Qp (SAD domain; see DESIGN.md §6).
   explicit MotionCost(double lambda, Mv pred = {})
-      : lambda_(lambda),
-        lambda_fixed_(static_cast<std::uint64_t>(lambda * 256.0)),
+      : lambda_fixed_(static_cast<std::uint64_t>(lambda * 256.0)),
         pred_(pred) {}
 
   static constexpr double kLambdaScale = 0.92;
@@ -38,27 +37,20 @@ class MotionCost {
     return MotionCost(kLambdaScale * qp, pred);
   }
 
-  [[nodiscard]] double lambda() const { return lambda_; }
   [[nodiscard]] Mv predictor() const { return pred_; }
 
-  /// J = SAD + λ·R(mv − pred).
-  [[nodiscard]] double cost(std::uint32_t sad, Mv mv) const {
-    return static_cast<double>(sad) +
-           lambda_ * static_cast<double>(mv_rate_bits(mv, pred_));
-  }
-
-  /// Integer-scaled cost for tie-stable comparisons inside search loops:
-  /// SAD·256 + ⌊λ·256⌋·R. λ is truncated to 1/256 once, at construction, so
-  /// pricing a candidate is two bit widths, a multiply and an add. Costs are
-  /// only compared, never accumulated; the truncation moves a candidate's J
-  /// by less than R/256 SAD units.
+  /// J = SAD + λ·R(mv − pred), scaled to integers for tie-stable
+  /// comparisons inside search loops: SAD·256 + ⌊λ·256⌋·R. λ is truncated
+  /// to 1/256 once, at construction, so pricing a candidate is two bit
+  /// widths, a multiply and an add. Costs are only compared, never
+  /// accumulated; the truncation moves a candidate's J by less than R/256
+  /// SAD units.
   [[nodiscard]] std::uint64_t cost_fixed(std::uint32_t sad, Mv mv) const {
     return (static_cast<std::uint64_t>(sad) << 8) +
            lambda_fixed_ * mv_rate_bits(mv, pred_);
   }
 
  private:
-  double lambda_;
   std::uint64_t lambda_fixed_;  ///< ⌊λ·256⌋
   Mv pred_;
 };

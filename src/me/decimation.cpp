@@ -60,6 +60,7 @@ EstimateResult AdaptiveDecimationSearch::estimate(
   const DecimationPattern pattern = pattern_for(texture, ctx.bw, ctx.bh);
   EstimateResult result = estimate_decimated_full_search(ctx, pattern);
   result.positions += 1;  // the Intra_SAD pass that chose the pattern
+  result.sad_evaluations += 1;
   return result;
 }
 
@@ -113,6 +114,7 @@ EstimateResult SubsampledFullSearch::estimate(
   refine_halfpel(state);
   EstimateResult result = state.result();
   result.positions += scan.positions;
+  result.sad_evaluations += scan.positions;
   return result;
 }
 
@@ -125,6 +127,7 @@ EstimateResult estimate_decimated_full_search(const BlockContext& ctx,
   refine_halfpel(state);
   EstimateResult result = state.result();
   result.positions += scan.positions;
+  result.sad_evaluations += scan.positions;
   result.used_full_search = true;
   return result;
 }

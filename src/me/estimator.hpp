@@ -7,6 +7,7 @@
 
 #include <string_view>
 
+#include "me/block_sums.hpp"
 #include "me/cost.hpp"
 #include "me/mv_field.hpp"
 #include "me/types.hpp"
@@ -46,6 +47,10 @@ struct BlockContext {
   const MvField* cur_field = nullptr;
   /// Temporal predictors: the previous frame's complete field. May be null.
   const MvField* prev_field = nullptr;
+  /// Reference block sums of this block's row (see me/block_sums.hpp), for
+  /// estimators whose wants_block_sums() is true. May be null: the search
+  /// is then exhaustive, with the same result.
+  const BlockSumBand* sums = nullptr;
   int qp = 16;              ///< quantiser, consulted by adaptive algorithms
   /// Display index of the frame being encoded. Purely informational (no
   /// search decision may depend on it); ACBM stamps it into its decision
@@ -73,13 +78,15 @@ class MotionEstimator {
 
   /// @brief Estimates the motion vector for one block.
   ///
-  /// Implementations must count every SAD evaluation in
-  /// EstimateResult::positions — Table 1 of the paper is regenerated from
-  /// these counters, and they must not depend on thread count or kernel
-  /// variant.
+  /// Implementations must count every candidate position they decide in
+  /// EstimateResult::positions, whether they computed its SAD or proved it
+  /// cannot win without one, and every SAD they computed in
+  /// EstimateResult::sad_evaluations. Table 1 of the paper is regenerated
+  /// from the positions; neither count may depend on thread count or
+  /// kernel variant.
   ///
   /// @param ctx caller-owned per-block inputs (see BlockContext)
-  /// @return the chosen vector plus its SAD and the evaluation count
+  /// @return the chosen vector plus its SAD and the work counts
   virtual EstimateResult estimate(const BlockContext& ctx) const = 0;
 
   /// @brief Stable identifier used in bench output and as the registry key
@@ -93,6 +100,12 @@ class MotionEstimator {
   /// field); every other estimator gets cur_field == nullptr, because its
   /// neighbours may still be mid-write on other workers.
   [[nodiscard]] virtual bool reads_current_field() const { return false; }
+
+  /// @brief True when estimate() prunes with BlockContext::sums.
+  ///
+  /// The encoder builds a row's block-sum band only for an estimator that
+  /// says so (plain FSBM); every other estimator gets sums == nullptr.
+  [[nodiscard]] virtual bool wants_block_sums() const { return false; }
 
   /// @brief Clears any cross-frame state (ACBM statistics, etc.). Called
   /// between sequences.

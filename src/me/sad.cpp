@@ -28,8 +28,8 @@ std::uint32_t sad_block_halfpel(const video::Plane& cur, int cx, int cy,
                        sy.phase, bw, bh);
 }
 
-std::uint32_t block_mean(const video::Plane& cur, int cx, int cy, int bw,
-                         int bh) {
+std::uint32_t block_sum(const video::Plane& cur, int cx, int cy, int bw,
+                        int bh) {
   std::uint32_t sum = 0;
   for (int y = 0; y < bh; ++y) {
     const std::uint8_t* a = cur.row(cy + y) + cx;
@@ -37,8 +37,13 @@ std::uint32_t block_mean(const video::Plane& cur, int cx, int cy, int bw,
       sum += a[x];
     }
   }
+  return sum;
+}
+
+std::uint32_t block_mean(const video::Plane& cur, int cx, int cy, int bw,
+                         int bh) {
   const std::uint32_t n = static_cast<std::uint32_t>(bw * bh);
-  return n > 0 ? (sum + n / 2) / n : 0;
+  return n > 0 ? (block_sum(cur, cx, cy, bw, bh) + n / 2) / n : 0;
 }
 
 std::uint32_t intra_sad(const video::Plane& cur, int cx, int cy, int bw,

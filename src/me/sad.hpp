@@ -1,17 +1,19 @@
 #pragma once
 // Sum-of-absolute-differences kernels plus the paper's two block statistics.
 //
-// Every matching metric in the repository funnels through these functions so
-// the complexity accounting (Table 1 counts SAD evaluations) has a single
+// Every matching metric in the repository funnels through these functions, so
+// the SADs a search computes (EstimateResult::sad_evaluations) have a single
 // source of truth. Since the SIMD subsystem landed, the SAD entry points are
 // thin wrappers over the runtime-dispatched kernel table in simd/dispatch.hpp
 // (scalar reference, SSE2, AVX2 — all bit-identical); the block statistics
 // (Intra_SAD, mean) stay scalar here because they run once per block, not
 // once per candidate.
 //
-// Every entry point returns the exact SAD of the whole block: Table 1
-// counts each evaluated position as one full SAD, and ACBM's SAD_deviation
-// (Σ SAD − N·SAD_min) needs the true value of every candidate.
+// Every entry point returns the exact SAD of the whole block: a scored
+// position is one full SAD, and ACBM's SAD_deviation (Σ SAD − N·SAD_min)
+// needs the true value of every candidate. Table 1 counts positions, which
+// also include the candidates full search proves cannot win without a SAD
+// (me/block_sums.hpp).
 
 #include <cstdint>
 
@@ -43,6 +45,11 @@ namespace acbm::me {
 /// The paper's Intra_SAD: Σ |p(i,j) − µ| over the block, with µ the block
 /// mean (rounded to nearest). High values identify textured blocks.
 [[nodiscard]] std::uint32_t intra_sad(const video::Plane& cur, int cx, int cy,
+                                      int bw, int bh);
+
+/// Σ of the block's samples: block_mean's numerator, and the ΣB of full
+/// search's successive elimination bound (me/block_sums.hpp).
+[[nodiscard]] std::uint32_t block_sum(const video::Plane& cur, int cx, int cy,
                                       int bw, int bh);
 
 /// Block mean, rounded to nearest integer — exposed for tests and reuse by

@@ -6,7 +6,8 @@
 //     by try_candidate's single SAD entry point, me::sad_block_halfpel, or
 //     by a batched kernel such as the full search's sad_x4 — so the
 //     position counters behind Table 1 cannot drift between algorithms or
-//     kernel variants,
+//     kernel variants; a candidate proved unable to win (skip) counts as a
+//     position without a SAD,
 //   * window membership,
 //   * deterministic tie-breaking (cost, then |mv|∞, then raster order),
 // plus an optional visited-set so pattern searches that revisit points
@@ -48,6 +49,7 @@ class SearchState {
   /// Returns true when the candidate became the new best.
   bool offer(Mv cand, std::uint32_t sad) {
     ++positions_;
+    ++sad_evaluations_;
     sad_sum_ += sad;
     const std::uint64_t cost = ctx_->cost.cost_fixed(sad, cand);
     if (is_better(cost, cand)) {
@@ -58,6 +60,16 @@ class SearchState {
     }
     return false;
   }
+
+  /// Accounts `count` candidates decided without their SAD: the caller
+  /// proved each one's SAD exceeds sad_bound(). They are positions (the
+  /// window was searched) but add nothing to sad_sum.
+  void skip(std::uint32_t count) { positions_ += count; }
+
+  /// The largest SAD a candidate may have and still win or tie. Its cost
+  /// is at least SAD·256, because the rate term is never negative, so a
+  /// SAD above ⌊best cost / 256⌋ costs strictly more than the best.
+  [[nodiscard]] std::uint64_t sad_bound() const { return best_cost_ >> 8; }
 
   [[nodiscard]] Mv best_mv() const { return best_mv_; }
   [[nodiscard]] std::uint32_t best_sad() const { return best_sad_; }
@@ -70,7 +82,7 @@ class SearchState {
   }
 
   [[nodiscard]] EstimateResult result() const {
-    return {best_mv_, best_sad_, positions_, false};
+    return {best_mv_, best_sad_, positions_, false, sad_evaluations_};
   }
 
   [[nodiscard]] const BlockContext& ctx() const { return *ctx_; }
@@ -112,6 +124,7 @@ class SearchState {
   std::uint32_t best_sad_ = 0;
   std::uint64_t best_cost_ = kUnset;
   std::uint32_t positions_ = 0;
+  std::uint32_t sad_evaluations_ = 0;
   std::uint64_t sad_sum_ = 0;
   std::vector<std::uint64_t> visited_;  // small; linear scan beats hashing
 };

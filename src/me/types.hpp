@@ -45,8 +45,14 @@ struct Mv {
 struct EstimateResult {
   Mv mv;                        ///< chosen vector, half-pel units
   std::uint32_t sad = 0;        ///< SAD at the chosen position
-  std::uint32_t positions = 0;  ///< candidate positions evaluated (SAD calls)
+  /// Candidate positions decided: the paper's Table 1 count. A position
+  /// pruned by a proof that it cannot win counts without a SAD.
+  std::uint32_t positions = 0;
   bool used_full_search = false;  ///< ACBM: block was classified critical
+  /// SADs actually computed, counted like positions (ACBM's Intra_SAD pass
+  /// is one of each); at most positions, and equal to it for every search
+  /// that prunes nothing.
+  std::uint32_t sad_evaluations = 0;
 };
 
 }  // namespace acbm::me

@@ -153,6 +153,41 @@ TEST(Encoder, ReportsFullSearchBlocks) {
   EXPECT_EQ(r.me_positions, 12u * ((7 * 2 + 1) * (7 * 2 + 1) + 8));
 }
 
+// FSBM rows prune with their block-sum band: the positions keep Table 1's
+// count while most SADs are skipped, the same at any thread count. ACBM
+// takes no band, so it computes a SAD for every position.
+TEST(Encoder, ReportsSadEvaluations) {
+  synth::SequenceRequest req;
+  req.name = "foreman";
+  req.frame_count = 3;
+  const std::vector<video::Frame> frames = synth::make_sequence(req);
+  std::vector<std::uint64_t> fsbm_sads;
+  for (const int threads : {1, 4}) {
+    me::FullSearch fsbm;
+    EncoderConfig cfg = config_with(16, 15);
+    cfg.parallel.threads = threads;
+    Encoder enc(video::kQcif, cfg, fsbm);
+    std::uint64_t positions = 0;
+    std::uint64_t sads = 0;
+    for (const auto& f : frames) {
+      const FrameReport r = enc.encode_frame(f);
+      positions += r.me_positions;
+      sads += r.me_sad_evaluations;
+    }
+    EXPECT_EQ(positions, 2u * 99u * 969u);
+    EXPECT_LT(2 * sads, positions);
+    fsbm_sads.push_back(sads);
+  }
+  EXPECT_EQ(fsbm_sads[0], fsbm_sads[1]);
+
+  core::Acbm acbm;
+  Encoder enc(video::kQcif, config_with(16, 15), acbm);
+  for (const auto& f : frames) {
+    const FrameReport r = enc.encode_frame(f);
+    EXPECT_EQ(r.me_sad_evaluations, r.me_positions);
+  }
+}
+
 TEST(Encoder, PbmUsesFarFewerPositionsThanFsbm) {
   const auto frames = small_sequence(3);
   std::uint64_t positions_fsbm = 0;

@@ -40,28 +40,35 @@ TEST(MvRateBits, MatchesExpGolombLengths) {
 
 TEST(MotionCost, LambdaZeroIsPureSad) {
   const MotionCost cost(0.0, {0, 0});
-  EXPECT_DOUBLE_EQ(cost.cost(500, {30, 30}), 500.0);
   EXPECT_EQ(cost.cost_fixed(500, {30, 30}), 500ull << 8);
 }
 
 TEST(MotionCost, RateTermPenalisesLongVectors) {
   const MotionCost cost(10.0, {0, 0});
-  EXPECT_LT(cost.cost(100, {0, 0}), cost.cost(100, {20, 20}));
   EXPECT_LT(cost.cost_fixed(100, {0, 0}), cost.cost_fixed(100, {20, 20}));
 }
 
 TEST(MotionCost, ForQpScalesLambda) {
-  const MotionCost c10 = MotionCost::for_qp(10);
-  const MotionCost c20 = MotionCost::for_qp(20);
-  EXPECT_DOUBLE_EQ(c10.lambda(), 0.92 * 10);
-  EXPECT_DOUBLE_EQ(c20.lambda(), 2 * c10.lambda());
+  // At SAD 0 the cost is the rate term alone: ⌊0.92·Qp·256⌋·R.
+  const Mv mv{6, -4};
+  const std::uint64_t bits = mv_rate_bits(mv, {0, 0});
+  for (const int qp : {10, 20}) {
+    EXPECT_EQ(MotionCost::for_qp(qp).cost_fixed(0, mv),
+              static_cast<std::uint64_t>(0.92 * qp * 256.0) * bits)
+        << qp;
+  }
 }
 
 TEST(MotionCost, FixedAndFloatAgreeOnOrdering) {
-  const MotionCost cost(3.7, {2, 2});
+  const double lambda = 3.7;
+  const Mv pred{2, 2};
+  const MotionCost cost(lambda, pred);
   const Mv a{0, 0};
   const Mv b{14, -9};
-  const bool float_order = cost.cost(200, a) < cost.cost(230, b);
+  const auto float_cost = [&](std::uint32_t sad, Mv mv) {
+    return sad + lambda * mv_rate_bits(mv, pred);
+  };
+  const bool float_order = float_cost(200, a) < float_cost(230, b);
   const bool fixed_order = cost.cost_fixed(200, a) < cost.cost_fixed(230, b);
   EXPECT_EQ(float_order, fixed_order);
 }

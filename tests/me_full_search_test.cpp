@@ -17,6 +17,7 @@
 namespace acbm::me {
 namespace {
 
+using acbm::test::periodic_plane;
 using acbm::test::SearchFixture;
 using acbm::test::shifted_pair;
 
@@ -82,28 +83,6 @@ OracleResult oracle_full_search(const SearchFixture& fx,
     }
   }
   return o;
-}
-
-/// A plane tiled with a 3×4 pattern of random samples: every candidate
-/// whose offset differs by a multiple of the period ties with it, both
-/// inside one group of four horizontal candidates and across groups.
-video::Plane periodic_plane(int w, int h, int phase_x, int phase_y,
-                            std::uint64_t seed) {
-  util::Rng rng(seed);
-  std::uint8_t tile[4][3];
-  for (auto& row : tile) {
-    for (std::uint8_t& v : row) {
-      v = static_cast<std::uint8_t>(rng.next_below(256));
-    }
-  }
-  video::Plane p(w, h);
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      p.set(x, y, tile[(y + phase_y) % 4][(x + phase_x) % 3]);
-    }
-  }
-  p.extend_border();
-  return p;
 }
 
 struct KernelSelectionGuard {
@@ -260,8 +239,12 @@ TEST(FullSearch, MatchesBruteForceOracle) {
        {periodic_plane(kSize, kSize, 0, 0, 73),
         periodic_plane(kSize, kSize, 1, 2, 73)}},
   };
-  const MotionCost costs[] = {MotionCost(0.0),
-                              MotionCost::for_qp(16, Mv{6, -4})};
+  struct NamedCost {
+    std::string name;
+    MotionCost cost;
+  };
+  const NamedCost costs[] = {{"0", MotionCost(0.0)},
+                             {"0.92*16", MotionCost::for_qp(16, Mv{6, -4})}};
   struct Case {
     std::string name;
     int x, y, bw, bh;
@@ -281,7 +264,7 @@ TEST(FullSearch, MatchesBruteForceOracle) {
   for (const std::string& kernel : simd::available_kernel_names()) {
     ASSERT_TRUE(simd::select_kernels_by_name(kernel));
     for (const auto& [plane_name, fx] : fixtures) {
-      for (const MotionCost& cost : costs) {
+      for (const auto& [lambda_name, cost] : costs) {
         for (const Case& c : cases) {
           BlockContext ctx = fx.context(c.x, c.y);
           ctx.bw = c.bw;
@@ -289,8 +272,7 @@ TEST(FullSearch, MatchesBruteForceOracle) {
           ctx.window = c.window;
           ctx.cost = cost;
           const std::string label = kernel + " " + plane_name + " " + c.name +
-                                    " lambda=" +
-                                    std::to_string(cost.lambda());
+                                    " lambda=" + lambda_name;
           const OracleResult want = oracle_full_search(fx, ctx);
           FullSearch fsbm;
           const EstimateResult est = fsbm.estimate(ctx);

@@ -115,6 +115,16 @@ TEST(ReadsCurrentField, ExactlyPbmAndAcbmDeclareIt) {
   }
 }
 
+// The encoder builds a row's block-sum band only for an estimator that
+// declares it; plain FSBM is the one that prunes with it.
+TEST(WantsBlockSums, ExactlyFsbmDeclaresIt) {
+  const me::EstimatorRegistry& registry = core::builtin_estimators();
+  for (const std::string& name : registry.names()) {
+    EXPECT_EQ(registry.create(name)->wants_block_sums(), name == "FSBM")
+        << name;
+  }
+}
+
 /// Every block of a QCIF pair, estimated by a fresh `name` at λ = 0 with
 /// `cur_field` as the current field.
 std::vector<me::EstimateResult> estimate_qcif(const std::string& name,
@@ -166,6 +176,19 @@ TEST(ReadsCurrentField, UndeclaredEstimatorsIgnoreTheField) {
     // could not catch an undeclared one.
     EXPECT_EQ(identical, !registry.create(name)->reads_current_field())
         << name;
+  }
+}
+
+// Without a block-sum band nothing is pruned: every estimator computes a
+// SAD for each position it counts.
+TEST(SadEvaluations, EqualPositionsWithoutABand) {
+  auto [ref, cur] = shifted_pair(176, 144, 5, -3, 43);
+  const SearchFixture fx(std::move(ref), std::move(cur));
+  const me::EstimatorRegistry& registry = core::builtin_estimators();
+  for (const std::string& name : registry.names()) {
+    for (const me::EstimateResult& r : estimate_qcif(name, fx, nullptr)) {
+      ASSERT_EQ(r.sad_evaluations, r.positions) << name;
+    }
   }
 }
 

@@ -72,6 +72,28 @@ inline std::pair<video::Plane, video::Plane> smooth_shifted_pair(
   return {std::move(ref), std::move(cur)};
 }
 
+/// A plane tiled with a 3×4 pattern of random samples: every candidate
+/// whose offset differs by a multiple of the period ties with it, both
+/// inside one group of four horizontal candidates and across groups.
+inline video::Plane periodic_plane(int w, int h, int phase_x, int phase_y,
+                                   std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::uint8_t tile[4][3];
+  for (auto& row : tile) {
+    for (std::uint8_t& v : row) {
+      v = static_cast<std::uint8_t>(rng.next_below(256));
+    }
+  }
+  video::Plane p(w, h);
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      p.set(x, y, tile[(y + phase_y) % 4][(x + phase_x) % 3]);
+    }
+  }
+  p.extend_border();
+  return p;
+}
+
 /// The reference sample at half-pel position (hx, hy) (integer position X
 /// is hx = 2X), computed one sample at a time through the bounds-checked
 /// Plane::at with H.263 rounding. The per-sample oracle that the library's
