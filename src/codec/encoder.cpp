@@ -157,9 +157,11 @@ void Encoder::plan_mb(const video::Frame& src, int bx, int by,
   bool intra = intra_frame;
   if (!intra && !out.rd) {
     // TMN5 heuristic: INTRA when the block's own activity (Intra_SAD)
-    // undercuts the motion-compensated SAD by more than the bias.
+    // undercuts the motion-compensated SAD by more than the bias. ACBM and
+    // FSBM-adec computed it already, over the same 16×16 block.
     const std::int64_t activity =
-        me::intra_sad(src.y(), bx * kMb, by * kMb, kMb, kMb);
+        est.intra_sad ? *est.intra_sad
+                      : me::intra_sad(src.y(), bx * kMb, by * kMb, kMb, kMb);
     intra = activity + config_.intra_bias < static_cast<std::int64_t>(est.sad);
   }
   if (intra) {

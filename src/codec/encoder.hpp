@@ -317,6 +317,8 @@ class Encoder {
     /// Only the bit breakdown (mv/coeff/header_bits) and the macroblock
     /// counts are tallied.
     FrameReport tally;
+    /// Time the slice sat parked on rows the front had not planned yet.
+    double parked_seconds = 0.0;
   };
 
   /// A motion-compensated INTER candidate: vector, prediction and levels.

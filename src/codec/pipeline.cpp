@@ -31,6 +31,21 @@ void record_latency(obs::Histogram* hist, double seconds) {
     hist->record(static_cast<std::uint64_t>(seconds * 1e9));
   }
 }
+
+/// Publishes `value` on `counter` when it leaves scope, error paths
+/// included.
+class PublishOnExit {
+ public:
+  PublishOnExit(util::ReadyCounter& counter, std::uint64_t value)
+      : counter_(counter), value_(value) {}
+  ~PublishOnExit() { counter_.publish(value_); }
+  PublishOnExit(const PublishOnExit&) = delete;
+  PublishOnExit& operator=(const PublishOnExit&) = delete;
+
+ private:
+  util::ReadyCounter& counter_;
+  std::uint64_t value_;
+};
 }  // namespace
 
 void EncoderPipeline::FrameJob::resolve() {
@@ -69,6 +84,7 @@ EncoderPipeline::EncoderPipeline(Encoder& encoder, util::ThreadPool& pool)
                   static_cast<std::size_t>(encoder.mbs_y())),
       bands_(static_cast<std::size_t>(encoder.mbs_y())),
       row_progress_(static_cast<std::size_t>(encoder.mbs_y())),
+      row_planned_(static_cast<std::size_t>(encoder.mbs_y())),
       row_done_(static_cast<std::size_t>(encoder.mbs_y())),
       queue_(pool) {}
 
@@ -152,7 +168,7 @@ std::optional<std::future<EncodedFrame>> EncoderPipeline::enqueue(
     } else {
       std::size_t pending = 0;
       for (const auto& j : jobs_) {
-        if (j->stage == FrameJob::Stage::kPending) {
+        if (!j->front_started) {
           ++pending;
         }
       }
@@ -228,29 +244,29 @@ void EncoderPipeline::pump_locked(Reap& reap) {
   // Admit the back BEFORE the front: both land on the same FIFO lane, so
   // back(f−1) is always dispatched before front(f) — the task that parks on
   // a reference row can never be scheduled ahead of the task that publishes
-  // it, even on a one-worker pool.
-  if (!back_running_ && !jobs_.empty() &&
-      jobs_.front()->stage == FrameJob::Stage::kFrontDone) {
-    // In-flight jobs form the deque prefix in index order, so jobs_.front()
-    // is the lowest-index frame — exactly the next back (the bitstream
-    // writer is strictly ordered).
+  // it, even on a one-worker pool. In-flight jobs form the deque prefix in
+  // index order, so jobs_.front() is the lowest-index frame — exactly the
+  // next back (the bitstream writer is strictly ordered). Its front must
+  // have enqueued every row task: the back is then queued behind each row
+  // whose plans it parks on.
+  if (!back_running_ && !jobs_.empty() && jobs_.front()->rows_enqueued &&
+      !jobs_.front()->back_started) {
     FrameJob* job = jobs_.front().get();
-    job->stage = FrameJob::Stage::kBack;
-    back_running_ = true;
     pool_.submit(queue_, [this, job] {
       std::exception_ptr error;
       try {
-        run_back(*job->src, job->index, job->qp, job->out.report,
-                 job->out.bytes);
-        job->out.report.frame_wall_seconds = job->wall.seconds();
-        record_latency(enc_.stage_metrics_.frame_wall,
-                       job->out.report.frame_wall_seconds);
+        run_back(*job);
       } catch (...) {
         error = std::current_exception();
         release_back_waiters();
       }
       finish_back(job, error);
     }, &frames_group_);
+    // Marked after a successful submit; the task cannot finish before this
+    // lock is released.
+    job->back_started = true;
+    job->back_running = true;
+    back_running_ = true;
   }
   // front(f) needs front(f−1) retired (fronts serialise on the estimator,
   // the ME-field parity and the ref binding) and back(f−2) retired (frame
@@ -262,7 +278,7 @@ void EncoderPipeline::pump_locked(Reap& reap) {
   if (!front_running_) {
     for (;;) {
       std::size_t k = 0;
-      while (k < jobs_.size() && jobs_[k]->stage != FrameJob::Stage::kPending) {
+      while (k < jobs_.size() && jobs_[k]->front_started) {
         ++k;
       }
       if (k >= jobs_.size() || k > 1) {
@@ -284,7 +300,8 @@ void EncoderPipeline::pump_locked(Reap& reap) {
       }
       job->index = next_index_++;
       job->out.frame_index = job->index;
-      job->stage = FrameJob::Stage::kFront;
+      job->front_started = true;
+      job->front_running = true;
       front_running_ = true;
       pool_.submit(queue_, [this, job] {
         std::exception_ptr error;
@@ -293,8 +310,7 @@ void EncoderPipeline::pump_locked(Reap& reap) {
           if (enc_.fault_ != nullptr && enc_.fault_->armed()) {
             enc_.fault_->inject(enc_.fault_lane_, job->submit_seq);
           }
-          run_front(*job->src, job->index, job->qp, job->out.report,
-                    job->degraded);
+          run_front(*job);
         } catch (...) {
           error = std::current_exception();
         }
@@ -305,26 +321,39 @@ void EncoderPipeline::pump_locked(Reap& reap) {
   }
 }
 
+void EncoderPipeline::front_rows_enqueued() {
+  Reap reap;
+  {
+    const std::lock_guard<std::mutex> lock(admit_mutex_);
+    front_job_->rows_enqueued = true;
+    pump_locked(reap);
+  }
+  for (auto& done : reap) {
+    done->resolve();
+  }
+}
+
 void EncoderPipeline::finish_front(FrameJob* job, std::exception_ptr error) {
   Reap reap;
   {
     const std::lock_guard<std::mutex> lock(admit_mutex_);
     front_running_ = false;
+    job->front_running = false;
     if (error != nullptr) {
       fail_locked(job, std::move(error), "front", reap);
-    } else if (failed_.load(std::memory_order_relaxed)) {
+    } else if (failed_.load(std::memory_order_relaxed) &&
+               job->error == nullptr) {
       // The session latched while this front ran (its reference frame's
-      // back failed): the frame can never be entropy-coded.
+      // back failed), so its own back was never admitted: the frame can
+      // never be entropy-coded.
       job->error = session_error(SessionErrorClass::kSessionFailed,
                                  job->submit_seq, "front", failure_message_);
       if (enc_.stats_sink_ != nullptr) {
         enc_.stats_sink_->add_failed();
       }
-      reap.push_back(extract_locked(job));
-    } else {
-      job->stage = FrameJob::Stage::kFrontDone;
-      pump_locked(reap);
     }
+    retire_locked(job, reap);
+    pump_locked(reap);
   }
   for (auto& done : reap) {
     done->resolve();
@@ -336,18 +365,15 @@ void EncoderPipeline::finish_back(FrameJob* job, std::exception_ptr error) {
   {
     const std::lock_guard<std::mutex> lock(admit_mutex_);
     back_running_ = false;
+    job->back_running = false;
     if (error != nullptr) {
       fail_locked(job, std::move(error), "back", reap);
-    } else {
-      // Even if the session latched while this back ran (a newer frame's
-      // front failed), this frame's bytes precede the failure point — the
-      // packet is valid and resolves with its value.
-      if (enc_.stats_sink_ != nullptr) {
-        enc_.stats_sink_->add_completed();
-      }
-      reap.push_back(extract_locked(job));
-      pump_locked(reap);
     }
+    // Even if the session latched while this back ran (a newer frame's
+    // front failed), this frame's bytes precede the failure point — the
+    // packet is valid and resolves with its value.
+    retire_locked(job, reap);
+    pump_locked(reap);
   }
   // Resolve outside the lock: the waiter may destroy the session (and try
   // to drain this pipeline) the moment it observes the result.
@@ -356,8 +382,29 @@ void EncoderPipeline::finish_back(FrameJob* job, std::exception_ptr error) {
   }
 }
 
+void EncoderPipeline::retire_locked(FrameJob* job, Reap& reap) {
+  if (job->running()) {
+    return;  // the half still running retires the job when it finishes
+  }
+  if (job->error == nullptr) {
+    if (!job->back_started) {
+      return;  // planned; its back waits for admission
+    }
+    job->out.report.frame_wall_seconds = job->wall.seconds();
+    record_latency(enc_.stage_metrics_.frame_wall,
+                   job->out.report.frame_wall_seconds);
+    if (enc_.stats_sink_ != nullptr) {
+      enc_.stats_sink_->add_completed();
+    }
+  }
+  reap.push_back(extract_locked(job));
+}
+
 void EncoderPipeline::fail_locked(FrameJob* job, std::exception_ptr cause,
                                   const char* site, Reap& reap) {
+  if (job->error != nullptr) {
+    return;  // the frame's other half failed first and latched the session
+  }
   SessionErrorClass cls = SessionErrorClass::kEncodeFailed;
   std::string detail = "unknown exception";
   try {
@@ -377,14 +424,12 @@ void EncoderPipeline::fail_locked(FrameJob* job, std::exception_ptr cause,
   if (stats != nullptr) {
     stats->add_failed();
   }
-  reap.push_back(extract_locked(job));
-  // Collateral: every job that is not currently running resolves with
-  // kSessionFailed. A job still running (the overlapped front or back)
-  // stays — its own finish callback observes failed_ and resolves it.
+  // Collateral: every other job with neither half running resolves with
+  // kSessionFailed. A job with a half still running stays in jobs_ — that
+  // half's finish retires it — so a task never outlives its job.
   std::vector<FrameJob*> collateral;
   for (const auto& j : jobs_) {
-    if (j->stage == FrameJob::Stage::kPending ||
-        j->stage == FrameJob::Stage::kFrontDone) {
+    if (j.get() != job && !j->running()) {
       collateral.push_back(j.get());
     }
   }
@@ -422,19 +467,21 @@ void EncoderPipeline::release_back_waiters() {
 
 // -------------------------------------------------------------- front half
 
-void EncoderPipeline::run_front(const video::Frame& src, std::uint64_t f,
-                                int qp, FrameReport& report, bool degraded) {
+void EncoderPipeline::run_front(FrameJob& job) {
   Encoder& e = enc_;
+  const std::uint64_t f = job.index;
+  FrameReport& report = job.out.report;
   const std::int32_t tsess = trace_arg(e.trace_session_);
   const std::int32_t tframe = trace_arg(f);
   obs::Span frame_span("enc", "frame.front", tsess, tframe);
   const bool intra_frame = is_intra(f);
   report.intra = intra_frame;
 
+  front_job_ = &job;
   front_parity_ = static_cast<int>(f & 1);
   front_frame_ = f;
-  front_qp_ = qp;
-  front_degraded_ = degraded && e.degraded_estimator_ != nullptr;
+  front_qp_ = job.qp;
+  front_degraded_ = job.degraded && e.degraded_estimator_ != nullptr;
   e.front_ref_ = &e.recon_buf_[(f + 1) & 1];
   e.me_field_ = &e.me_fields_[f & 1];
   e.prev_me_field_ = &e.me_fields_[(f + 1) & 1];
@@ -458,7 +505,7 @@ void EncoderPipeline::run_front(const video::Frame& src, std::uint64_t f,
   util::Timer front_timer;
   {
     obs::Span front_span("enc", "stage.front", tsess, tframe);
-    front_stage(src, intra_frame, report);
+    front_stage(*job.src, intra_frame, report);
   }
   record_latency(e.stage_metrics_.front, front_timer.seconds());
   report.me_field_smoothness = e.me_field_->smoothness_l1();
@@ -466,10 +513,11 @@ void EncoderPipeline::run_front(const video::Frame& src, std::uint64_t f,
 
 // --------------------------------------------------------------- back half
 
-void EncoderPipeline::run_back(const video::Frame& src, std::uint64_t f,
-                               int qp, FrameReport& report,
-                               std::vector<std::uint8_t>& bytes_out) {
+void EncoderPipeline::run_back(FrameJob& job) {
   Encoder& e = enc_;
+  const std::uint64_t f = job.index;
+  const int qp = job.qp;
+  FrameReport& report = job.out.report;
   const std::int32_t tsess = trace_arg(e.trace_session_);
   const std::int32_t tframe = trace_arg(f);
   obs::Span frame_span("enc", "frame.back", tsess, tframe);
@@ -500,12 +548,15 @@ void EncoderPipeline::run_back(const video::Frame& src, std::uint64_t f,
   e.writer_.put_bit(e.config_.deblock);
   report.header_bits = e.writer_.bit_count() - frame_start_bits;
 
+  // The stage clock times coding, not the chase: the time the stage sat
+  // parked on rows its front had not planned yet is taken out.
   util::Timer entropy_timer;
+  double parked = 0.0;
   {
     obs::Span entropy_span("enc", "stage.entropy", tsess, tframe);
-    entropy_stage(intra_frame, report);
+    parked = entropy_stage(intra_frame, report);
   }
-  record_latency(e.stage_metrics_.entropy, entropy_timer.seconds());
+  record_latency(e.stage_metrics_.entropy, entropy_timer.seconds() - parked);
 
   e.writer_.align();
   report.bits = e.writer_.bit_count() - frame_start_bits;
@@ -522,7 +573,7 @@ void EncoderPipeline::run_back(const video::Frame& src, std::uint64_t f,
   // any row in the non-deblock path that raced the last strip).
   ref_ready_[back_parity_].publish(back_base_ +
                                    static_cast<std::uint64_t>(e.mbs_y()));
-  const video::FramePsnr psnr = video::psnr_frame(src, *e.recon_);
+  const video::FramePsnr psnr = video::psnr_frame(*job.src, *e.recon_);
   report.psnr_y = psnr.y;
   report.psnr_yuv = psnr.yuv;
 
@@ -530,8 +581,9 @@ void EncoderPipeline::run_back(const video::Frame& src, std::uint64_t f,
   e.last_me_field_ = &e.me_fields_[f & 1];
 
   const std::span<const std::uint8_t> stream = e.writer_.bytes();
-  bytes_out.assign(stream.begin() + static_cast<std::ptrdiff_t>(stream_begin),
-                   stream.end());
+  job.out.bytes.assign(
+      stream.begin() + static_cast<std::ptrdiff_t>(stream_begin),
+      stream.end());
 }
 
 // ------------------------------------------------------------- front stage
@@ -625,72 +677,91 @@ void EncoderPipeline::front_stage(const video::Frame& src, bool intra_frame,
   // at `base` (see row_progress_).
   const std::uint64_t base = front_frame_ * static_cast<std::uint64_t>(mbs_x);
   std::vector<Encoder::MbPlan>& plans = plans_[front_parity_];
-  for (int by = 0; by < e.mbs_y(); ++by) {
-    // One task per row. The lane dispatches FIFO, so a row's predecessor is
-    // always running or finished before the row starts: the dependency wait
-    // below cannot deadlock.
-    pool_.submit(queue_, [&, by] {
-      const std::int32_t tsess = trace_arg(e.trace_session_);
-      const std::int32_t tframe = trace_arg(front_frame_);
-      const std::size_t row_start =
-          static_cast<std::size_t>(by) * static_cast<std::size_t>(mbs_x);
-      if (intra_frame) {
-        // Intra plans read neither the reference nor the (stale) estimate.
-        obs::Span row_span("enc", "front.row", tsess, tframe, by);
-        for (int bx = 0; bx < mbs_x; ++bx) {
-          const std::size_t idx = row_start + static_cast<std::size_t>(bx);
-          e.plan_mb(src, bx, by, true, front_qp_, me_results_[idx],
-                    plans[idx]);
-        }
-        return;
-      }
-      // Cross-frame gate first: park until the previous frame's entropy
-      // stage has published every reference row this row's search window —
-      // and so its motion compensation — can touch. The publisher (the back
-      // task, dispatched earlier on this lane) never parks on this frame, so
-      // the wait always resolves.
-      {
-        obs::Span wait_span("enc", "wait.ref_rows", tsess, tframe, by);
-        front_gate_->wait_for(front_wait_base_ + rows_needed(by));
-      }
+  const std::uint64_t planned = front_frame_ + 1;  // see row_planned_
+  const auto row_task = [&](int by) {
+    // The back parks on this row's plans: publish them as planned on
+    // every exit, so a row that throws still releases it.
+    const PublishOnExit publish_planned(
+        row_planned_[static_cast<std::size_t>(by)], planned);
+    const std::int32_t tsess = trace_arg(e.trace_session_);
+    const std::int32_t tframe = trace_arg(front_frame_);
+    const std::size_t row_start =
+        static_cast<std::size_t>(by) * static_cast<std::size_t>(mbs_x);
+    if (intra_frame) {
+      // Intra plans read neither the reference nor the (stale) estimate.
       obs::Span row_span("enc", "front.row", tsess, tframe, by);
-      util::ReadyCounter& done = row_progress_[static_cast<std::size_t>(by)];
-      try {
-        // The row's block sums, built once and shared by its blocks. The
-        // band reads inside the rows the gate above waited for.
-        const me::BlockSumBand* sums = nullptr;
-        if (block_sums) {
-          assert(band_gated(by) && "block sums read past the gated rows");
-          me::BlockSumBand& band = bands_[static_cast<std::size_t>(by)];
-          band.build(e.ref_half_.integer_plane(), by * kMb,
-                     e.config_.search_range);
-          sums = &band;
-        }
-        for (int bx = 0; bx < mbs_x; ++bx) {
-          if (wavefront && by > 0) {
-            row_progress_[static_cast<std::size_t>(by) - 1].wait_for(
-                base + static_cast<std::uint64_t>(std::min(bx + 2, mbs_x)));
-          }
-          const std::size_t idx = row_start + static_cast<std::size_t>(bx);
-          me::EstimateResult& est = me_results_[idx];
-          est = estimate_block(estimator, src, bx, by, wavefront, sums);
-          e.me_field_->set(bx, by, est.mv);
-          done.publish(base + static_cast<std::uint64_t>(bx) + 1);
-          // Planning after the publish never delays the row below. Its
-          // reference reads (MC at est.mv, the SKIP candidate's zero-vector
-          // copy) lie inside the rows the gate above waited for.
-          assert(mc_footprint_gated(by, est.mv) &&
-                 "motion compensation reads past the gated reference rows");
-          e.plan_mb(src, bx, by, false, front_qp_, est, plans[idx]);
-        }
-      } catch (...) {
-        // Mark the whole row complete before the pool captures the error:
-        // dependent rows park on this row's progress, and the stage barrier
-        // can only rethrow once every row task has finished.
-        done.publish(base + static_cast<std::uint64_t>(mbs_x));
-        throw;
+      for (int bx = 0; bx < mbs_x; ++bx) {
+        const std::size_t idx = row_start + static_cast<std::size_t>(bx);
+        e.plan_mb(src, bx, by, true, front_qp_, me_results_[idx],
+                  plans[idx]);
       }
-    }, &front_group_);
+      return;
+    }
+    // Cross-frame gate first: park until the previous frame's entropy
+    // stage has published every reference row this row's search window —
+    // and so its motion compensation — can touch. The publisher (the back
+    // task, dispatched earlier on this lane) never parks on this frame, so
+    // the wait always resolves.
+    {
+      obs::Span wait_span("enc", "wait.ref_rows", tsess, tframe, by);
+      front_gate_->wait_for(front_wait_base_ + rows_needed(by));
+    }
+    obs::Span row_span("enc", "front.row", tsess, tframe, by);
+    util::ReadyCounter& done = row_progress_[static_cast<std::size_t>(by)];
+    try {
+      // The row's block sums, built once and shared by its blocks. The
+      // band reads inside the rows the gate above waited for.
+      const me::BlockSumBand* sums = nullptr;
+      if (block_sums) {
+        assert(band_gated(by) && "block sums read past the gated rows");
+        me::BlockSumBand& band = bands_[static_cast<std::size_t>(by)];
+        band.build(e.ref_half_.integer_plane(), by * kMb,
+                   e.config_.search_range);
+        sums = &band;
+      }
+      for (int bx = 0; bx < mbs_x; ++bx) {
+        if (wavefront && by > 0) {
+          row_progress_[static_cast<std::size_t>(by) - 1].wait_for(
+              base + static_cast<std::uint64_t>(std::min(bx + 2, mbs_x)));
+        }
+        const std::size_t idx = row_start + static_cast<std::size_t>(bx);
+        me::EstimateResult& est = me_results_[idx];
+        est = estimate_block(estimator, src, bx, by, wavefront, sums);
+        e.me_field_->set(bx, by, est.mv);
+        done.publish(base + static_cast<std::uint64_t>(bx) + 1);
+        // Planning after the publish never delays the row below. Its
+        // reference reads (MC at est.mv, the SKIP candidate's zero-vector
+        // copy) lie inside the rows the gate above waited for.
+        assert(mc_footprint_gated(by, est.mv) &&
+               "motion compensation reads past the gated reference rows");
+        e.plan_mb(src, bx, by, false, front_qp_, est, plans[idx]);
+      }
+    } catch (...) {
+      // Mark the whole row complete before the pool captures the error:
+      // dependent rows park on this row's progress, and the stage barrier
+      // can only rethrow once every row task has finished.
+      done.publish(base + static_cast<std::uint64_t>(mbs_x));
+      throw;
+    }
+  };
+  try {
+    // One task per row. The lane dispatches FIFO, so a row's predecessor is
+    // always running or finished before the row starts: the dependency
+    // wait in the row cannot deadlock.
+    for (int by = 0; by < e.mbs_y(); ++by) {
+      pool_.submit(queue_, [&row_task, by] { row_task(by); }, &front_group_);
+    }
+    // Every row is queued, so the back may chase them (see pump_locked).
+    front_rows_enqueued();
+  } catch (...) {
+    // A failed submission: the rows already queued read this frame's
+    // locals, so they finish before the error leaves. Their own errors
+    // are dropped behind this one, and the back was not admitted.
+    try {
+      pool_.wait(front_group_);
+    } catch (...) {
+    }
+    throw;
   }
   pool_.wait(front_group_);
   if (intra_frame) {
@@ -743,8 +814,18 @@ void EncoderPipeline::entropy_slice(bool intra_frame,
   const std::vector<Encoder::MbPlan>& plans = plans_[back_parity_];
   // Same stride source as the front stage that filled plans_.
   const int mbs_x = e.mbs_x();
+  const std::uint64_t planned = back_frame_ + 1;  // see row_planned_
 
   for (int by = row_begin; by < row_end; ++by) {
+    // Chase the front: code a row once its front task has planned it.
+    util::ReadyCounter& row = row_planned_[static_cast<std::size_t>(by)];
+    if (row.value() < planned) {
+      obs::Span wait_span("enc", "wait.plan_rows", trace_arg(e.trace_session_),
+                          trace_arg(back_frame_), by);
+      const util::Timer parked;
+      row.wait_for(planned);
+      slice.parked_seconds += parked.seconds();
+    }
     for (int bx = 0; bx < mbs_x; ++bx) {
       const std::size_t idx =
           static_cast<std::size_t>(by) * static_cast<std::size_t>(mbs_x) + bx;
@@ -766,7 +847,7 @@ void EncoderPipeline::fold_slice(const Encoder::SliceState& slice,
   report.skip_mbs += slice.tally.skip_mbs;
 }
 
-void EncoderPipeline::entropy_stage(bool intra_frame, FrameReport& report) {
+double EncoderPipeline::entropy_stage(bool intra_frame, FrameReport& report) {
   Encoder& e = enc_;
   const int mbs_y = e.mbs_y();
   const int slice_count = e.slices_;  // clamped to [1, mbs_y] at construction
@@ -779,7 +860,7 @@ void EncoderPipeline::entropy_stage(bool intra_frame, FrameReport& report) {
     slice.first_mb_row = 0;
     entropy_slice(intra_frame, slice, 0, mbs_y);
     fold_slice(slice, report);
-    return;
+    return slice.parked_seconds;
   }
 
   // ACV2: each slice entropy-codes its rows into a private writer. Slice s
@@ -813,6 +894,10 @@ void EncoderPipeline::entropy_stage(bool intra_frame, FrameReport& report) {
     }, &back_group_);
   }
   pool_.wait(back_group_);
+  double parked = 0.0;
+  for (const Encoder::SliceState& slice : slices) {
+    parked = std::max(parked, slice.parked_seconds);
+  }
 
   // Slice directory + byte-aligned payload concatenation, in slice order.
   const std::uint64_t dir_start = e.writer_.bit_count();
@@ -835,6 +920,7 @@ void EncoderPipeline::entropy_stage(bool intra_frame, FrameReport& report) {
     writer.reset();
     fold_slice(slice, report);
   }
+  return parked;
 }
 
 }  // namespace acbm::codec

@@ -36,7 +36,10 @@
 //                   serial raster scan straight into the stream writer;
 //                   with slices == N the frame's macroblock rows split into
 //                   N independently-predicted ACV2 slices coded in parallel
-//                   (see entropy_stage).
+//                   (see entropy_stage). It CHASES its own front stage: a
+//                   row is coded once its front task has published it
+//                   planned (row_planned_), so the frame's serial tail is
+//                   only the rows planned last.
 //
 // ONE ENGINE. Every encoder — a standalone Encoder at any thread count and
 // every EncoderService session — runs the stages above as tasks on one FIFO
@@ -51,15 +54,19 @@
 // pool enqueue() itself runs the frame's front and back before returning,
 // so the future is already resolved.
 //
-// FRAME-LEVEL PIPELINING: the front stage reads only the *previous* frame's
-// reconstruction, the entropy stage writes the *current* one — so with the
-// reference double-buffered (Encoder::recon_buf_) and the plans kept in two
-// parities (f & 1), frame t+1's front half (ME + plan) can run while frame
-// t's back half (entropy + reconstruction) is still coding:
+// PIPELINING, two ways. Within a frame, the back half (entropy +
+// reconstruction) codes each macroblock row as soon as the front half has
+// planned it. Across frames, the front stage reads only the *previous*
+// frame's reconstruction and the entropy stage writes the *current* one —
+// so with the reference double-buffered (Encoder::recon_buf_) and the plans
+// kept in two parities (f & 1), frame t+1's front half (ME + plan) can run
+// while frame t's back half is still coding:
 //
-//      frame t   : [front t  ] [entropy+recon t  ]
-//      frame t+1 :       [front t+1  ] [entropy t+1]
-//                          ▲ row-readiness waits
+//      frame t   : [front t ····]
+//                     [entropy+recon t ···]      ▲ waits on planned rows
+//      frame t+1 :                [front t+1 ····]
+//                                   ▲ waits on reconstructed rows of t
+//                                    [entropy+recon t+1 ···]
 //
 // The handoff is row-granular, not whole-frame: the entropy stage publishes
 // each reconstructed macroblock row (border-extended) through a monotonic
@@ -74,14 +81,27 @@
 // next frame's submission, just not row-granular).
 //
 // Admission rules (pump_locked) keep at most one front and one back in
-// flight per session: front(f) needs front(f−1) done (fronts serialise: the
-// estimator state, ME-field parity and ref binding are per-session
-// singletons) and back(f−2) done (parity f&1 buffers free); back(f) needs
-// front(f) done and back(f−1) done (the bitstream writer is strictly
-// ordered). Backs are enqueued before fronts on the session's FIFO lane, so
-// a task that parks on a reference row is always dispatched after the task
-// that publishes it — the same dispatch-order argument that keeps the
-// intra-frame wavefront deadlock-free, one level up.
+// flight per session:
+//   * front(f) needs front(f−1) retired (fronts serialise: the estimator
+//     state, ME-field parity and ref binding are per-session singletons)
+//     and back(f−2) retired (parity f&1 buffers free);
+//   * back(f) needs front(f) to have ENQUEUED every row task
+//     (front_rows_enqueued) and back(f−1) retired (the bitstream writer is
+//     strictly ordered). It does not wait for front(f) to retire: its
+//     entropy slices park per row on row_planned_ instead.
+// Deadlock freedom rests on dispatch order. back(f) is enqueued on the lane
+// after every row task it parks on, so those rows are dispatched first, and
+// front(f)'s own barrier helps run them. On a zero-worker pool that barrier
+// (wait(front_group_)) helps only row tasks, so the back runs in drain()
+// after all of them and never parks. Backs are enqueued before fronts, so a
+// front row that parks on a reference row is always dispatched after the
+// back that publishes it — the same argument that keeps the intra-frame
+// wavefront deadlock-free, one level up.
+//
+// Job lifetime: a frame resolves only once BOTH halves have retired
+// (retire_locked), and a job leaves jobs_ only when neither half is
+// running. Until then the front's serial ME reduction into the report races
+// with nothing, and no task ever outlives the job it writes.
 //
 // FAULT TOLERANCE (docs/FAULT_TOLERANCE.md is the contract):
 //   * Shedding. A frame whose SubmitOptions deadline expires before its
@@ -95,19 +115,26 @@
 //   * Failure latching. If a front or back stage throws, the session
 //     latches failed: the throwing frame's future resolves with the
 //     classified error (kResource for bad_alloc, else kEncodeFailed), every
-//     not-yet-running frame resolves with kSessionFailed, later submits
-//     fail fast, and drain() returns instead of hanging. A back that was
-//     already running when a newer frame's front failed completes and
-//     resolves with its packet (its bytes precede the failure point). Other
-//     sessions on the shared pool are untouched — all failure state is
-//     per-pipeline, and a standalone encoder latches exactly the same way.
+//     frame with neither half running resolves with kSessionFailed, later
+//     submits fail fast, and drain() returns instead of hanging. A frame
+//     with a half still running stays until that half finishes, and
+//     whichever half of a frame finishes last resolves it: a front that
+//     throws beside its own back resolves with the front's error once the
+//     back is done, and a back that throws beside its own front resolves
+//     once the front is done. A back that was already running when a newer
+//     frame's front failed completes and resolves with its packet (its
+//     bytes precede the failure point). Other sessions on the shared pool
+//     are untouched — all failure state is per-pipeline, and a standalone
+//     encoder latches exactly the same way.
 //   * Unwedging. A failed back poison-publishes its full row range
 //     (release_back_waiters) so the next frame's front rows parked on the
 //     reference gate wake up (they read stale-but-allocated samples; the
-//     session is latched and their results are discarded), and a throwing
+//     session is latched and their results are discarded), a throwing
 //     wavefront row publishes its row complete before rethrowing so sibling
-//     rows' dependency waits resolve. Both keep "a task that parks is
-//     always preceded by the task that publishes" true even on error paths.
+//     rows' dependency waits resolve, and every front row publishes itself
+//     planned however it exits, so its own back never stays parked. All
+//     three keep "a task that parks is always preceded by the task that
+//     publishes" true even on error paths.
 //
 // Determinism: every stage consumes only inputs that are fixed before the
 // stage starts or ordered by a wavefront/readiness dependency, so
@@ -204,8 +231,6 @@ class EncoderPipeline {
   /// consumer blocked on the future sees a SessionError, never
   /// std::future_error).
   struct FrameJob {
-    enum class Stage { kPending, kFront, kFrontDone, kBack };
-
     video::Frame owned_src;  ///< the submitted copy (async submits)
     /// The frame to encode: owned_src, or the caller's frame for the
     /// blocking encode_frame, which outlives the job.
@@ -216,7 +241,15 @@ class EncoderPipeline {
     /// submit (async_begin at admission) with its resolution (async_end in
     /// resolve()) — the submit→resolve latency band in a trace.
     std::uint64_t trace_id = 0;
-    Stage stage = Stage::kPending;
+    // The halves, guarded by admit_mutex_. The front is dispatched first
+    // (the index is set then); the back once the front has enqueued every
+    // row task. The job retires when neither half is running and either an
+    // error is set or both halves ran.
+    bool front_started = false;
+    bool front_running = false;
+    bool rows_enqueued = false;
+    bool back_started = false;
+    bool back_running = false;
     bool degraded = false;  ///< encode with the degraded estimator
     int qp = 0;  ///< Encoder's Qp when admitted (set_qp is per submission)
     std::optional<std::chrono::steady_clock::time_point> deadline;
@@ -226,6 +259,9 @@ class EncoderPipeline {
     std::promise<EncodedFrame> promise;
     util::Timer wall;  ///< restarted when the front half starts
 
+    [[nodiscard]] bool running() const {
+      return front_running || back_running;
+    }
     /// Resolves the promise exactly once: with `error` if set, with the
     /// packet otherwise. Call WITHOUT admit_mutex_ held — the waiter may
     /// destroy the session the moment it observes the result.
@@ -239,15 +275,13 @@ class EncoderPipeline {
 
   /// The front stage: motion and plan — everything that reads only the
   /// previous frame's reconstruction. Retargets the encoder's front role
-  /// pointers for frame `f` first. `qp` is the frame's admitted quantiser;
-  /// `degraded` selects the overload estimator for motion estimation.
-  void run_front(const video::Frame& src, std::uint64_t f, int qp,
-                 FrameReport& report, bool degraded);
+  /// pointers for the job's frame first, at its admitted Qp; a degraded
+  /// job runs the overload estimator.
+  void run_front(FrameJob& job);
   /// The entropy stage + frame finalisation: header/entropy bits,
-  /// reconstruction, row publication, PSNR. `bytes_out` receives the
-  /// frame's byte range of the stream (the packet payload).
-  void run_back(const video::Frame& src, std::uint64_t f, int qp,
-                FrameReport& report, std::vector<std::uint8_t>& bytes_out);
+  /// reconstruction, row publication, PSNR. The job's packet receives the
+  /// frame's byte range of the stream.
+  void run_back(FrameJob& job);
 
   // --- admission engine ---
   /// Common body of encode_frame/submit_frame/try_submit_frame: admits
@@ -259,10 +293,19 @@ class EncoderPipeline {
   /// Dispatches whatever the admission rules allow; sheds deadline-expired
   /// frames it meets into `reap`. Requires admit_mutex_ held.
   void pump_locked(Reap& reap);
+  /// Called by the running front once all its row tasks are queued: marks
+  /// the job so pump_locked may admit its back.
+  void front_rows_enqueued();
   void finish_front(FrameJob* job, std::exception_ptr error);
   void finish_back(FrameJob* job, std::exception_ptr error);
-  /// Latches the session failed: classifies `cause` onto `job`, resolves
-  /// every not-yet-running job with kSessionFailed. Requires admit_mutex_.
+  /// Moves `job` into `reap` once neither half runs and it is either failed
+  /// or fully encoded (then timing and counting it completed). Requires
+  /// admit_mutex_.
+  void retire_locked(FrameJob* job, Reap& reap);
+  /// Latches the session failed: classifies `cause` onto `job` (unless its
+  /// other half failed first) and resolves every other job with neither
+  /// half running with kSessionFailed. The caller retires `job`. Requires
+  /// admit_mutex_.
   void fail_locked(FrameJob* job, std::exception_ptr cause, const char* site,
                    Reap& reap);
   /// Removes `job` from jobs_ and returns its owner. Requires admit_mutex_.
@@ -275,8 +318,9 @@ class EncoderPipeline {
   /// One task per macroblock row and one barrier. A P-frame row passes the
   /// reference gate, then per block: the wavefront wait (if needed), the
   /// estimate, the ME-field write, the progress publish, and the plan. An
-  /// I-frame row only plans. P-frames then sum their ME totals into
-  /// `report`.
+  /// I-frame row only plans. Every row then publishes itself planned. Once
+  /// all rows are queued the back may start (front_rows_enqueued).
+  /// P-frames then sum their ME totals into `report`.
   void front_stage(const video::Frame& src, bool intra_frame,
                    FrameReport& report);
   /// One block's estimate. `wavefront` false means other rows of this frame
@@ -302,13 +346,16 @@ class EncoderPipeline {
   [[nodiscard]] bool mc_footprint_gated(int by, me::Mv mv) const;
 
   /// The entropy stage: codes every slice and folds its tallies into
-  /// `report` (which already holds the frame header's bits).
-  void entropy_stage(bool intra_frame, FrameReport& report);
+  /// `report` (which already holds the frame header's bits). Returns the
+  /// time it sat parked on unplanned rows: the longest any one slice
+  /// parked, which the stage clock leaves out.
+  double entropy_stage(bool intra_frame, FrameReport& report);
   /// Entropy-codes and reconstructs rows [row_begin, row_end) into `slice`
   /// from the precomputed plans (the stage no longer reads the source
-  /// frame). Slices touch only their own writer/tallies plus row-disjoint
-  /// regions of the reconstruction and coded MV field, so distinct slices
-  /// may run concurrently.
+  /// frame), each row once the front has planned it; adds the time parked
+  /// on that to slice.parked_seconds. Slices touch only their own
+  /// writer/tallies plus row-disjoint regions of the reconstruction and
+  /// coded MV field, so distinct slices may run concurrently.
   void entropy_slice(bool intra_frame, Encoder::SliceState& slice,
                      int row_begin, int row_end);
   /// Row-granular reference publication: border-extends the reconstructed
@@ -350,8 +397,14 @@ class EncoderPipeline {
   /// over from an earlier frame is at most f·mbs_x, which satisfies no wait
   /// of frame f (every wait needs at least one block of the row).
   std::vector<util::ReadyCounter> row_progress_;
+  /// Plan readiness, one counter per macroblock row: frame f's front row
+  /// `by` publishes f + 1 once its plans are written (or it threw), and
+  /// frame f's entropy stage waits for it before coding the row.
+  /// Cumulative and never reset, like row_progress_.
+  std::vector<util::ReadyCounter> row_planned_;
 
   // --- front-half state, owned by the (single) in-flight front task ---
+  FrameJob* front_job_ = nullptr;     ///< the job whose front is running
   int front_parity_ = 0;              ///< plan-buffer parity of this front
   std::uint64_t front_frame_ = 0;     ///< frame index (BlockContext::frame)
   int front_qp_ = 0;                  ///< this frame's admitted Qp
@@ -377,9 +430,9 @@ class EncoderPipeline {
 
   // --- admission engine state (admit_mutex_) ---
   std::mutex admit_mutex_;
-  /// Every unresolved job, submission order. In-flight jobs (stage !=
-  /// kPending) form a prefix of at most two; the front job is always the
-  /// lowest-index in-flight encode (backs retire strictly in order).
+  /// Every unresolved job, submission order. Dispatched jobs
+  /// (front_started) form a prefix of at most two; the lowest-index one is
+  /// the next back to run (backs retire strictly in order).
   std::deque<std::unique_ptr<FrameJob>> jobs_;
   std::uint64_t next_seq_ = 0;    ///< submission numbers
   std::uint64_t next_index_ = 0;  ///< encode indices; assigned at dispatch

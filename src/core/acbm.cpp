@@ -53,6 +53,7 @@ me::EstimateResult Acbm::estimate(const me::BlockContext& ctx) const {
     result.used_full_search = true;
   }
 
+  result.intra_sad = texture;
   decision.final_mv = result.mv;
   decision.positions = result.positions;
 

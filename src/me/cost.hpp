@@ -39,6 +39,9 @@ class MotionCost {
 
   [[nodiscard]] Mv predictor() const { return pred_; }
 
+  /// False when ⌊λ·256⌋ is 0: every cost is then SAD·256.
+  [[nodiscard]] bool prices_rate() const { return lambda_fixed_ != 0; }
+
   /// J = SAD + λ·R(mv − pred), scaled to integers for tie-stable
   /// comparisons inside search loops: SAD·256 + ⌊λ·256⌋·R. λ is truncated
   /// to 1/256 once, at construction, so pricing a candidate is two bit

@@ -61,6 +61,7 @@ EstimateResult AdaptiveDecimationSearch::estimate(
   EstimateResult result = estimate_decimated_full_search(ctx, pattern);
   result.positions += 1;  // the Intra_SAD pass that chose the pattern
   result.sad_evaluations += 1;
+  result.intra_sad = texture;
   return result;
 }
 

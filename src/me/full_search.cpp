@@ -18,13 +18,16 @@ namespace {
 /// per group), and the row's leftover tail goes through try_candidate.
 ///
 /// With `sums`, a group (or tail candidate) is skipped when the successive
-/// elimination bound |ΣB − ΣR| of each of its candidates exceeds
-/// SearchState::sad_bound(): none of them can win or tie, whatever λ, so the
-/// winner is the exhaustive scan's. The group holding the zero vector is
-/// scored first, to seed the bound. Skipped candidates still count as
-/// positions. Without `sums` every candidate gets its exact SAD, so Σ SAD
-/// covers the whole window; in both cases positions and the tie-broken
-/// winner are those of a one-by-one scan.
+/// elimination bound |ΣB − ΣR| ≤ SAD proves that none of its candidates can
+/// win or tie, so the winner is the exhaustive scan's. The group's smallest
+/// bound is checked against SearchState::sad_bound() first, which holds at
+/// any λ. When the cost prices rate and that check fails, each candidate's
+/// bound is priced with its own vector bits (SearchState::cannot_win),
+/// which prunes more. The group holding the zero vector is scored first, to
+/// seed the bound. Skipped candidates still count as positions. Without
+/// `sums` every candidate gets its exact SAD, so Σ SAD covers the whole
+/// window; in both cases positions and the tie-broken winner are those of a
+/// one-by-one scan.
 void integer_scan(SearchState& state, const BlockContext& ctx,
                   const BlockSumBand* sums) {
   const simd::SadKernels& kernels = simd::active_kernels();
@@ -42,20 +45,34 @@ void integer_scan(SearchState& state, const BlockContext& ctx,
       sums != nullptr
           ? static_cast<int>(block_sum(*ctx.cur, ctx.x, ctx.y, ctx.bw, ctx.bh))
           : 0;
-  // The smallest |ΣB − ΣR| over `count` candidates from (mx, my) rightward.
-  const auto lower_bound = [&](int mx, int my, int count) {
+  const bool priced = ctx.cost.prices_rate();
+  // True when none of `count` candidates from (mx, my) rightward can win.
+  const auto pruned = [&](int mx, int my, int count) {
     const std::uint16_t* ref_sums = sums->at(ctx.x + mx / 2, ctx.y + my / 2);
     int bound = std::abs(cur_sum - ref_sums[0]);
     for (int k = 1; k < count; ++k) {
       bound = std::min(bound, std::abs(cur_sum - ref_sums[k]));
     }
-    return static_cast<std::uint64_t>(bound);
+    if (static_cast<std::uint64_t>(bound) > state.sad_bound()) {
+      return true;
+    }
+    if (!priced) {
+      return false;
+    }
+    for (int k = 0; k < count; ++k) {
+      const auto lb =
+          static_cast<std::uint32_t>(std::abs(cur_sum - ref_sums[k]));
+      if (!state.cannot_win(lb, {mx + 2 * k, my})) {
+        return false;
+      }
+    }
+    return true;
   };
   // Scores the unit of row `my` that starts at `mx`: a group of four below
   // group_end, one candidate from there on.
   const auto score = [&](int mx, int my) {
     const int count = mx < group_end ? 4 : 1;
-    if (sums != nullptr && lower_bound(mx, my, count) > state.sad_bound()) {
+    if (sums != nullptr && pruned(mx, my, count)) {
       state.skip(static_cast<std::uint32_t>(count));
       return;
     }

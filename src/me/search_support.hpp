@@ -71,6 +71,13 @@ class SearchState {
   /// SAD above ⌊best cost / 256⌋ costs strictly more than the best.
   [[nodiscard]] std::uint64_t sad_bound() const { return best_cost_ >> 8; }
 
+  /// True when a candidate at `cand` whose SAD is at least `sad_floor`
+  /// costs strictly more than the best so far: the rate-aware form of
+  /// sad_bound(), which it equals when the cost prices no rate.
+  [[nodiscard]] bool cannot_win(std::uint32_t sad_floor, Mv cand) const {
+    return ctx_->cost.cost_fixed(sad_floor, cand) > best_cost_;
+  }
+
   [[nodiscard]] Mv best_mv() const { return best_mv_; }
   [[nodiscard]] std::uint32_t best_sad() const { return best_sad_; }
   [[nodiscard]] std::uint32_t positions() const { return positions_; }
@@ -82,7 +89,7 @@ class SearchState {
   }
 
   [[nodiscard]] EstimateResult result() const {
-    return {best_mv_, best_sad_, positions_, false, sad_evaluations_};
+    return {best_mv_, best_sad_, positions_, false, sad_evaluations_, {}};
   }
 
   [[nodiscard]] const BlockContext& ctx() const { return *ctx_; }

@@ -6,6 +6,7 @@
 // operates on even values; half-pel refinement toggles the low bit.
 
 #include <cstdint>
+#include <optional>
 
 namespace acbm::me {
 
@@ -53,6 +54,10 @@ struct EstimateResult {
   /// is one of each); at most positions, and equal to it for every search
   /// that prunes nothing.
   std::uint32_t sad_evaluations = 0;
+  /// The block's Intra_SAD (me::intra_sad over ctx.bw × ctx.bh), when the
+  /// estimator computed it on the way (ACBM's texture test, FSBM-adec's
+  /// pattern choice); the encoder's INTRA/INTER test reuses it.
+  std::optional<std::uint32_t> intra_sad;
 };
 
 }  // namespace acbm::me

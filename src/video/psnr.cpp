@@ -2,22 +2,30 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 namespace acbm::video {
 
 namespace {
 
-double sum_squared_error(const Plane& a, const Plane& b) {
+// Exact in integers: a row's sum fits a uint32 up to a width of 65,535
+// (255²·65,535 < 2³²), the 16-bit header's limit, and the uint64 total is
+// what the double chain this replaces summed without rounding (every
+// partial sum stays below 2⁵³), so the PSNRs are bit-identical.
+std::uint64_t sum_squared_error(const Plane& a, const Plane& b) {
   assert(a.width() == b.width() && a.height() == b.height());
-  double sse = 0.0;
+  assert(a.width() <= 65535);
+  std::uint64_t sse = 0;
   for (int y = 0; y < a.height(); ++y) {
     const std::uint8_t* ra = a.row(y);
     const std::uint8_t* rb = b.row(y);
+    std::uint32_t row = 0;
     for (int x = 0; x < a.width(); ++x) {
-      const double d = static_cast<double>(ra[x]) - static_cast<double>(rb[x]);
-      sse += d * d;
+      const int d = int(ra[x]) - int(rb[x]);
+      row += static_cast<std::uint32_t>(d * d);
     }
+    sse += row;
   }
   return sse;
 }
@@ -33,7 +41,7 @@ double mse_to_psnr(double m) {
 
 double mse(const Plane& a, const Plane& b) {
   const double n = static_cast<double>(a.width()) * a.height();
-  return n > 0 ? sum_squared_error(a, b) / n : 0.0;
+  return n > 0 ? static_cast<double>(sum_squared_error(a, b)) / n : 0.0;
 }
 
 double psnr(const Plane& a, const Plane& b) { return mse_to_psnr(mse(a, b)); }
@@ -43,12 +51,13 @@ double psnr_luma(const Frame& a, const Frame& b) {
 }
 
 FramePsnr psnr_frame(const Frame& a, const Frame& b) {
-  const double sse_y = sum_squared_error(a.y(), b.y());
-  const double sse = sse_y + sum_squared_error(a.cb(), b.cb()) +
-                     sum_squared_error(a.cr(), b.cr());
+  const std::uint64_t sse_y = sum_squared_error(a.y(), b.y());
+  const std::uint64_t sse = sse_y + sum_squared_error(a.cb(), b.cb()) +
+                            sum_squared_error(a.cr(), b.cr());
   const double n = static_cast<double>(a.width()) * a.height();
-  return {mse_to_psnr(n > 0 ? sse_y / n : 0.0),
-          mse_to_psnr(n > 0 ? sse / (n * 3.0 / 2.0) : 0.0)};
+  return {mse_to_psnr(n > 0 ? static_cast<double>(sse_y) / n : 0.0),
+          mse_to_psnr(n > 0 ? static_cast<double>(sse) / (n * 3.0 / 2.0)
+                            : 0.0)};
 }
 
 }  // namespace acbm::video

@@ -10,19 +10,27 @@
 // the spec alone which frame of which session will fail, and assert the
 // error's frame_index matches — across a sweep of 24 seeds.
 //
-// Also here: deadline shedding, queue-limit shedding, the degradation
-// ladder, ServiceStats conservation, destruction with frames in flight,
-// and the kv spec grammars for "fault:..." and "overload:...".
+// Also here: a frame whose front or back fails while its other half still
+// runs (the entropy stage chases the front row by row), deadline shedding,
+// queue-limit shedding, the degradation ladder, ServiceStats conservation,
+// destruction with frames in flight, and the kv spec grammars for
+// "fault:..." and "overload:...".
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <future>
 #include <limits>
 #include <memory>
+#include <new>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -31,9 +39,43 @@
 #include "codec/service.hpp"
 #include "codec/session_error.hpp"
 #include "core/builtin_estimators.hpp"
+#include "me/full_search.hpp"
+#include "obs/metrics.hpp"
 #include "synth/sequences.hpp"
 #include "util/fault_injector.hpp"
 #include "util/kv.hpp"
+
+// A failing allocation for the back-failure test: once armed, the next
+// allocation of at least kFailAtLeast bytes on any thread throws
+// std::bad_alloc, once. Every other allocation goes to malloc.
+namespace {
+constexpr std::size_t kFailAtLeast = 1024;
+std::atomic<bool> g_fail_armed{false};
+std::atomic<bool> g_fail_fired{false};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (size >= kFailAtLeast && g_fail_armed.load(std::memory_order_relaxed) &&
+      g_fail_armed.exchange(false)) {
+    g_fail_fired.store(true);
+    throw std::bad_alloc();
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+// The pairing is right (malloc above, free here); GCC cannot see that the
+// replaced operator new returns malloc's memory.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace acbm::codec {
 namespace {
@@ -380,6 +422,140 @@ TEST(FaultSoak, StandaloneEncoderLatchesLikeASession) {
       EXPECT_TRUE(encoder.failed()) << "threads=" << threads;
     }
   }
+}
+
+// ------------------------------------------- a half fails beside the other ---
+
+/// Full search, except at block (0, `row`) of encode index `frame`: there it
+/// either sleeps, then throws (kThrow), or arms the failing allocation and
+/// holds the row until it has fired (kHoldUntilAllocFails).
+class ScriptedEstimator final : public me::MotionEstimator {
+ public:
+  enum class Script { kThrow, kHoldUntilAllocFails };
+  ScriptedEstimator(Script script, int frame, int row)
+      : script_(script), frame_(frame), row_(row) {}
+
+  me::EstimateResult estimate(const me::BlockContext& ctx) const override {
+    if (ctx.frame == frame_ && ctx.by == row_ && ctx.bx == 0) {
+      if (script_ == Script::kThrow) {
+        // Long enough for the back to code every row above and park here.
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        throw std::runtime_error("scripted front failure");
+      }
+      g_fail_fired.store(false);
+      g_fail_armed.store(true);
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(20);
+      while (!g_fail_fired.load() &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      g_fail_armed.store(false);
+    }
+    return full_.estimate(ctx);
+  }
+  [[nodiscard]] std::string_view name() const override { return "scripted"; }
+
+ private:
+  Script script_;
+  int frame_;
+  int row_;
+  me::FullSearch full_;
+};
+
+/// Encodes frames 0 and 1 of a 64×128 clip (eight macroblock rows) on a
+/// three-worker service with `estimator`, frame 0 to completion first.
+/// Returns frame 1's error; checks that both futures resolve in time and
+/// that ServiceStats conservation holds.
+SessionError encode_until_frame1_fails(
+    std::unique_ptr<me::MotionEstimator> estimator, int slices,
+    obs::Registry& registry) {
+  synth::SequenceRequest req;
+  req.name = "foreman";
+  req.size = {64, 128};
+  req.frame_count = 2;
+  const std::vector<video::Frame> frames = synth::make_sequence(req);
+  EncoderConfig config;
+  config.qp = 16;
+  config.search_range = 7;
+  config.slices = slices;
+  EncoderService service(3);
+  EncodeSession session(service, {64, 128}, config, std::move(estimator));
+  session.encoder().set_metrics(&registry);
+  (void)session.submit(frames[0]).get();
+  std::future<Packet> frame1 = session.submit(frames[1]);
+  if (frame1.wait_for(std::chrono::seconds(60)) !=
+      std::future_status::ready) {
+    // A wedged pipeline would also hang the session's destructor.
+    std::fprintf(stderr, "frame 1 did not resolve within 60 s\n");
+    std::abort();
+  }
+  std::optional<SessionError> error;
+  try {
+    (void)frame1.get();
+    ADD_FAILURE() << "frame 1 resolved with a packet";
+  } catch (const SessionError& e) {
+    error = e;
+  }
+  session.drain();
+  EXPECT_TRUE(session.failed());
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.accepted, 2u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.accepted, stats.completed + stats.timed_out + stats.failed);
+  return error.value_or(SessionError(SessionErrorClass::kClosed, 0, "none",
+                                     "frame 1 did not fail"));
+}
+
+std::uint64_t histogram_count(const obs::Registry& registry,
+                              const std::string& name) {
+  for (const obs::Registry::HistogramRow& row : registry.histogram_rows()) {
+    if (row.name == name) {
+      return row.count;
+    }
+  }
+  return 0;
+}
+
+// The last row's estimate throws while the frame's back, admitted as soon
+// as the rows were queued, is parked on that row. The throwing row still
+// publishes itself planned, so the back finishes; only then does the frame
+// resolve, with the front's error.
+TEST(HalfFailure, FrontThrowsWhileItsBackIsParked) {
+  for (const int slices : {1, 4}) {
+    obs::Registry registry;
+    const SessionError error = encode_until_frame1_fails(
+        std::make_unique<ScriptedEstimator>(
+            ScriptedEstimator::Script::kThrow, /*frame=*/1, /*row=*/7),
+        slices, registry);
+    EXPECT_EQ(error.error_class(), SessionErrorClass::kEncodeFailed)
+        << "slices " << slices;
+    EXPECT_EQ(error.site(), "front") << "slices " << slices;
+    EXPECT_EQ(error.frame_index(), 1u) << "slices " << slices;
+    // Both frames' backs ran their entropy stage to the end.
+    EXPECT_EQ(histogram_count(registry, "enc.stage.entropy"), 2u)
+        << "slices " << slices;
+  }
+}
+
+// Row 0's estimate holds its row while the back starts beside it: with
+// eight slices, the back's first allocation is at least kFailAtLeast bytes
+// and fails. The back fails while its own front still runs; the frame
+// resolves, with the back's error, only once the front is done.
+TEST(HalfFailure, BackFailsWhileItsFrontRuns) {
+  obs::Registry registry;
+  const SessionError error = encode_until_frame1_fails(
+      std::make_unique<ScriptedEstimator>(
+          ScriptedEstimator::Script::kHoldUntilAllocFails, /*frame=*/1,
+          /*row=*/0),
+      /*slices=*/8, registry);
+  EXPECT_TRUE(g_fail_fired.load()) << "the armed allocation never failed";
+  EXPECT_EQ(error.error_class(), SessionErrorClass::kResource);
+  EXPECT_EQ(error.site(), "back");
+  EXPECT_EQ(error.frame_index(), 1u);
+  // Both frames' fronts ran to the end.
+  EXPECT_EQ(histogram_count(registry, "enc.stage.front"), 2u);
 }
 
 // ------------------------------------------------- deadlines & shedding ---

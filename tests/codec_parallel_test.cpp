@@ -158,6 +158,37 @@ TEST(ParallelEncode, BothRowShapesIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(ParallelEncode, CifFsbmGridIdenticalAcrossThreadCounts) {
+  // The entropy stage codes each row as soon as its front row has planned
+  // it, so at four threads a frame's back runs beside its own front. At
+  // CIF with full search (unstaggered rows) the chase crosses slices (one
+  // coder, or four slice tasks parking on their own rows), deblocking
+  // (whole-frame reference publication) and both mode decisions (RD plans
+  // leave the choice to the entropy stage).
+  const auto frames = test_sequence("foreman", 3, {352, 288});
+  for (int slices : {1, 4}) {
+    for (bool deblock : {false, true}) {
+      for (ModeDecision mode :
+           {ModeDecision::kHeuristic, ModeDecision::kRateDistortion}) {
+        EncoderConfig config;
+        config.qp = 16;
+        config.slices = slices;
+        config.deblock = deblock;
+        config.mode_decision = mode;
+        const EncodeOutcome serial = encode_with(frames, "FSBM", config);
+        ASSERT_GT(serial.stream.size(), 0u);
+        EncoderConfig parallel = config;
+        parallel.parallel.threads = 4;
+        const EncodeOutcome outcome = encode_with(frames, "FSBM", parallel);
+        EXPECT_EQ(outcome.stream, serial.stream)
+            << "slices " << slices << ", deblock " << deblock << ", "
+            << (mode == ModeDecision::kHeuristic ? "heuristic" : "rd");
+        expect_reports_identical(outcome.reports, serial.reports);
+      }
+    }
+  }
+}
+
 TEST(ParallelEncode, IOnlySequenceIdentical) {
   const auto frames = test_sequence("carphone", 4);
   EncoderConfig config;

@@ -92,5 +92,96 @@ TEST(Psnr, FrameLumaIsPsnrLuma) {
   EXPECT_TRUE(std::isinf(psnr_frame(a, a).yuv));
 }
 
+// The double-precision chain of per-sample squared errors: the oracle the
+// integer sums must match bit for bit, since every partial sum is an integer
+// below 2^53.
+double oracle_sse(const Plane& a, const Plane& b) {
+  double sse = 0.0;
+  for (int y = 0; y < a.height(); ++y) {
+    for (int x = 0; x < a.width(); ++x) {
+      const double d = static_cast<double>(a.at(x, y)) -
+                       static_cast<double>(b.at(x, y));
+      sse += d * d;
+    }
+  }
+  return sse;
+}
+
+double oracle_psnr(double mse) {
+  return mse <= 0.0 ? std::numeric_limits<double>::infinity()
+                    : 10.0 * std::log10(255.0 * 255.0 / mse);
+}
+
+FramePsnr oracle_frame(const Frame& a, const Frame& b) {
+  const double sse_y = oracle_sse(a.y(), b.y());
+  const double sse =
+      sse_y + oracle_sse(a.cb(), b.cb()) + oracle_sse(a.cr(), b.cr());
+  const double n = static_cast<double>(a.width()) * a.height();
+  return {oracle_psnr(sse_y / n), oracle_psnr(sse / (n * 3.0 / 2.0))};
+}
+
+Frame random_frame(int w, int h, std::uint64_t seed) {
+  Frame f(w, h);
+  f.y() = acbm::test::random_plane(w, h, seed);
+  f.cb() = acbm::test::random_plane(w / 2, h / 2, seed + 1);
+  f.cr() = acbm::test::random_plane(w / 2, h / 2, seed + 2);
+  return f;
+}
+
+TEST(Psnr, PlaneMseIsBitEqualToTheDoubleChain) {
+  const int sizes[][2] = {{1, 1}, {7, 3}, {33, 17}, {176, 144}, {351, 289}};
+  std::uint64_t seed = 10;
+  for (const auto& size : sizes) {
+    const Plane a = acbm::test::random_plane(size[0], size[1], seed++);
+    const Plane b = acbm::test::random_plane(size[0], size[1], seed++);
+    const double n = static_cast<double>(size[0]) * size[1];
+    EXPECT_EQ(mse(a, b), oracle_sse(a, b) / n) << size[0] << "x" << size[1];
+    EXPECT_EQ(psnr(a, b), oracle_psnr(oracle_sse(a, b) / n))
+        << size[0] << "x" << size[1];
+  }
+}
+
+TEST(Psnr, FramePsnrIsBitEqualToTheDoubleChain) {
+  // Odd chroma sizes included (34x18 has 17x9 chroma planes).
+  const int sizes[][2] = {{2, 2}, {34, 18}, {176, 144}, {352, 288}};
+  std::uint64_t seed = 40;
+  for (const auto& size : sizes) {
+    const Frame a = random_frame(size[0], size[1], seed);
+    const Frame b = random_frame(size[0], size[1], seed + 10);
+    seed += 20;
+    const FramePsnr got = psnr_frame(a, b);
+    const FramePsnr want = oracle_frame(a, b);
+    EXPECT_EQ(got.y, want.y) << size[0] << "x" << size[1];
+    EXPECT_EQ(got.yuv, want.yuv) << size[0] << "x" << size[1];
+  }
+}
+
+TEST(Psnr, WorstCaseRowsNearTheWidthLimitStayExact) {
+  // All 0 against all 255: every sample adds 255², the largest term, so a
+  // row of 65,535 samples is the largest row sum the integer path holds.
+  for (const int width : {65535, 65534}) {
+    Plane zeros(width, 3);
+    Plane full(width, 3);
+    zeros.fill(0);
+    full.fill(255);
+    const double n = static_cast<double>(width) * 3;
+    EXPECT_EQ(mse(zeros, full), oracle_sse(zeros, full) / n) << width;
+    EXPECT_EQ(mse(zeros, full), 255.0 * 255.0) << width;
+  }
+  Frame black(65534, 4);
+  Frame white(65534, 4);
+  black.fill(0);
+  white.fill(255);
+  black.cb().fill(0);
+  black.cr().fill(0);
+  white.cb().fill(255);
+  white.cr().fill(255);
+  const FramePsnr got = psnr_frame(black, white);
+  const FramePsnr want = oracle_frame(black, white);
+  EXPECT_EQ(got.y, want.y);
+  EXPECT_EQ(got.yuv, want.yuv);
+  EXPECT_EQ(got.y, 0.0);
+}
+
 }  // namespace
 }  // namespace acbm::video
