@@ -10,9 +10,9 @@ namespace acbm::video {
 namespace {
 
 // Exact in integers: a row's sum fits a uint32 up to a width of 65,535
-// (255²·65,535 < 2³²), the 16-bit header's limit, and the uint64 total is
-// what the double chain this replaces summed without rounding (every
-// partial sum stays below 2⁵³), so the PSNRs are bit-identical.
+// (255²·65,535 < 2³²), the 16-bit header's limit, and the total stays below
+// 2⁵³, so it converts to double without rounding — the same value a
+// double-precision running sum would reach.
 std::uint64_t sum_squared_error(const Plane& a, const Plane& b) {
   assert(a.width() == b.width() && a.height() == b.height());
   assert(a.width() <= 65535);
