@@ -15,8 +15,9 @@
 //                   reconstruction SSDs and the choice waits for the
 //                   entropy stage. An I-frame row only plans. A P-frame
 //                   row whose estimator wants_block_sums() (plain FSBM)
-//                   first sums every 16×16 reference block its window
-//                   reaches (me::BlockSumBand), once for all its blocks.
+//                   first sums every 8×8 reference block its window's
+//                   candidates cover (me::BlockSumBand), once for all its
+//                   blocks.
 //                   When the estimator reads the current field
 //                   (reads_current_field(): PBM, ACBM) or me_lambda > 0,
 //                   P-frame rows run in WAVEFRONT order: block (bx, by)

@@ -1,7 +1,7 @@
 #include "me/full_search.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <array>
 
 #include "me/halfpel.hpp"
 #include "me/search_support.hpp"
@@ -11,23 +11,36 @@ namespace acbm::me {
 
 namespace {
 
+/// Longest candidate row the bound is computed for at once; wider windows
+/// scan exhaustively (the encoder's ±23 rows hold 47 candidates).
+constexpr int kMaxBoundRow = 64;
+static_assert(kMaxBoundRow % BlockSumBand::kLanes == 0,
+              "BlockSumBand::bounds writes whole vectors");
+
 /// Runs the integer raster scan; leaves `state` positioned at the best
 /// integer candidate. FSBM is the most SAD-bound estimator, so each
 /// candidate row is scored four horizontally adjacent candidates per call
 /// through the dispatched table's sad_x4 (the current block is loaded once
 /// per group), and the row's leftover tail goes through try_candidate.
 ///
-/// With `sums`, a group (or tail candidate) is skipped when the successive
-/// elimination bound |ΣB − ΣR| ≤ SAD proves that none of its candidates can
-/// win or tie, so the winner is the exhaustive scan's. The group's smallest
-/// bound is checked against SearchState::sad_bound() first, which holds at
-/// any λ. When the cost prices rate and that check fails, each candidate's
-/// bound is priced with its own vector bits (SearchState::cannot_win),
-/// which prunes more. The group holding the zero vector is scored first, to
-/// seed the bound. Skipped candidates still count as positions. Without
-/// `sums` every candidate gets its exact SAD, so Σ SAD covers the whole
-/// window; in both cases positions and the tie-broken winner are those of a
-/// one-by-one scan.
+/// With `sums`, candidates are skipped when the multilevel successive
+/// elimination bound lb ≤ SAD (me/block_sums.hpp) proves that they cannot
+/// win or tie, so the winner is the exhaustive scan's. Three checks, from
+/// coarse to fine:
+///   1. Row skip. Each candidate row's bounds are computed in one pass;
+///      when the row's smallest exceeds SearchState::sad_bound(), which
+///      holds at any λ, the whole row is skipped.
+///   2. Group check. Otherwise a sad_x4 group (or tail candidate) is
+///      skipped when its smallest bound exceeds the then current
+///      sad_bound().
+///   3. Rate check. When the cost prices rate, a group that passed the
+///      group check is still skipped if each candidate's bound, priced with
+///      its own vector bits, cannot win (SearchState::cannot_win).
+/// The group holding the zero vector is scored first, to seed the bound.
+/// Skipped candidates still count as positions. Without `sums` every
+/// candidate gets its exact SAD, so Σ SAD covers the whole window; in both
+/// cases positions and the tie-broken winner are those of a one-by-one
+/// scan.
 void integer_scan(SearchState& state, const BlockContext& ctx,
                   const BlockSumBand* sums) {
   const simd::SadKernels& kernels = simd::active_kernels();
@@ -41,28 +54,29 @@ void integer_scan(SearchState& state, const BlockContext& ctx,
   // fewer than four single candidates.
   const int row_count = max_x >= min_x ? (max_x - min_x) / 2 + 1 : 0;
   const int group_end = min_x + 8 * (row_count / 4);
-  const int cur_sum =
-      sums != nullptr
-          ? static_cast<int>(block_sum(*ctx.cur, ctx.x, ctx.y, ctx.bw, ctx.bh))
-          : 0;
+  const BlockSumBand::QuadSums cur_sums =
+      sums != nullptr ? BlockSumBand::quad_sums(*ctx.cur, ctx.x, ctx.y)
+                      : BlockSumBand::QuadSums{};
+  // The bounds of candidate row `my`, left to right; returns the least.
+  std::array<std::uint16_t, kMaxBoundRow> lb;
+  const auto bound_row = [&](int my) {
+    return sums->bounds(cur_sums, ctx.x + min_x / 2, ctx.y + my / 2,
+                        row_count, lb.data());
+  };
   const bool priced = ctx.cost.prices_rate();
-  // True when none of `count` candidates from (mx, my) rightward can win.
+  // True when none of `count` candidates from (mx, my) rightward can win;
+  // lb holds row my.
   const auto pruned = [&](int mx, int my, int count) {
-    const std::uint16_t* ref_sums = sums->at(ctx.x + mx / 2, ctx.y + my / 2);
-    int bound = std::abs(cur_sum - ref_sums[0]);
-    for (int k = 1; k < count; ++k) {
-      bound = std::min(bound, std::abs(cur_sum - ref_sums[k]));
-    }
-    if (static_cast<std::uint64_t>(bound) > state.sad_bound()) {
+    const std::uint16_t* bound = lb.data() + (mx - min_x) / 2;
+    const std::uint16_t least = *std::min_element(bound, bound + count);
+    if (least > state.sad_bound()) {
       return true;
     }
     if (!priced) {
       return false;
     }
     for (int k = 0; k < count; ++k) {
-      const auto lb =
-          static_cast<std::uint32_t>(std::abs(cur_sum - ref_sums[k]));
-      if (!state.cannot_win(lb, {mx + 2 * k, my})) {
+      if (!state.cannot_win(bound[k], {mx + 2 * k, my})) {
         return false;
       }
     }
@@ -93,11 +107,21 @@ void integer_scan(SearchState& state, const BlockContext& ctx,
   // before the scan: still blocks are common, so it sets a tight bound
   // early.
   int seed_mx = max_x + 2;  // no unit starts here
+  int seed_count = 0;
   if (ctx.window.contains({0, 0})) {
     seed_mx = 0 < group_end ? min_x + 8 * ((0 - min_x) / 8) : 0;
+    seed_count = seed_mx < group_end ? 4 : 1;
+    if (sums != nullptr) {
+      bound_row(0);
+    }
     score(seed_mx, 0);
   }
   for (int my = min_y; my <= ctx.window.max_y; my += 2) {
+    if (sums != nullptr && bound_row(my) > state.sad_bound()) {
+      state.skip(static_cast<std::uint32_t>(
+          my == 0 ? row_count - seed_count : row_count));
+      continue;
+    }
     for (int mx = min_x; mx <= max_x; mx += mx < group_end ? 8 : 2) {
       if (my != 0 || mx != seed_mx) {
         score(mx, my);
@@ -112,11 +136,12 @@ EstimateResult FullSearch::estimate(const BlockContext& ctx) const {
   if (pattern_ != DecimationPattern::kNone) {
     return estimate_decimated_full_search(ctx, pattern_);
   }
-  // The band sums 16×16 blocks; other block sizes, or a window reaching
-  // past the band, scan exhaustively.
+  // The band bounds 16×16 blocks; other block sizes, a window reaching
+  // past the band or a row longer than kMaxBoundRow scan exhaustively.
   const bool prune = ctx.sums != nullptr &&
                      ctx.bw == BlockSumBand::kSide &&
                      ctx.bh == BlockSumBand::kSide &&
+                     ctx.window.max_x - ctx.window.min_x < 2 * kMaxBoundRow &&
                      ctx.sums->covers(ctx.x, ctx.y, ctx.window);
   SearchState state(ctx);
   integer_scan(state, ctx, prune ? ctx.sums : nullptr);

@@ -5,10 +5,12 @@
 // followed by 8-point half-pel refinement. For the paper's p = 15 this is
 // 961 + 8 = 969 positions per block, the reference complexity against which
 // Table 1 is normalised. Given a row's block sums (BlockContext::sums),
-// estimate() skips the SADs of candidates the successive elimination bound
-// proves cannot win; the chosen vector, its SAD and the 969 positions stay
-// those of the exhaustive scan, and EstimateResult::sad_evaluations counts
-// the SADs it computed.
+// estimate() skips the SADs of candidates the multilevel successive
+// elimination bound proves cannot win: first whole candidate rows, then
+// sad_x4 groups, then, when the cost prices rate, groups whose every
+// candidate's priced bound loses. The chosen vector, its SAD and the 969
+// positions stay those of the exhaustive scan, and
+// EstimateResult::sad_evaluations counts the SADs it computed.
 
 #include <cstdint>
 

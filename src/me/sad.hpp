@@ -47,7 +47,7 @@ namespace acbm::me {
 [[nodiscard]] std::uint32_t intra_sad(const video::Plane& cur, int cx, int cy,
                                       int bw, int bh);
 
-/// Σ of the block's samples: block_mean's numerator, and the ΣB of full
+/// Σ of the block's samples: block_mean's numerator, and the ΣBᵢ of full
 /// search's successive elimination bound (me/block_sums.hpp).
 [[nodiscard]] std::uint32_t block_sum(const video::Plane& cur, int cx, int cy,
                                       int bw, int bh);

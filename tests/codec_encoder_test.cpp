@@ -154,8 +154,8 @@ TEST(Encoder, ReportsFullSearchBlocks) {
 }
 
 // FSBM rows prune with their block-sum band: the positions keep Table 1's
-// count while most SADs are skipped, the same at any thread count. ACBM
-// takes no band, so it computes a SAD for every position.
+// count while over three quarters of the SADs are skipped, the same at any
+// thread count. ACBM takes no band, so it computes a SAD for every position.
 TEST(Encoder, ReportsSadEvaluations) {
   synth::SequenceRequest req;
   req.name = "foreman";
@@ -175,7 +175,7 @@ TEST(Encoder, ReportsSadEvaluations) {
       sads += r.me_sad_evaluations;
     }
     EXPECT_EQ(positions, 2u * 99u * 969u);
-    EXPECT_LT(2 * sads, positions);
+    EXPECT_LT(4 * sads, positions);
     fsbm_sads.push_back(sads);
   }
   EXPECT_EQ(fsbm_sads[0], fsbm_sads[1]);
